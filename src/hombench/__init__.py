@@ -5,8 +5,8 @@ from .errors import (AsymmetricInput, BudgetExceeded, DimensionMismatch,
                      Pro1Violation, SingularMap, TwistMismatch, UnknownSlug,
                      UnsupportedKind, WorkbenchError)
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vector,
-                         dual_map, flip_tensor2, frac, invert_map, map_direct_sum,
-                         tensor2_to_map, tensor_product_map, zero_vector)
+                         frac, map_direct_sum, tensor2_to_map, tensor_product_map,
+                         zero_vector)
 from .algebras import (BilinearForm, Failure, HomLieAlgebra, HomPreLieAlgebra,
                        ValidationReport, check_morphism, combine_reports,
                        sub_adjacent, validate_hessian, validate_hom_lie,

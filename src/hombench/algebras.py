@@ -58,13 +58,6 @@ class ValidationReport:
     def failure_count(self):
         return len(self.failures)
 
-    def first_failures(self):
-        """The first recorded failure of each identity, in encounter order."""
-        seen = {}
-        for f in self.failures:
-            seen.setdefault(f.identity, f)
-        return list(seen.values())
-
     def prefixed(self, prefix):
         return ValidationReport(
             tuple(Failure(prefix + "." + f.identity, f.witness, f.residual) for f in self.failures),

@@ -13,7 +13,8 @@ from .foundation import (LinearMap, Tensor3, basis_vector, sub_vectors,
                          tensor2_to_map, tensor_product_map, zero_vector)
 from .algebras import (Failure, HomPreLieAlgebra, ValidationReport, combine_reports,
                        sub_adjacent, validate_hom_pre_lie, _record)
-from .representations import check_one_cocycle, coboundary_rep, star_maps
+from .representations import (_combination, check_one_cocycle, coboundary_maps, coboundary_rep,
+                              star_maps)
 from .matched import (coadjoint_matched_pair, require_dual_twists, standard_manin_triple,
                       validate_manin_triple, validate_matched_pair_pre_lie)
 
@@ -34,24 +35,6 @@ def check_pro1(a, r):
     return sharp @ inv_dual == a.twist @ sharp
 
 
-def _coboundary_column_maps(a):
-    """The per-basis coboundary action matrices on the tensor square; defined for
-    any product table with invertible twist."""
-    n = a.dim
-    alpha = a.twist
-    inv_sq = alpha.power(-2)
-    maps = []
-    for k in range(n):
-        shifted = inv_sq.apply(basis_vector(n, k))
-        left = a.left_matrix(shifted)
-        ad_cols = [sub_vectors(
-            a.product_of(shifted, basis_vector(n, j)),
-            a.product_of(basis_vector(n, j), shifted)) for j in range(n)]
-        ad = LinearMap.from_columns(ad_cols, rows=n)
-        maps.append(tensor_product_map(left, alpha) + tensor_product_map(alpha, ad))
-    return maps
-
-
 def _vec(r):
     """Flatten a square 2-tensor lexicographically (left factor major)."""
     return tuple(c for row in r.entries for c in row)
@@ -62,7 +45,7 @@ def coboundary_cocycle(a, r):
     one flattened tensor-square column per basis vector."""
     if r.dim_left != a.dim or r.dim_right != a.dim:
         raise DimensionMismatch("tensor is %dx%d on dimension %d" % (r.dim_left, r.dim_right, a.dim))
-    maps = _coboundary_column_maps(a)
+    maps = coboundary_maps(a)
     flat = _vec(r)
     return LinearMap.from_columns([m.apply(flat) for m in maps], rows=a.dim * a.dim)
 
@@ -121,11 +104,14 @@ def hom_s_bracket(a, r):
                         out[i][j][k] += partial * wk
 
     items = r.nonzero_items()
+    firsts = {s for (s, _), _ in items}
+    seconds = {q for (_, q), _ in items}
+    commutators = {(s, q): a.commutator_of(e[s], e[q]) for s in firsts for q in seconds}
     for (p, q), c1 in items:
         for (s, t), c2 in items:
             coeff = c1 * c2
             accumulate(coeff, alphas[p], alphas[s], a.basis_product(q, t))
-            accumulate(-coeff, alphas[p], a.commutator_of(e[s], e[q]), alphas[t])
+            accumulate(-coeff, alphas[p], commutators[(s, q)], alphas[t])
             accumulate(-coeff, a.basis_product(p, s), alphas[t], alphas[q])
     return Tensor3(tuple(tuple(tuple(row) for row in plane) for plane in out), dims=(n, n, n))
 
@@ -178,11 +164,7 @@ def check_P_condition(a, r):
         p_maps.append(tensor_product_map(left, alpha) + tensor_product_map(alpha, left))
 
     def p_of(x):
-        total = LinearMap.zero(n * n, n * n)
-        for k, c in enumerate(x):
-            if c != 0:
-                total = total + p_maps[k].scale(c)
-        return total
+        return _combination(p_maps, x, n * n)
 
     skew_part = _vec(r - r.flip())
     alphas = [alpha.apply(basis_vector(n, i)) for i in range(n)]
@@ -194,17 +176,19 @@ def check_P_condition(a, r):
     return ValidationReport(failures)
 
 
+def solves_s_equation(a, r):
+    """Twist-intertwining with a vanishing twisted bracket square. The algebra is
+    taken as valid and the tensor as square of its dimension; neither is checked."""
+    return check_pro1(a, r) and hom_s_bracket(a, r).is_zero()
+
+
 def is_hom_s_matrix(a, r):
     """Symmetric, twist-intertwining, and vanishing twisted bracket square."""
     if not validate_hom_pre_lie(a).valid:
         raise InvalidInput("is_hom_s_matrix needs a valid twisted pre-Lie algebra")
     if r.dim_left != a.dim or r.dim_right != a.dim:
         raise DimensionMismatch("tensor is %dx%d on dimension %d" % (r.dim_left, r.dim_right, a.dim))
-    if not r.is_symmetric():
-        return False
-    if not check_pro1(a, r):
-        return False
-    return hom_s_bracket(a, r).is_zero()
+    return r.is_symmetric() and solves_s_equation(a, r)
 
 
 def dualize_product(p):

@@ -153,7 +153,7 @@ def _cmd_search(args):
     spec = SearchSpec(args.target, dim=args.dim, coefficients=_parse_coeffs(args.coeffs),
                       mode=args.mode, seed=args.seed, limit=args.limit, base=base,
                       attempts=args.attempts, budget=args.budget)
-    found = run_search(spec, workers=args.workers)
+    found = run_search(spec)
     if args.verbose:
         print("found %d document(s)" % len(found), file=sys.stderr)
     _write_output(serialize_documents(found), args.out)
@@ -199,7 +199,6 @@ def _build_parser():
     p.add_argument("--limit", type=int, default=10)
     p.add_argument("--attempts", type=int, default=1000, help="draws in seeded mode")
     p.add_argument("--budget", type=int, default=200000, help="candidate evaluation cap")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--base", help="document file the target is searched over")
     p.add_argument("--out", help="write results here instead of stdout")
     p.add_argument("--verbose", action="store_true")

@@ -11,13 +11,13 @@ on algebra-plus-dual-space whose solution property mirrors the operator one.
 from collections import namedtuple
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput, SingularMap
-from .foundation import LinearMap, Tensor2, Tensor3, basis_vector, sub_vectors
+from .foundation import LinearMap, Tensor2, Tensor3, basis_vector, row_reduce, sub_vectors
 from .algebras import (Failure, HomPreLieAlgebra, ValidationReport, combine_reports,
                        validate_hessian, validate_hom_pre_lie, _record)
 from .representations import (HomPreLieRep, _combination, coadjoint_pre_lie_rep,
                               dual_pre_lie_rep, semidirect_product_raw, star_maps,
                               validate_pre_lie_rep)
-from .bialgebras import check_pro1, hom_s_bracket, is_hom_s_matrix, r_sharp
+from .bialgebras import is_hom_s_matrix, r_sharp, solves_s_equation
 
 
 class HomLDendriform:
@@ -247,56 +247,15 @@ InducedDendriform = namedtuple("InducedDendriform", ["on_space", "on_image"])
 
 def _solve_in_basis(basis_map, target):
     """Exact coordinates of target in the span of the basis columns."""
-    rows = basis_map.rows
     cols = basis_map.cols
-    work = [list(basis_map.entries[i]) + [target[i]] for i in range(rows)]
-    pivot_rows = []
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, rows) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        scale = work[row][col]
-        work[row] = [x / scale for x in work[row]]
-        for r in range(rows):
-            if r != row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[row])]
-        pivot_rows.append(col)
-        row += 1
+    work = [list(row) + [x] for row, x in zip(basis_map.entries, target)]
+    pivots = row_reduce(work, cols)
+    if any(row[cols] != 0 for row in work[len(pivots):]):
+        raise InvalidInput("vector leaves the operator image")
     coords = [0] * cols
-    for idx, col in enumerate(pivot_rows):
-        coords[col] = work[idx][cols]
-    for r in range(row, rows):
-        if work[r][cols] != 0:
-            raise InvalidInput("vector leaves the operator image")
+    for row, col in zip(work, pivots):
+        coords[col] = row[cols]
     return tuple(coords)
-
-
-def _pivot_columns(m):
-    """Column indices forming a basis of the column space, by exact elimination."""
-    work = [list(row) for row in m.entries]
-    rows = m.rows
-    cols = m.cols
-    pivots = []
-    row = 0
-    for col in range(cols):
-        if row >= rows:
-            break
-        pivot = next((r for r in range(row, rows) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        scale = work[row][col]
-        work[row] = [x / scale for x in work[row]]
-        for r in range(rows):
-            if r != row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-    return pivots
 
 
 def dendriform_from_o_operator(o):
@@ -326,7 +285,7 @@ def dendriform_from_o_operator(o):
                               Tensor3.from_entries((m, m, m), right_items),
                               rep.twist)
 
-    pivots = _pivot_columns(t)
+    pivots = row_reduce([list(row) for row in t.entries], t.cols)
     image_basis = LinearMap.from_columns([t.column(j) for j in pivots], rows=t.rows)
     r = len(pivots)
     img_left = {}
@@ -450,8 +409,7 @@ def semidirect_smatrix(a, rep, t, variant="dual"):
     tensor = Tensor2.from_entries(n + m, n + m, items)
 
     ambient_report = validate_hom_pre_lie(big)
-    s_verdict = (ambient_report.valid and check_pro1(big, tensor)
-                 and hom_s_bracket(big, tensor).is_zero())
+    s_verdict = ambient_report.valid and solves_s_equation(big, tensor)
     o_report = validate_o_operator(OOperator(rep, t @ rep.twist))
     agree = s_verdict == o_report.valid
     failures = [] if agree else [Failure("verdict-agreement", (), ())]

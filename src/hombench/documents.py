@@ -3,13 +3,16 @@
 The format is line based and strict: fields appear in a fixed order, indices
 are zero based, scalars are decimal rationals in lowest terms ("p" or "p/q"),
 tensor entries are sorted with zero entries omitted, and matrices are written
-row by row. Serialization of a parsed document reproduces the input byte for
-byte, which is what makes regression files and search output stable.
+row by row. One schema table (SCHEMA) drives both the parser and the
+serializer, so serialization of a parsed document reproduces the input byte
+for byte, which is what makes regression files and search output stable.
 """
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 from .errors import ParseError
 from .foundation import LinearMap, Tensor2, Tensor3
@@ -18,10 +21,6 @@ from .representations import HomLieRep, HomPreLieRep
 from .matched import LieMatchedPair, ManinTriple, PreLieMatchedPair
 from .bialgebras import Bialgebra
 from .dendriform import HomLDendriform, OOperator
-
-KINDS = ("hom_lie", "hom_pre_lie", "representation", "matched_pair_lie",
-         "matched_pair_pre_lie", "bilinear_form", "tensor2", "linear_map",
-         "dendriform", "bialgebra", "manin_triple", "o_operator")
 
 _KEY_RE = re.compile(r"^([a-z][a-z0-9_]*):(?: (.*))?$")
 _INT_RE = re.compile(r"^(?:0|-?[1-9][0-9]*)$")
@@ -138,8 +137,7 @@ def _read_row(cur, cols):
     return tuple(_parse_scalar(t, line_no) for t in tokens)
 
 
-def _read_matrix(cur, key, rows, cols):
-    _read_bare_header(cur, key)
+def _read_matrix(cur, rows, cols):
     return LinearMap(tuple(_read_row(cur, cols) for _ in range(rows)))
 
 
@@ -152,203 +150,177 @@ def _entry_lines(cur):
         yield item
 
 
-def _read_entries3(cur, key, dims):
-    _read_bare_header(cur, key)
+def _read_entries(cur, dims):
+    """A rank-2 or rank-3 entry table: sorted 'i j [k] c' lines, zeros omitted."""
+    rank = len(dims)
     items = {}
     previous = None
     for line_no, text in _entry_lines(cur):
         tokens = _split_tokens(text, line_no)
-        if len(tokens) != 4:
-            raise ParseError("line %d: tensor entry needs 'i j k c'" % line_no)
-        index = tuple(_parse_int(t, line_no, minimum=0) for t in tokens[:3])
+        if len(tokens) != rank + 1:
+            raise ParseError("line %d: tensor entry needs '%s c'" % (line_no, " ".join("ijk"[:rank])))
+        index = tuple(_parse_int(t, line_no, minimum=0) for t in tokens[:rank])
         for axis, bound in zip(index, dims):
             if axis >= bound:
                 raise ParseError("line %d: index %d out of range" % (line_no, axis))
         if previous is not None and index <= previous:
             raise ParseError("line %d: entries out of order" % line_no)
         previous = index
-        coeff = _parse_scalar(tokens[3], line_no)
+        coeff = _parse_scalar(tokens[rank], line_no)
         if coeff == 0:
             raise ParseError("line %d: zero entries must be omitted" % line_no)
         items[index] = coeff
+    if rank == 2:
+        return Tensor2.from_entries(dims[0], dims[1], items)
     return Tensor3.from_entries(dims, items)
 
 
-def _read_entries2(cur, key, dim_left, dim_right):
-    _read_bare_header(cur, key)
-    items = {}
-    previous = None
-    for line_no, text in _entry_lines(cur):
-        tokens = _split_tokens(text, line_no)
-        if len(tokens) != 3:
-            raise ParseError("line %d: tensor entry needs 'i j c'" % line_no)
-        index = tuple(_parse_int(t, line_no, minimum=0) for t in tokens[:2])
-        if index[0] >= dim_left or index[1] >= dim_right:
-            raise ParseError("line %d: index out of range" % line_no)
-        if previous is not None and index <= previous:
-            raise ParseError("line %d: entries out of order" % line_no)
-        previous = index
-        coeff = _parse_scalar(tokens[2], line_no)
-        if coeff == 0:
-            raise ParseError("line %d: zero entries must be omitted" % line_no)
-        items[index] = coeff
-    return Tensor2.from_entries(dim_left, dim_right, items)
-
-
-def _read_map_family(cur, key, count, size):
-    _read_bare_header(cur, key)
+def _read_map_family(cur, count, size):
     maps = []
     for idx in range(count):
         line_no, value = _read_key(cur, "map")
         if value != str(idx):
             raise ParseError("line %d: expected 'map: %d'" % (line_no, idx))
-        maps.append(LinearMap(tuple(_read_row(cur, size) for _ in range(size))))
+        maps.append(_read_matrix(cur, size, size))
     return maps
 
 
-def _parse_hom_lie(cur):
-    dim = _read_int_field(cur, "dim")
-    twist = _read_matrix(cur, "twist", dim, dim)
-    bracket = _read_entries3(cur, "bracket", (dim, dim, dim))
-    return HomLieAlgebra(bracket, twist)
+# The schema: one row per document kind, and one per representation base.
+# A field is a header key, a block type, a shape and the dotted attribute path
+# of its value on the structure ("" for the structure itself). A tag's shape
+# lists its allowed values; a block's shape lists its sizes, each the name of
+# an earlier int field or a '+'-joined sum of such names. An invertible block
+# is a square matrix whose invertibility is checked once the whole document
+# has been read. The row's build takes the field values in order.
+INT, TAG, MATRIX, INVERTIBLE, ENTRIES, MAPS = "int", "tag", "matrix", "invertible", "entries", "maps"
+
+Field = namedtuple("Field", "key block shape path")
+Row = namedtuple("Row", "kind base cls fields build")
 
 
-def _parse_hom_pre_lie(cur):
-    dim = _read_int_field(cur, "dim")
-    twist = _read_matrix(cur, "twist", dim, dim)
-    product = _read_entries3(cur, "product", (dim, dim, dim))
-    return HomPreLieAlgebra(product, twist)
+def _f(key, block, shape=(), path=None):
+    return Field(key, block, shape, key if path is None else path)
 
 
-def _parse_linear_map(cur):
-    rows = _read_int_field(cur, "rows")
-    cols = _read_int_field(cur, "cols")
-    return _read_matrix(cur, "matrix", rows, cols)
+def _algebra(table, prefix="", owner="", twist=MATRIX):
+    """The dimension, twist and structure table of one algebra stored at owner."""
+    dim = prefix + "dim"
+    return (_f(dim, INT, (), owner + "dim"),
+            _f(prefix + "twist", twist, (dim, dim), owner + "twist"),
+            _f(prefix + table, ENTRIES, (dim, dim, dim), owner + table))
 
 
-def _parse_tensor2(cur):
-    dim_left = _read_int_field(cur, "dim_left")
-    dim_right = _read_int_field(cur, "dim_right")
-    return _read_entries2(cur, "entries", dim_left, dim_right)
+def _space(owner, *families):
+    """The space of a representation stored at owner, then its action families
+    given as (key, attribute) pairs."""
+    return ((_f("space_dim", INT, (), owner + "space_dim"),
+             _f("space_twist", MATRIX, ("space_dim", "space_dim"), owner + "twist"))
+            + tuple(_f(key, MAPS, ("dim", "space_dim"), owner + attr) for key, attr in families))
 
 
-def _parse_bilinear_form(cur):
-    dim = _read_int_field(cur, "dim")
-    symmetry = _read_tag_field(cur, "symmetry", ("symmetric", "skew"))
-    return BilinearForm(_read_matrix(cur, "matrix", dim, dim).entries, symmetry)
+def _pre_lie_rep_fields(owner):
+    return _algebra("product", owner=owner + "algebra.") + _space(owner, ("left", "left"), ("right", "right"))
 
 
-def _parse_dendriform(cur):
-    dim = _read_int_field(cur, "dim")
-    twist = _read_matrix(cur, "twist", dim, dim)
-    left = _read_entries3(cur, "left", (dim, dim, dim))
-    right = _read_entries3(cur, "right", (dim, dim, dim))
-    return HomLDendriform(left, right, twist)
+def _pre_lie_rep(dim, twist, product, space_dim, space_twist, left, right):
+    return HomPreLieRep(HomPreLieAlgebra(product, twist), space_dim, space_twist, left, right)
 
 
-def _parse_representation(cur):
-    base = _read_tag_field(cur, "base", ("hom_lie", "hom_pre_lie"))
-    dim = _read_int_field(cur, "dim")
-    twist = _read_matrix(cur, "twist", dim, dim)
-    if base == "hom_lie":
-        algebra = HomLieAlgebra(_read_entries3(cur, "bracket", (dim, dim, dim)), twist)
-    else:
-        algebra = HomPreLieAlgebra(_read_entries3(cur, "product", (dim, dim, dim)), twist)
-    space_dim = _read_int_field(cur, "space_dim")
-    space_twist = _read_matrix(cur, "space_twist", space_dim, space_dim)
-    if base == "hom_lie":
-        action = _read_map_family(cur, "action", dim, space_dim)
-        return HomLieRep(algebra, space_dim, space_twist, action)
-    left = _read_map_family(cur, "left", dim, space_dim)
-    right = _read_map_family(cur, "right", dim, space_dim)
-    return HomPreLieRep(algebra, space_dim, space_twist, left, right)
+_TOTAL = "first_dim+second_dim"
 
+SCHEMA = (
+    Row("hom_lie", None, HomLieAlgebra, _algebra("bracket"),
+        lambda dim, twist, bracket: HomLieAlgebra(bracket, twist)),
+    Row("hom_pre_lie", None, HomPreLieAlgebra, _algebra("product"),
+        lambda dim, twist, product: HomPreLieAlgebra(product, twist)),
+    Row("representation", "hom_lie", HomLieRep,
+        _algebra("bracket", owner="algebra.") + _space("", ("action", "maps")),
+        lambda dim, twist, bracket, space_dim, space_twist, action:
+        HomLieRep(HomLieAlgebra(bracket, twist), space_dim, space_twist, action)),
+    Row("representation", "hom_pre_lie", HomPreLieRep, _pre_lie_rep_fields(""), _pre_lie_rep),
+    Row("matched_pair_lie", None, LieMatchedPair,
+        _algebra("bracket", "first_", "first.") + _algebra("bracket", "second_", "second.")
+        + (_f("first_action", MAPS, ("first_dim", "second_dim")),
+           _f("second_action", MAPS, ("second_dim", "first_dim"))),
+        lambda d1, t1, b1, d2, t2, b2, act1, act2:
+        LieMatchedPair(HomLieAlgebra(b1, t1), HomLieAlgebra(b2, t2), act1, act2)),
+    Row("matched_pair_pre_lie", None, PreLieMatchedPair,
+        _algebra("product", "first_", "first.") + _algebra("product", "second_", "second.")
+        + (_f("first_left", MAPS, ("first_dim", "second_dim")),
+           _f("first_right", MAPS, ("first_dim", "second_dim")),
+           _f("second_left", MAPS, ("second_dim", "first_dim")),
+           _f("second_right", MAPS, ("second_dim", "first_dim"))),
+        lambda d1, t1, p1, d2, t2, p2, left1, right1, left2, right2:
+        PreLieMatchedPair(HomPreLieAlgebra(p1, t1), HomPreLieAlgebra(p2, t2),
+                          left1, right1, left2, right2)),
+    Row("bilinear_form", None, BilinearForm,
+        (_f("dim", INT), _f("symmetry", TAG, ("symmetric", "skew")), _f("matrix", MATRIX, ("dim", "dim"))),
+        lambda dim, symmetry, matrix: BilinearForm(matrix.entries, symmetry)),
+    Row("tensor2", None, Tensor2,
+        (_f("dim_left", INT), _f("dim_right", INT), _f("entries", ENTRIES, ("dim_left", "dim_right"), "")),
+        lambda dim_left, dim_right, entries: entries),
+    Row("linear_map", None, LinearMap,
+        (_f("rows", INT), _f("cols", INT), _f("matrix", MATRIX, ("rows", "cols"), "")),
+        lambda rows, cols, matrix: matrix),
+    Row("dendriform", None, HomLDendriform,
+        _algebra("left") + (_f("right", ENTRIES, ("dim", "dim", "dim")),),
+        lambda dim, twist, left, right: HomLDendriform(left, right, twist)),
+    Row("bialgebra", None, Bialgebra,
+        _algebra("product", owner="primal.", twist=INVERTIBLE)
+        + (_f("dual_product", ENTRIES, ("dim", "dim", "dim"), "dual.product"),),
+        lambda dim, twist, product, dual_product:
+        Bialgebra(HomPreLieAlgebra(product, twist),
+                  HomPreLieAlgebra(dual_product, twist.inverse().transpose()))),
+    Row("manin_triple", None, ManinTriple,
+        (_f("first_dim", INT), _f("second_dim", INT),
+         _f("twist", MATRIX, (_TOTAL, _TOTAL), "total.twist"),
+         _f("product", ENTRIES, (_TOTAL,) * 3, "total.product"),
+         _f("form", MATRIX, (_TOTAL, _TOTAL), "form.matrix")),
+        lambda first_dim, second_dim, twist, product, form:
+        ManinTriple(HomPreLieAlgebra(product, twist), BilinearForm(form.entries, "skew"),
+                    first_dim, second_dim)),
+    Row("o_operator", None, OOperator,
+        _pre_lie_rep_fields("rep.") + (_f("operator", MATRIX, ("dim", "space_dim"), "matrix"),),
+        lambda *values: OOperator(_pre_lie_rep(*values[:-1]), values[-1])),
+)
 
-def _parse_o_operator(cur):
-    dim = _read_int_field(cur, "dim")
-    twist = _read_matrix(cur, "twist", dim, dim)
-    algebra = HomPreLieAlgebra(_read_entries3(cur, "product", (dim, dim, dim)), twist)
-    space_dim = _read_int_field(cur, "space_dim")
-    space_twist = _read_matrix(cur, "space_twist", space_dim, space_dim)
-    left = _read_map_family(cur, "left", dim, space_dim)
-    right = _read_map_family(cur, "right", dim, space_dim)
-    rep = HomPreLieRep(algebra, space_dim, space_twist, left, right)
-    _read_bare_header(cur, "operator")
-    matrix = LinearMap(tuple(_read_row(cur, space_dim) for _ in range(dim)))
-    return OOperator(rep, matrix)
-
-
-def _parse_matched_pair_lie(cur):
-    first_dim = _read_int_field(cur, "first_dim")
-    first_twist = _read_matrix(cur, "first_twist", first_dim, first_dim)
-    first = HomLieAlgebra(_read_entries3(cur, "first_bracket", (first_dim,) * 3), first_twist)
-    second_dim = _read_int_field(cur, "second_dim")
-    second_twist = _read_matrix(cur, "second_twist", second_dim, second_dim)
-    second = HomLieAlgebra(_read_entries3(cur, "second_bracket", (second_dim,) * 3), second_twist)
-    first_action = _read_map_family(cur, "first_action", first_dim, second_dim)
-    second_action = _read_map_family(cur, "second_action", second_dim, first_dim)
-    return LieMatchedPair(first, second, first_action, second_action)
-
-
-def _parse_matched_pair_pre_lie(cur):
-    first_dim = _read_int_field(cur, "first_dim")
-    first_twist = _read_matrix(cur, "first_twist", first_dim, first_dim)
-    first = HomPreLieAlgebra(_read_entries3(cur, "first_product", (first_dim,) * 3), first_twist)
-    second_dim = _read_int_field(cur, "second_dim")
-    second_twist = _read_matrix(cur, "second_twist", second_dim, second_dim)
-    second = HomPreLieAlgebra(_read_entries3(cur, "second_product", (second_dim,) * 3), second_twist)
-    first_left = _read_map_family(cur, "first_left", first_dim, second_dim)
-    first_right = _read_map_family(cur, "first_right", first_dim, second_dim)
-    second_left = _read_map_family(cur, "second_left", second_dim, first_dim)
-    second_right = _read_map_family(cur, "second_right", second_dim, first_dim)
-    return PreLieMatchedPair(first, second, first_left, first_right, second_left, second_right)
-
-
-def _parse_bialgebra(cur):
-    dim = _read_int_field(cur, "dim")
-    twist_line = cur.peek()[0] if cur.peek() else 0
-    twist = _read_matrix(cur, "twist", dim, dim)
-    product = _read_entries3(cur, "product", (dim, dim, dim))
-    dual_product = _read_entries3(cur, "dual_product", (dim, dim, dim))
-    if not twist.is_invertible():
-        raise ParseError("line %d: bialgebra twist must be invertible" % twist_line)
-    dual_twist = twist.inverse().transpose()
-    return Bialgebra(HomPreLieAlgebra(product, twist),
-                     HomPreLieAlgebra(dual_product, dual_twist))
-
-
-def _parse_manin_triple(cur):
-    first_dim = _read_int_field(cur, "first_dim")
-    second_dim = _read_int_field(cur, "second_dim")
-    total_dim = first_dim + second_dim
-    twist = _read_matrix(cur, "twist", total_dim, total_dim)
-    product = _read_entries3(cur, "product", (total_dim,) * 3)
-    form = BilinearForm(_read_matrix(cur, "form", total_dim, total_dim).entries, "skew")
-    return ManinTriple(HomPreLieAlgebra(product, twist), form, first_dim, second_dim)
-
-
-_PARSERS = {
-    "hom_lie": _parse_hom_lie,
-    "hom_pre_lie": _parse_hom_pre_lie,
-    "representation": _parse_representation,
-    "matched_pair_lie": _parse_matched_pair_lie,
-    "matched_pair_pre_lie": _parse_matched_pair_pre_lie,
-    "bilinear_form": _parse_bilinear_form,
-    "tensor2": _parse_tensor2,
-    "linear_map": _parse_linear_map,
-    "dendriform": _parse_dendriform,
-    "bialgebra": _parse_bialgebra,
-    "manin_triple": _parse_manin_triple,
-    "o_operator": _parse_o_operator,
-}
+KINDS = tuple(dict.fromkeys(row.kind for row in SCHEMA))
 
 
 def _parse_one(numbered):
     cur = _Cursor(numbered)
     line_no, kind = _read_key(cur, "kind")
-    if kind not in _PARSERS:
+    rows = [row for row in SCHEMA if row.kind == kind]
+    if not rows:
         raise ParseError("line %d: unknown kind %r" % (line_no, kind))
-    value = _PARSERS[kind](cur)
+    row = rows[0]
+    if row.base is not None:
+        bases = [r.base for r in rows]
+        row = rows[bases.index(_read_tag_field(cur, "base", bases))]
+    sizes = {}
+    values = []
+    must_invert = []
+    for key, block, shape, _ in row.fields:
+        if block == INT:
+            value = sizes[key] = _read_int_field(cur, key)
+        elif block == TAG:
+            value = _read_tag_field(cur, key, shape)
+        else:
+            line_no = _read_bare_header(cur, key)
+            dims = tuple(sum(sizes[name] for name in size.split("+")) for size in shape)
+            if block == ENTRIES:
+                value = _read_entries(cur, dims)
+            elif block == MAPS:
+                value = _read_map_family(cur, *dims)
+            else:
+                value = _read_matrix(cur, *dims)
+                if block == INVERTIBLE:
+                    must_invert.append((line_no, key, value))
+        values.append(value)
+    for line_no, key, matrix in must_invert:
+        if not matrix.is_invertible():
+            raise ParseError("line %d: %s %s must be invertible" % (line_no, kind, key))
+    value = row.build(*values)
     item = cur.peek()
     if item is not None:
         raise ParseError("line %d: unexpected trailing line %r" % (item[0], item[1]))
@@ -391,183 +363,42 @@ def _scalar_str(value):
     return str(Fraction(value))
 
 
-def _emit_matrix(lines, key, matrix):
-    lines.append(key + ":")
-    for row in matrix.entries:
-        lines.append(" ".join(_scalar_str(v) for v in row))
-
-
-def _emit_entries3(lines, key, tensor):
-    lines.append(key + ":")
-    for (i, j, k), c in tensor.nonzero_items():
-        lines.append("%d %d %d %s" % (i, j, k, _scalar_str(c)))
-
-
-def _emit_entries2(lines, key, tensor):
-    lines.append(key + ":")
-    for (i, j), c in tensor.nonzero_items():
-        lines.append("%d %d %s" % (i, j, _scalar_str(c)))
-
-
-def _emit_map_family(lines, key, maps):
-    lines.append(key + ":")
-    for idx, m in enumerate(maps):
-        lines.append("map: %d" % idx)
-        for row in m.entries:
-            lines.append(" ".join(_scalar_str(v) for v in row))
-
-
-def _serialize_hom_lie(lines, a):
-    lines.append("dim: %d" % a.dim)
-    _emit_matrix(lines, "twist", a.twist)
-    _emit_entries3(lines, "bracket", a.bracket)
-
-
-def _serialize_hom_pre_lie(lines, a):
-    lines.append("dim: %d" % a.dim)
-    _emit_matrix(lines, "twist", a.twist)
-    _emit_entries3(lines, "product", a.product)
-
-
-def _serialize_linear_map(lines, m):
-    lines.append("rows: %d" % m.rows)
-    lines.append("cols: %d" % m.cols)
-    _emit_matrix(lines, "matrix", m)
-
-
-def _serialize_tensor2(lines, t):
-    lines.append("dim_left: %d" % t.dim_left)
-    lines.append("dim_right: %d" % t.dim_right)
-    _emit_entries2(lines, "entries", t)
-
-
-def _serialize_bilinear_form(lines, b):
-    lines.append("dim: %d" % b.dim)
-    lines.append("symmetry: %s" % b.symmetry)
-    _emit_matrix(lines, "matrix", b.matrix)
-
-
-def _serialize_dendriform(lines, d):
-    lines.append("dim: %d" % d.dim)
-    _emit_matrix(lines, "twist", d.twist)
-    _emit_entries3(lines, "left", d.left)
-    _emit_entries3(lines, "right", d.right)
-
-
-def _serialize_representation(lines, rep):
-    if isinstance(rep, HomLieRep):
-        lines.append("base: hom_lie")
-        lines.append("dim: %d" % rep.algebra.dim)
-        _emit_matrix(lines, "twist", rep.algebra.twist)
-        _emit_entries3(lines, "bracket", rep.algebra.bracket)
-        lines.append("space_dim: %d" % rep.space_dim)
-        _emit_matrix(lines, "space_twist", rep.twist)
-        _emit_map_family(lines, "action", rep.maps)
-    else:
-        lines.append("base: hom_pre_lie")
-        lines.append("dim: %d" % rep.algebra.dim)
-        _emit_matrix(lines, "twist", rep.algebra.twist)
-        _emit_entries3(lines, "product", rep.algebra.product)
-        lines.append("space_dim: %d" % rep.space_dim)
-        _emit_matrix(lines, "space_twist", rep.twist)
-        _emit_map_family(lines, "left", rep.left)
-        _emit_map_family(lines, "right", rep.right)
-
-
-def _serialize_o_operator(lines, o):
-    rep = o.rep
-    lines.append("dim: %d" % rep.algebra.dim)
-    _emit_matrix(lines, "twist", rep.algebra.twist)
-    _emit_entries3(lines, "product", rep.algebra.product)
-    lines.append("space_dim: %d" % rep.space_dim)
-    _emit_matrix(lines, "space_twist", rep.twist)
-    _emit_map_family(lines, "left", rep.left)
-    _emit_map_family(lines, "right", rep.right)
-    _emit_matrix(lines, "operator", o.matrix)
-
-
-def _serialize_matched_pair_lie(lines, mp):
-    lines.append("first_dim: %d" % mp.first.dim)
-    _emit_matrix(lines, "first_twist", mp.first.twist)
-    _emit_entries3(lines, "first_bracket", mp.first.bracket)
-    lines.append("second_dim: %d" % mp.second.dim)
-    _emit_matrix(lines, "second_twist", mp.second.twist)
-    _emit_entries3(lines, "second_bracket", mp.second.bracket)
-    _emit_map_family(lines, "first_action", mp.first_action)
-    _emit_map_family(lines, "second_action", mp.second_action)
-
-
-def _serialize_matched_pair_pre_lie(lines, mp):
-    lines.append("first_dim: %d" % mp.first.dim)
-    _emit_matrix(lines, "first_twist", mp.first.twist)
-    _emit_entries3(lines, "first_product", mp.first.product)
-    lines.append("second_dim: %d" % mp.second.dim)
-    _emit_matrix(lines, "second_twist", mp.second.twist)
-    _emit_entries3(lines, "second_product", mp.second.product)
-    _emit_map_family(lines, "first_left", mp.first_left)
-    _emit_map_family(lines, "first_right", mp.first_right)
-    _emit_map_family(lines, "second_left", mp.second_left)
-    _emit_map_family(lines, "second_right", mp.second_right)
-
-
-def _serialize_bialgebra(lines, b):
-    lines.append("dim: %d" % b.primal.dim)
-    _emit_matrix(lines, "twist", b.primal.twist)
-    _emit_entries3(lines, "product", b.primal.product)
-    _emit_entries3(lines, "dual_product", b.dual.product)
-
-
-def _serialize_manin_triple(lines, mt):
-    lines.append("first_dim: %d" % mt.first_dim)
-    lines.append("second_dim: %d" % mt.second_dim)
-    _emit_matrix(lines, "twist", mt.total.twist)
-    _emit_entries3(lines, "product", mt.total.product)
-    _emit_matrix(lines, "form", mt.form.matrix)
-
-
-_SERIALIZERS = {
-    "hom_lie": _serialize_hom_lie,
-    "hom_pre_lie": _serialize_hom_pre_lie,
-    "representation": _serialize_representation,
-    "matched_pair_lie": _serialize_matched_pair_lie,
-    "matched_pair_pre_lie": _serialize_matched_pair_pre_lie,
-    "bilinear_form": _serialize_bilinear_form,
-    "tensor2": _serialize_tensor2,
-    "linear_map": _serialize_linear_map,
-    "dendriform": _serialize_dendriform,
-    "bialgebra": _serialize_bialgebra,
-    "manin_triple": _serialize_manin_triple,
-    "o_operator": _serialize_o_operator,
-}
-
-_KIND_BY_TYPE = (
-    (HomLieAlgebra, "hom_lie"),
-    (HomPreLieAlgebra, "hom_pre_lie"),
-    (HomLieRep, "representation"),
-    (HomPreLieRep, "representation"),
-    (LieMatchedPair, "matched_pair_lie"),
-    (PreLieMatchedPair, "matched_pair_pre_lie"),
-    (BilinearForm, "bilinear_form"),
-    (Tensor2, "tensor2"),
-    (LinearMap, "linear_map"),
-    (HomLDendriform, "dendriform"),
-    (Bialgebra, "bialgebra"),
-    (ManinTriple, "manin_triple"),
-    (OOperator, "o_operator"),
-)
+def _emit_rows(lines, matrix):
+    lines.extend(" ".join(_scalar_str(v) for v in row) for row in matrix.entries)
 
 
 def document_for(value):
     """Wrap a structured value in a Document with the kind inferred from its type."""
-    for cls, kind in _KIND_BY_TYPE:
-        if isinstance(value, cls):
-            return Document(kind, value)
+    for row in SCHEMA:
+        if isinstance(value, row.cls):
+            return Document(row.kind, value)
     raise ParseError("no document kind for %r" % type(value).__name__)
 
 
 def serialize_document(doc):
+    rows = [row for row in SCHEMA if row.kind == doc.kind]
+    # a value of the wrong type fails on the first attribute it lacks
+    row = next((r for r in rows if isinstance(doc.value, r.cls)), rows[-1])
     lines = ["kind: %s" % doc.kind]
-    _SERIALIZERS[doc.kind](lines, doc.value)
+    if row.base is not None:
+        lines.append("base: %s" % row.base)
+    for key, block, _, path in row.fields:
+        value = attrgetter(path)(doc.value) if path else doc.value
+        if block == INT:
+            lines.append("%s: %d" % (key, value))
+        elif block == TAG:
+            lines.append("%s: %s" % (key, value))
+        else:
+            lines.append(key + ":")
+            if block == ENTRIES:
+                lines.extend("%s %s" % (" ".join(map(str, index)), _scalar_str(c))
+                             for index, c in value.nonzero_items())
+            elif block == MAPS:
+                for idx, m in enumerate(value):
+                    lines.append("map: %d" % idx)
+                    _emit_rows(lines, m)
+            else:
+                _emit_rows(lines, value)
     return "\n".join(lines) + "\n"
 
 

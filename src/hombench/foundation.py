@@ -34,21 +34,10 @@ def basis_vector(n, i):
     return tuple(ONE if k == i else ZERO for k in range(n))
 
 
-def add_vectors(u, v):
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths %d and %d" % (len(u), len(v)))
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def sub_vectors(u, v):
     if len(u) != len(v):
         raise DimensionMismatch("vector lengths %d and %d" % (len(u), len(v)))
     return tuple(a - b for a, b in zip(u, v))
-
-
-def scale_vector(c, u):
-    c = frac(c)
-    return tuple(c * a for a in u)
 
 
 def is_zero_vector(u):
@@ -59,6 +48,31 @@ def dot(u, v):
     if len(u) != len(v):
         raise DimensionMismatch("vector lengths %d and %d" % (len(u), len(v)))
     return sum((a * b for a, b in zip(u, v)), ZERO)
+
+
+def row_reduce(work, cols):
+    """Gauss-Jordan elimination, in place, of a list of row lists on its first
+    cols columns; later columns are carried along. Returns the pivot columns in
+    order: row r ends with a leading one at pivots[r], and the rows after the
+    last pivot row are zero on the first cols columns."""
+    height = len(work)
+    pivots = []
+    for col in range(cols):
+        row = len(pivots)
+        if row == height:
+            break
+        pivot = next((r for r in range(row, height) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[row], work[pivot] = work[pivot], work[row]
+        inv = ONE / work[row][col]
+        work[row] = [inv * x for x in work[row]]
+        for r in range(height):
+            if r != row and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[row])]
+        pivots.append(col)
+    return pivots
 
 
 class LinearMap:
@@ -174,17 +188,10 @@ class LinearMap:
             raise DimensionMismatch("inverting a %dx%d map" % (self.rows, self.cols))
         n = self.rows
         work = [list(row) + list(basis_vector(n, i)) for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot is None:
-                raise SingularMap("matrix has no rank-%d minor at column %d" % (n, col))
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = ONE / work[col][col]
-            work[col] = [inv * x for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+        pivots = row_reduce(work, n)
+        if len(pivots) < n:
+            col = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
+            raise SingularMap("matrix has no rank-%d minor at column %d" % (n, col))
         return LinearMap(tuple(tuple(row[n:]) for row in work), rows=n, cols=n)
 
     def power(self, k):
@@ -236,13 +243,9 @@ class Tensor2:
             table = tuple(() for _ in range(self.dim_left))
         if dim_left is not None and dim_left != self.dim_left:
             raise DimensionMismatch("declared left dim %d, got %d" % (dim_left, self.dim_left))
-        if dim_right is not None and self.entries_nonempty(table) and dim_right != self.dim_right:
+        if dim_right is not None and table and table[0] and dim_right != self.dim_right:
             raise DimensionMismatch("declared right dim %d, got %d" % (dim_right, self.dim_right))
         self.entries = table
-
-    @staticmethod
-    def entries_nonempty(table):
-        return bool(table) and bool(table[0])
 
     @classmethod
     def zero(cls, dim_left, dim_right):
@@ -399,16 +402,6 @@ class Tensor3:
         return "Tensor3(%r)" % (self.entries,)
 
 
-def invert_map(m):
-    """Exact inverse of a square map."""
-    return m.inverse()
-
-
-def dual_map(m):
-    """The transpose, acting on coordinate covectors."""
-    return m.transpose()
-
-
 def tensor_product_map(f, g):
     """Kronecker product acting on lexicographically ordered tensor coordinates."""
     rows = f.rows * g.rows
@@ -446,11 +439,6 @@ def apply_bilinear(c, x, y):
                 if vec[k] != 0:
                     out[k] += coeff * vec[k]
     return tuple(out)
-
-
-def flip_tensor2(r):
-    """Swap the two tensor factors of a square 2-tensor."""
-    return r.flip()
 
 
 def tensor2_to_map(r):

@@ -9,19 +9,23 @@ one matrix per algebra basis vector and extended linearly.
 """
 
 from .errors import DimensionMismatch, InvalidInput, SingularMap
-from .foundation import (LinearMap, basis_vector, map_direct_sum, sub_vectors,
-                         tensor_product_map, Tensor3, zero_vector)
-from .algebras import (Failure, HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
-                       sub_adjacent, validate_hom_lie, validate_hom_pre_lie, _record)
+from .foundation import (ZERO, LinearMap, basis_vector, map_direct_sum, sub_vectors,
+                         tensor_product_map, Tensor3)
+from .algebras import (HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
+                       validate_hom_lie, validate_hom_pre_lie, _record)
 
 
 def _combination(maps, coeffs, size):
-    """Linear combination of action matrices; defines the action at a general vector."""
-    total = LinearMap.zero(size, size)
+    """Linear combination of size x size action matrices, summed entry by entry
+    into one table; defines the action at a general vector."""
+    table = [[ZERO] * size for _ in range(size)]
     for c, m in zip(coeffs, maps):
         if c != 0:
-            total = total + m.scale(c)
-    return total
+            for row, src in zip(table, m.entries):
+                for j, x in enumerate(src):
+                    if x != 0:
+                        row[j] += c * x
+    return LinearMap(table, rows=size, cols=size)
 
 
 class HomLieRep:
@@ -196,15 +200,8 @@ def star_maps(maps, algebra_twist, space_twist):
     n = algebra_twist.rows
     inv_t = space_twist.inverse().transpose()
     sq = inv_t @ inv_t
-    out = []
-    for i in range(n):
-        total = LinearMap.zero(space_twist.rows, space_twist.cols)
-        for j in range(n):
-            c = algebra_twist.entries[j][i]
-            if c != 0:
-                total = total + maps[j].scale(c)
-        out.append((-total.transpose()) @ sq)
-    return tuple(out)
+    return tuple((-_combination(maps, algebra_twist.column(i), space_twist.rows).transpose()) @ sq
+                 for i in range(n))
 
 
 def dual_pre_lie_rep(a, r):
@@ -224,22 +221,28 @@ def coadjoint_pre_lie_rep(a):
     return dual_pre_lie_rep(a, regular_rep(a))
 
 
+def coboundary_maps(a):
+    """The per-basis coboundary action matrices on the tensor square, without
+    validating the algebra; the twist must be invertible."""
+    n = a.dim
+    alpha = a.twist
+    inv_sq = alpha.power(-2)
+    maps = []
+    for i in range(n):
+        shifted = inv_sq.apply(basis_vector(n, i))
+        left = a.left_matrix(shifted)
+        ad = left - a.right_matrix(shifted)
+        maps.append(tensor_product_map(left, alpha) + tensor_product_map(alpha, ad))
+    return maps
+
+
 def coboundary_rep(a):
     """The Lie-side action of the commutator algebra on the twofold tensor square,
     twisting the acting element by the inverse-square of the algebra twist."""
     if not validate_hom_pre_lie(a).valid:
         raise InvalidInput("coboundary_rep needs a valid twisted pre-Lie algebra")
-    n = a.dim
-    alpha = a.twist
-    inv_sq = alpha.power(-2)
-    lie = sub_adjacent(a)
-    maps = []
-    for i in range(n):
-        shifted = inv_sq.apply(basis_vector(n, i))
-        left = a.left_matrix(shifted)
-        ad = lie.adjoint_matrix(shifted)
-        maps.append(tensor_product_map(left, alpha) + tensor_product_map(alpha, ad))
-    return HomLieRep(lie, n * n, tensor_product_map(alpha, alpha), maps)
+    lie = HomLieAlgebra(a.commutator_tensor(), a.twist)
+    return HomLieRep(lie, a.dim * a.dim, tensor_product_map(a.twist, a.twist), coboundary_maps(a))
 
 
 def check_one_cocycle(g, rep, delta):

@@ -2,20 +2,17 @@
 
 Candidates are indexed by an ordinal. In exhaustive mode the ordinal walks the
 lexicographic enumeration of all coefficient assignments; in seeded mode each
-ordinal gets its own generator stream derived from the seed, so the candidate
-sequence never depends on how the work is partitioned. Workers split the
-ordinal range into contiguous blocks and results are merged back in ordinal
-order, which makes the output byte-identical for any worker count.
+ordinal gets its own generator stream derived from the seed. Candidates are
+evaluated in ordinal order and duplicates are dropped by canonical text, so the
+output depends only on the search specification.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import BudgetExceeded, InvalidInput
 from .foundation import LinearMap, Tensor2, Tensor3, frac
 from .algebras import (BilinearForm, HomPreLieAlgebra, validate_hessian,
                        validate_hom_pre_lie)
 from .representations import HomPreLieRep
-from .bialgebras import is_hom_s_matrix
+from .bialgebras import solves_s_equation
 from .dendriform import HomLDendriform, OOperator, validate_l_dendriform, validate_o_operator
 from .documents import document_for, serialize_document
 
@@ -145,8 +142,8 @@ def _build_target(spec):
                     items[(i, j)] = c
                     if i != j:
                         items[(j, i)] = c
-            candidate = Tensor2.from_entries(n, n, items)
-            return candidate if is_hom_s_matrix(base, candidate) else None
+            candidate = Tensor2.from_entries(n, n, items)      # symmetric by construction
+            return candidate if solves_s_equation(base, candidate) else None
 
         return len(slots), build
 
@@ -193,19 +190,8 @@ def _assignment(spec, free, ordinal):
     return tuple(stream.pick(spec.coefficients) for _ in range(free))
 
 
-def _evaluate_block(spec, free, build, start, stop):
-    accepted = []
-    for ordinal in range(start, stop):
-        value = build(_assignment(spec, free, ordinal))
-        if value is not None:
-            accepted.append((ordinal, value))
-    return accepted
-
-
-def run_search(spec, workers=1):
+def run_search(spec):
     """Enumerate or sample candidates and return the accepted ones as documents."""
-    if workers < 1:
-        raise InvalidInput("workers must be positive")
     free, build = _build_target(spec)
     if spec.mode == "exhaustive":
         total = len(spec.coefficients) ** free
@@ -217,34 +203,16 @@ def run_search(spec, workers=1):
             raise BudgetExceeded("attempts %d exceed budget %d" % (total, spec.budget))
     if spec.limit == 0:
         return []
+    # solves_s_equation takes its base as valid, so the base is checked once here
+    if spec.target == "s_matrix" and not validate_hom_pre_lie(spec.base).valid:
+        raise InvalidInput("is_hom_s_matrix needs a valid twisted pre-Lie algebra")
 
-    accepted = []
-    if workers == 1:
-        seen = set()
-        documents = []
-        for ordinal in range(total):
-            value = build(_assignment(spec, free, ordinal))
-            if value is None:
-                continue
-            doc = document_for(value)
-            key = serialize_document(doc)
-            if key in seen:
-                continue
-            seen.add(key)
-            documents.append(doc)
-            if len(documents) == spec.limit:
-                break
-        return documents
-
-    block = -(-total // workers)
-    ranges = [(start, min(start + block, total)) for start in range(0, total, block)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(lambda bounds: _evaluate_block(spec, free, build, *bounds), ranges):
-            accepted.extend(chunk)
-    accepted.sort(key=lambda pair: pair[0])
     seen = set()
     documents = []
-    for _, value in accepted:
+    for ordinal in range(total):
+        value = build(_assignment(spec, free, ordinal))
+        if value is None:
+            continue
         doc = document_for(value)
         key = serialize_document(doc)
         if key in seen:

@@ -117,16 +117,16 @@ def test_derive_stdout_pipeline(capsys, monkeypatch):
     assert main(["validate", "-"]) == 0
 
 
-def test_search_workers_write_identical_files(tmp_path):
+def test_search_twice_writes_identical_files(tmp_path):
     paths = []
-    for workers in ("1", "2", "4"):
-        path = tmp_path / ("w%s.txt" % workers)
+    for run in ("1", "2"):
+        path = tmp_path / ("run%s.txt" % run)
         code = main(["search", "s_matrix", "--dim", "2", "--coeffs=-1,0,1",
                      "--limit", "30", "--base", fx("nilpotent_algebra"),
-                     "--workers", workers, "--out", str(path)])
+                     "--out", str(path)])
         assert code == 0
         paths.append(path.read_bytes())
-    assert paths[0] == paths[1] == paths[2]
+    assert paths[0] == paths[1]
     assert paths[0].count(b"kind: tensor2") == 9
 
 

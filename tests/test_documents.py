@@ -1,13 +1,17 @@
 import os
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hombench import (Document, HomPreLieAlgebra, LinearMap, ParseError,
+from hombench import (Bialgebra, BilinearForm, Document, HomLDendriform, HomLieAlgebra,
+                      HomLieRep, HomPreLieAlgebra, HomPreLieRep, LieMatchedPair,
+                      LinearMap, ManinTriple, OOperator, ParseError, PreLieMatchedPair,
                       Tensor2, Tensor3, document_for, parse_document,
                       parse_documents, serialize_document, serialize_documents)
 from hombench import fixtures
+from hombench.documents import KINDS, SCHEMA
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -73,6 +77,7 @@ def test_rejects_unknown_kind_and_field():
 def test_rejects_out_of_order_entries():
     text = ALGEBRA_TEXT.replace("0 0 1 1", "1 0 1 1\n0 0 1 1")
     assert "order" in parse_error(text)
+    assert "order" in parse_error(ALGEBRA_TEXT.replace("0 0 1 1", "0 0 1 1\n0 0 1 1"))
 
 
 def test_rejects_zero_entry():
@@ -183,3 +188,94 @@ def test_algebra_round_trip(a):
     text = serialize_document(doc)
     assert parse_document(text).value == a
     assert serialize_document(parse_document(text)) == text
+
+
+# Dim-3 instances of every schema row, with a non-diagonal twist, rational
+# entries and a space of another dimension, so that each shape is exercised.
+H = Fraction(1, 2)
+TWIST3 = LinearMap(((1, 1, 0), (0, 2, 0), (0, 0, H)))
+TWIST2 = LinearMap(((0, 1), (-1, Fraction(1, 3))))
+TABLE3 = Tensor3.from_entries((3, 3, 3), {(0, 1, 2): Fraction(-2, 3), (1, 1, 0): 5, (2, 0, 1): 1})
+OTHER3 = Tensor3.from_entries((3, 3, 3), {(0, 0, 0): H, (2, 2, 1): -1})
+TABLE2 = Tensor3.from_entries((2, 2, 2), {(0, 1, 1): Fraction(3, 4)})
+MAPS3_ON2 = [LinearMap(((i, H), (1, -i))) for i in range(3)]
+MAPS2_ON3 = [LinearMap(((i, 0, 1), (0, H, 0), (1, 0, -i))) for i in range(2)]
+LIE3 = HomLieAlgebra(TABLE3, TWIST3)
+PRE3 = HomPreLieAlgebra(TABLE3, TWIST3)
+PRE_REP = HomPreLieRep(PRE3, 2, TWIST2, MAPS3_ON2, MAPS3_ON2[::-1])
+INSTANCES = {
+    ("hom_lie", None): LIE3,
+    ("hom_pre_lie", None): PRE3,
+    ("representation", "hom_lie"): HomLieRep(LIE3, 2, TWIST2, MAPS3_ON2),
+    ("representation", "hom_pre_lie"): PRE_REP,
+    ("matched_pair_lie", None): LieMatchedPair(
+        LIE3, HomLieAlgebra(TABLE2, TWIST2), MAPS3_ON2, MAPS2_ON3),
+    ("matched_pair_pre_lie", None): PreLieMatchedPair(
+        PRE3, HomPreLieAlgebra(TABLE2, TWIST2), MAPS3_ON2, MAPS3_ON2[::-1],
+        MAPS2_ON3, MAPS2_ON3[::-1]),
+    ("bilinear_form", None): BilinearForm(((2, H, 0), (H, 0, -1), (0, -1, 3)), "symmetric"),
+    ("tensor2", None): Tensor2.from_entries(3, 2, {(0, 1): H, (2, 0): -3}),
+    ("linear_map", None): LinearMap(((1, H), (0, 0), (-2, 7))),
+    ("dendriform", None): HomLDendriform(TABLE3, OTHER3, TWIST3),
+    ("bialgebra", None): Bialgebra(PRE3, HomPreLieAlgebra(OTHER3, TWIST3.inverse().transpose())),
+    ("manin_triple", None): ManinTriple(
+        PRE3, BilinearForm(((0, Fraction(1, 3), 1), (Fraction(-1, 3), 0, -2), (-1, 2, 0)), "skew"),
+        1, 2),
+    ("o_operator", None): OOperator(PRE_REP, LinearMap(((1, 0), (H, -1), (0, 2)))),
+}
+
+
+def row_id(row):
+    return row.kind if row.base is None else "%s-%s" % (row.kind, row.base)
+
+
+def test_schema_covers_every_kind():
+    assert len(KINDS) == 12
+    assert {(row.kind, row.base) for row in SCHEMA} == set(INSTANCES)
+
+
+@pytest.mark.parametrize("row", SCHEMA, ids=row_id)
+def test_schema_row_round_trips_dim3_instance(row):
+    value = INSTANCES[(row.kind, row.base)]
+    doc = document_for(value)
+    assert doc.kind == row.kind
+    text = serialize_document(doc)
+    back = parse_document(text)
+    assert back.value == value
+    assert serialize_document(back) == text
+
+
+def field_chunks(row, text):
+    """The document's lines split into the kind line and one chunk per field
+    (a representation's base line counts as a field)."""
+    keys = {"kind", "base"} | {field.key for field in row.fields}
+    chunks = []
+    for line in text.splitlines():
+        if line.partition(":")[0] in keys:
+            chunks.append([])
+        chunks[-1].append(line)
+    return chunks[0], chunks[1:]
+
+
+def joined(kind_chunk, chunks):
+    return "\n".join(kind_chunk + [line for chunk in chunks for line in chunk]) + "\n"
+
+
+def assert_error_at(text, line_no):
+    with pytest.raises(ParseError) as info:
+        parse_documents(text)
+    match = re.match(r"line (\d+): ", str(info.value))
+    assert match, str(info.value)
+    assert int(match.group(1)) == line_no, str(info.value)
+
+
+@pytest.mark.parametrize("row", SCHEMA, ids=row_id)
+def test_schema_row_rejects_dropped_and_swapped_fields(row):
+    kind_chunk, chunks = field_chunks(row, serialize_document(document_for(INSTANCES[(row.kind, row.base)])))
+    assert len(chunks) == len(row.fields) + (row.base is not None)
+    for i in range(len(chunks)):
+        start = 2 + sum(len(chunk) for chunk in chunks[:i])
+        assert_error_at(joined(kind_chunk, chunks[:i] + chunks[i + 1:]), start)
+        if i + 1 < len(chunks):
+            swapped = chunks[:i] + [chunks[i + 1], chunks[i]] + chunks[i + 2:]
+            assert_error_at(joined(kind_chunk, swapped), start)

@@ -30,11 +30,11 @@ def test_smatrix_census_over_nilpotent_base():
     assert Tensor2.from_entries(2, 2, {(0, 0): 1}) not in found
 
 
-def test_worker_counts_agree():
+def test_exhaustive_search_is_repeatable():
     spec = SearchSpec(target="hom_pre_lie", dim=2, coefficients=COEFFS,
                       mode="exhaustive", limit=40, budget=7000)
-    texts = [serialize_documents(run_search(spec, workers=w)) for w in (1, 2, 4)]
-    assert texts[0] == texts[1] == texts[2]
+    texts = [serialize_documents(run_search(spec)) for _ in range(2)]
+    assert texts[0] == texts[1]
 
 
 def test_seeded_mode_is_deterministic_and_deduplicated():
@@ -107,3 +107,15 @@ def test_base_preconditions():
         SearchSpec(target="hom_pre_lie", dim=0, coefficients=COEFFS)
     with pytest.raises(InvalidInput):
         SearchSpec(target="hom_pre_lie", dim=2, coefficients=())
+
+
+def test_invalid_smatrix_base_is_rejected_after_budget_and_limit():
+    bad = fixtures.invalid_product_candidate()
+    with pytest.raises(InvalidInput):
+        run_search(SearchSpec(target="s_matrix", dim=2, coefficients=COEFFS,
+                              mode="exhaustive", limit=5, base=bad))
+    assert run_search(SearchSpec(target="s_matrix", dim=2, coefficients=COEFFS,
+                                 mode="exhaustive", limit=0, base=bad)) == []
+    with pytest.raises(BudgetExceeded):
+        run_search(SearchSpec(target="s_matrix", dim=2, coefficients=COEFFS,
+                              mode="exhaustive", limit=5, budget=2, base=bad))
