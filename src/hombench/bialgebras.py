@@ -13,7 +13,7 @@ from .foundation import (LinearMap, Tensor3, basis_vector, sub_vectors,
                          tensor2_to_map, tensor_product_map, zero_vector)
 from .algebras import (Failure, HomPreLieAlgebra, ValidationReport, combine_reports,
                        sub_adjacent, validate_hom_pre_lie, _record)
-from .representations import (_combination, check_one_cocycle, coboundary_maps, coboundary_rep,
+from .representations import (act, check_one_cocycle, coboundary_maps, coboundary_rep,
                               star_maps)
 from .matched import (coadjoint_matched_pair, require_dual_twists, standard_manin_triple,
                       validate_manin_triple, validate_matched_pair_pre_lie)
@@ -163,16 +163,14 @@ def check_P_condition(a, r):
         left = a.left_matrix(inv_sq.apply(basis_vector(n, k)))
         p_maps.append(tensor_product_map(left, alpha) + tensor_product_map(alpha, left))
 
-    def p_of(x):
-        return _combination(p_maps, x, n * n)
-
     skew_part = _vec(r - r.flip())
-    alphas = [alpha.apply(basis_vector(n, i)) for i in range(n)]
+    p_skew = [p.apply(skew_part) for p in p_maps]
     failures = []
     for i in range(n):
         for j in range(n):
-            operator = p_of(a.basis_product(i, j)) - p_of(alphas[i]) @ p_maps[j]
-            _record(failures, "p-condition", (i, j), operator.apply(skew_part))
+            _record(failures, "p-condition", (i, j),
+                    sub_vectors(act(p_maps, a.basis_product(i, j), skew_part),
+                                act(p_maps, alpha.column(i), p_skew[j])))
     return ValidationReport(failures)
 
 

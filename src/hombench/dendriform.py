@@ -10,11 +10,13 @@ on algebra-plus-dual-space whose solution property mirrors the operator one.
 
 from collections import namedtuple
 
-from .errors import AsymmetricInput, DimensionMismatch, InvalidInput, SingularMap
-from .foundation import LinearMap, Tensor2, Tensor3, basis_vector, row_reduce, sub_vectors
+from .errors import (AsymmetricInput, DimensionMismatch, IntertwinerViolation, InvalidInput,
+                     SingularMap)
+from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vector, row_reduce,
+                         sub_vectors)
 from .algebras import (Failure, HomPreLieAlgebra, ValidationReport, combine_reports,
                        validate_hessian, validate_hom_pre_lie, _record)
-from .representations import (HomPreLieRep, _combination, coadjoint_pre_lie_rep,
+from .representations import (HomPreLieRep, act, coadjoint_pre_lie_rep,
                               dual_pre_lie_rep, semidirect_product_raw, star_maps,
                               validate_pre_lie_rep)
 from .bialgebras import is_hom_s_matrix, r_sharp, solves_s_equation
@@ -41,11 +43,9 @@ class HomLDendriform:
         self.twist = twist
 
     def left_of(self, x, y):
-        from .foundation import apply_bilinear
         return apply_bilinear(self.left, x, y)
 
     def right_of(self, x, y):
-        from .foundation import apply_bilinear
         return apply_bilinear(self.right, x, y)
 
     def basis_left(self, i, j):
@@ -222,9 +222,8 @@ def validate_o_operator(o):
     for i in range(m):
         for j in range(m):
             lhs = a.product_of(t.column(i), t.column(j))
-            inner = _combination(rep.left, shifted[i], m).apply(v[j])
-            inner = tuple(p + q for p, q in zip(
-                inner, _combination(rep.right, shifted[j], m).apply(v[i])))
+            inner = act(rep.left, shifted[i], v[j])
+            inner = tuple(p + q for p, q in zip(inner, act(rep.right, shifted[j], v[i])))
             _record(failures, "operator-product", (i, j), sub_vectors(lhs, t.apply(inner)))
     return ValidationReport(failures)
 
@@ -272,13 +271,12 @@ def dendriform_from_o_operator(o):
     left_items = {}
     right_items = {}
     for i in range(m):
-        rho_i = _combination(rep.left, shifted[i], m)
-        mu_i = _combination(rep.right, shifted[i], m)
         for j in range(m):
-            for k, c in enumerate(rho_i.column(j)):
+            v = basis_vector(m, j)
+            for k, c in enumerate(act(rep.left, shifted[i], v)):
                 if c != 0:
                     left_items[(i, j, k)] = c
-            for k, c in enumerate(mu_i.column(j)):
+            for k, c in enumerate(act(rep.right, shifted[i], v)):
                 if c != 0:
                     right_items[(i, j, k)] = -c
     on_space = HomLDendriform(Tensor3.from_entries((m, m, m), left_items),
@@ -324,15 +322,13 @@ def compatible_dendriform_from_invertible(o):
     left_items = {}
     right_items = {}
     for i in range(n):
-        back = alpha_inv.apply(basis_vector(n, i))
-        rho_i = _combination(rep.left, back, n)
-        mu_i = _combination(rep.right, back, n)
+        back = alpha_inv.column(i)
         for j in range(n):
-            pre = t_inv.apply(basis_vector(n, j))
-            for k, c in enumerate(t.apply(rho_i.apply(pre))):
+            pre = t_inv.column(j)
+            for k, c in enumerate(t.apply(act(rep.left, back, pre))):
                 if c != 0:
                     left_items[(i, j, k)] = c
-            for k, c in enumerate(t.apply(mu_i.apply(pre))):
+            for k, c in enumerate(t.apply(act(rep.right, back, pre))):
                 if c != 0:
                     right_items[(i, j, k)] = -c
     return HomLDendriform(Tensor3.from_entries((n, n, n), left_items),
@@ -381,7 +377,6 @@ def semidirect_smatrix(a, rep, t, variant="dual"):
     "dual" takes the induced dual representation's right action, "statement"
     takes the negated twisted-dual of the left action.
     """
-    from .errors import IntertwinerViolation
     if variant not in ("dual", "statement"):
         raise InvalidInput("unknown variant %r" % (variant,))
     if rep.algebra != a:
@@ -421,7 +416,7 @@ def semidirect_smatrix(a, rep, t, variant="dual"):
 CanonicalSolution = namedtuple("CanonicalSolution", ["algebra", "tensor"])
 
 
-def canonical_smatrix(d, variant="dual"):
+def canonical_smatrix(d):
     """The tautological symmetric solution attached to a dendriform structure:
     identity operator, mixed action pair, vertical base algebra."""
     if not validate_l_dendriform(d).valid:
@@ -430,5 +425,5 @@ def canonical_smatrix(d, variant="dual"):
     vert = HomPreLieAlgebra(_vertical_table(d), d.twist)
     rep = HomPreLieRep(vert, n, d.twist, d.left_matrices(),
                        [-m for m in d.left_angle_matrices()])
-    built = semidirect_smatrix(vert, rep, LinearMap.identity(n), variant=variant)
+    built = semidirect_smatrix(vert, rep, LinearMap.identity(n))
     return CanonicalSolution(algebra=built.algebra, tensor=built.tensor)

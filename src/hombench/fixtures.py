@@ -7,7 +7,7 @@ from .algebras import BilinearForm, HomPreLieAlgebra, sub_adjacent
 from .representations import HomPreLieRep, adjoint_rep, regular_rep
 from .matched import coadjoint_lie_matched_pair, coadjoint_matched_pair, standard_manin_triple
 from .bialgebras import triangular_bialgebra
-from .dendriform import HomLDendriform, OOperator
+from .dendriform import HomLDendriform, OOperator, _vertical_table
 from .documents import document_for, serialize_document
 
 
@@ -65,7 +65,6 @@ def zero_dual_partner(a):
 def mixed_action_operator(d):
     """The identity map over the difference algebra of a dendriform structure,
     carrying the left-product action and the negated right-product action."""
-    from .dendriform import _vertical_table
     vert = HomPreLieAlgebra(_vertical_table(d), d.twist)
     rep = HomPreLieRep(vert, d.dim, d.twist, d.left_matrices(),
                        [-m for m in d.left_angle_matrices()])

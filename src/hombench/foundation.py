@@ -205,11 +205,10 @@ class LinearMap:
         return result
 
     def is_invertible(self):
-        try:
-            self.inverse()
-        except SingularMap:
-            return False
-        return True
+        """Full rank, found by row-reducing a copy of the matrix."""
+        if not self.is_square():
+            raise DimensionMismatch("inverting a %dx%d map" % (self.rows, self.cols))
+        return len(row_reduce([list(row) for row in self.entries], self.cols)) == self.rows
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):

@@ -14,8 +14,8 @@ from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vect
 from .algebras import (BilinearForm, Failure, HomLieAlgebra, HomPreLieAlgebra,
                        ValidationReport, combine_reports, validate_hom_lie,
                        validate_hom_pre_lie, validate_quadratic, _record)
-from .representations import (HomLieRep, HomPreLieRep, star_maps, validate_lie_rep,
-                              validate_pre_lie_rep, _combination)
+from .representations import (HomLieRep, HomPreLieRep, act, star_maps, validate_lie_rep,
+                              validate_pre_lie_rep)
 
 
 class LieMatchedPair:
@@ -92,6 +92,35 @@ class PreLieMatchedPair:
         return "PreLieMatchedPair(%d, %d)" % (self.first.dim, self.second.dim)
 
 
+def _add(u, v):
+    return tuple(p + q for p, q in zip(u, v))
+
+
+def _columns(maps, count):
+    """columns[p][q]: the action at basis vector p applied to basis vector q."""
+    return [[m.column(q) for q in range(count)] for m in maps]
+
+
+def _lie_cross(acting, acted, action, back):
+    """The cross identity with values in the acted-on algebra, as a residual
+    function of (x, y, z): rho(phi(x))[y, z] = [rho(x)y, psi(z)] + [psi(y), rho(x)z]
+    + rho(rho'(z)x)psi(y) - rho(rho'(y)x)psi(z), where action is rho (acting on
+    acted), back is rho' (acted on acting), and phi, psi are the two twists."""
+    phi = [acting.twist.column(x) for x in range(acting.dim)]
+    psi = [acted.twist.column(y) for y in range(acted.dim)]
+    on = _columns(action, acted.dim)
+    back_on = _columns(back, acting.dim)
+
+    def residual(x, y, z):
+        lhs = act(action, phi[x], acted.basis_bracket(y, z))
+        rhs = _add(acted.bracket_of(on[x][y], psi[z]), acted.bracket_of(psi[y], on[x][z]))
+        rhs = _add(rhs, act(action, back_on[z][x], psi[y]))
+        rhs = sub_vectors(rhs, act(action, back_on[y][x], psi[z]))
+        return sub_vectors(lhs, rhs)
+
+    return residual
+
+
 def validate_matched_pair_lie(mp):
     """Check both algebras, both mutual actions, and the two cross compatibilities."""
     g = mp.first
@@ -105,33 +134,17 @@ def validate_matched_pair_lie(mp):
     report = combine_reports(named)
     failures = list(report.failures)
 
-    e = [basis_vector(n, i) for i in range(n)]
-    f = [basis_vector(m, i) for i in range(m)]
-    phi1 = [g.twist.apply(v) for v in e]
-    phi2 = [h.twist.apply(v) for v in f]
-    rho = lambda x: _combination(mp.first_action, x, m)
-    rhop = lambda x: _combination(mp.second_action, x, n)
-
-    # cross equation with values in the first algebra
+    # values in the first algebra; the acting index comes last
+    cross = _lie_cross(h, g, mp.second_action, mp.first_action)
     for i in range(n):
         for j in range(n):
             for k in range(m):
-                lhs = rhop(phi2[k]).apply(g.basis_bracket(i, j))
-                rhs = g.bracket_of(rhop(f[k]).apply(e[i]), phi1[j])
-                rhs = tuple(a + b for a, b in zip(rhs, g.bracket_of(phi1[i], rhop(f[k]).apply(e[j]))))
-                rhs = tuple(a + b for a, b in zip(rhs, rhop(rho(e[j]).apply(f[k])).apply(phi1[i])))
-                rhs = sub_vectors(rhs, rhop(rho(e[i]).apply(f[k])).apply(phi1[j]))
-                _record(failures, "cross-first", (i, j, k), sub_vectors(lhs, rhs))
-    # cross equation with values in the second algebra
+                _record(failures, "cross-first", (i, j, k), cross(k, i, j))
+    cross = _lie_cross(g, h, mp.first_action, mp.second_action)
     for i in range(n):
         for j in range(m):
             for k in range(m):
-                lhs = rho(phi1[i]).apply(h.basis_bracket(j, k))
-                rhs = h.bracket_of(rho(e[i]).apply(f[j]), phi2[k])
-                rhs = tuple(a + b for a, b in zip(rhs, h.bracket_of(phi2[j], rho(e[i]).apply(f[k]))))
-                rhs = tuple(a + b for a, b in zip(rhs, rho(rhop(f[k]).apply(e[i])).apply(phi2[j])))
-                rhs = sub_vectors(rhs, rho(rhop(f[j]).apply(e[i])).apply(phi2[k]))
-                _record(failures, "cross-second", (i, j, k), sub_vectors(lhs, rhs))
+                _record(failures, "cross-second", (i, j, k), cross(i, j, k))
     return ValidationReport(failures, report.details)
 
 
@@ -163,6 +176,43 @@ def double_lie(mp):
     return HomLieAlgebra(bracket, map_direct_sum(g.twist, h.twist))
 
 
+def _pre_lie_cross_failures(failures, side, acting, acted, left, right, back_left, back_right):
+    """Record the two cross identities with values in the acted-on algebra,
+    named cross-right-<side> and cross-left-<side>, at witnesses (x, y, z):
+      r(alpha(x))[y, z] = r(l'(z)x)beta(y) - r(l'(y)x)beta(z) + beta(y).r(x)z - beta(z).r(x)y,
+      l(alpha(x))(y.z) = -l(l'(y)x - r'(y)x)beta(z) + (l(x)y - r(x)y).beta(z)
+                         + r(r'(z)x)beta(y) + beta(y).l(x)z,
+    where (l, r) = (left, right) act on acted, (l', r') = (back_left, back_right)
+    act back on acting, and alpha, beta are the twists of acting and acted."""
+    nx = acting.dim
+    ny = acted.dim
+    alpha = [acting.twist.column(x) for x in range(nx)]
+    beta = [acted.twist.column(y) for y in range(ny)]
+    e = [basis_vector(ny, y) for y in range(ny)]
+    l_on = _columns(left, ny)
+    r_on = _columns(right, ny)
+    l_back = _columns(back_left, nx)
+    r_back = _columns(back_right, nx)
+    for x in range(nx):
+        for y in range(ny):
+            for z in range(ny):
+                lhs = act(right, alpha[x], acted.commutator_of(e[y], e[z]))
+                rhs = sub_vectors(act(right, l_back[z][x], beta[y]), act(right, l_back[y][x], beta[z]))
+                rhs = _add(rhs, acted.product_of(beta[y], r_on[x][z]))
+                rhs = sub_vectors(rhs, acted.product_of(beta[z], r_on[x][y]))
+                _record(failures, "cross-right-" + side, (x, y, z), sub_vectors(lhs, rhs))
+    for x in range(nx):
+        for y in range(ny):
+            for z in range(ny):
+                lhs = act(left, alpha[x], acted.basis_product(y, z))
+                mixed = sub_vectors(l_back[y][x], r_back[y][x])
+                rhs = tuple(-c for c in act(left, mixed, beta[z]))
+                rhs = _add(rhs, acted.product_of(sub_vectors(l_on[x][y], r_on[x][y]), beta[z]))
+                rhs = _add(rhs, act(right, r_back[z][x], beta[y]))
+                rhs = _add(rhs, acted.product_of(beta[y], l_on[x][z]))
+                _record(failures, "cross-left-" + side, (x, y, z), sub_vectors(lhs, rhs))
+
+
 def validate_matched_pair_pre_lie(mp):
     """Check both algebras, both mutual action pairs, and the four cross compatibilities."""
     a = mp.first
@@ -177,61 +227,10 @@ def validate_matched_pair_pre_lie(mp):
                       validate_pre_lie_rep(HomPreLieRep(b, n, a.twist, mp.second_left, mp.second_right))))
     report = combine_reports(named)
     failures = list(report.failures)
-
-    e = [basis_vector(n, i) for i in range(n)]
-    f = [basis_vector(m, i) for i in range(m)]
-    alpha1 = [a.twist.apply(v) for v in e]
-    alpha2 = [b.twist.apply(v) for v in f]
-    lA = lambda x: _combination(mp.first_left, x, m)
-    rA = lambda x: _combination(mp.first_right, x, m)
-    lB = lambda x: _combination(mp.second_left, x, n)
-    rB = lambda x: _combination(mp.second_right, x, n)
-
-    def add(u, v):
-        return tuple(p + q for p, q in zip(u, v))
-
-    # r_A against the second commutator, values in the second algebra
-    for i in range(n):
-        for j in range(m):
-            for k in range(m):
-                lhs = rA(alpha1[i]).apply(b.commutator_of(f[j], f[k]))
-                rhs = rA(lB(f[k]).apply(e[i])).apply(alpha2[j])
-                rhs = sub_vectors(rhs, rA(lB(f[j]).apply(e[i])).apply(alpha2[k]))
-                rhs = add(rhs, b.product_of(alpha2[j], rA(e[i]).apply(f[k])))
-                rhs = sub_vectors(rhs, b.product_of(alpha2[k], rA(e[i]).apply(f[j])))
-                _record(failures, "cross-right-second", (i, j, k), sub_vectors(lhs, rhs))
-    # l_A against the second product, values in the second algebra
-    for i in range(n):
-        for j in range(m):
-            for k in range(m):
-                lhs = lA(alpha1[i]).apply(b.basis_product(j, k))
-                mixed = sub_vectors(lB(f[j]).apply(e[i]), rB(f[j]).apply(e[i]))
-                rhs = tuple(-c for c in lA(mixed).apply(alpha2[k]))
-                rhs = add(rhs, b.product_of(sub_vectors(lA(e[i]).apply(f[j]), rA(e[i]).apply(f[j])), alpha2[k]))
-                rhs = add(rhs, rA(rB(f[k]).apply(e[i])).apply(alpha2[j]))
-                rhs = add(rhs, b.product_of(alpha2[j], lA(e[i]).apply(f[k])))
-                _record(failures, "cross-left-second", (i, j, k), sub_vectors(lhs, rhs))
-    # r_B against the first commutator, values in the first algebra
-    for k in range(m):
-        for i in range(n):
-            for j in range(n):
-                lhs = rB(alpha2[k]).apply(a.commutator_of(e[i], e[j]))
-                rhs = rB(lA(e[j]).apply(f[k])).apply(alpha1[i])
-                rhs = sub_vectors(rhs, rB(lA(e[i]).apply(f[k])).apply(alpha1[j]))
-                rhs = add(rhs, a.product_of(alpha1[i], rB(f[k]).apply(e[j])))
-                rhs = sub_vectors(rhs, a.product_of(alpha1[j], rB(f[k]).apply(e[i])))
-                _record(failures, "cross-right-first", (k, i, j), sub_vectors(lhs, rhs))
-    # l_B against the first product, values in the first algebra
-    for k in range(m):
-        for i in range(n):
-            for j in range(n):
-                lhs = lB(alpha2[k]).apply(a.basis_product(i, j))
-                mixed = sub_vectors(lA(e[i]).apply(f[k]), rA(e[i]).apply(f[k]))
-                rhs = tuple(-c for c in lB(mixed).apply(alpha1[j]))
-                rhs = add(rhs, a.product_of(sub_vectors(lB(f[k]).apply(e[i]), rB(f[k]).apply(e[i])), alpha1[j]))
-                rhs = add(rhs, rB(rA(e[j]).apply(f[k])).apply(alpha1[i]))
-                rhs = add(rhs, a.product_of(alpha1[i], lB(f[k]).apply(e[j])))
-                _record(failures, "cross-left-first", (k, i, j), sub_vectors(lhs, rhs))
+    _pre_lie_cross_failures(failures, "second", a, b, mp.first_left, mp.first_right,
+                            mp.second_left, mp.second_right)
+    _pre_lie_cross_failures(failures, "first", b, a, mp.second_left, mp.second_right,
+                            mp.first_left, mp.first_right)
     return ValidationReport(failures, report.details)
 
 

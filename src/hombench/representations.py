@@ -6,6 +6,11 @@ rho(phi(y)) rho(x). A pre-Lie-side representation is (V, beta, rho, mu)
 where rho is a Lie-side representation of the commutator algebra and mu
 satisfies the twisted right-action compatibilities. Actions are stored as
 one matrix per algebra basis vector and extended linearly.
+
+The action at a basis vector is its stored matrix. The action at a general
+vector x is reached in one of two ways: act(maps, x, v) applies it to one
+vector v without building a matrix, and _combination(maps, x, size) builds
+its matrix, which is used only where that matrix is composed with another.
 """
 
 from .errors import DimensionMismatch, InvalidInput, SingularMap
@@ -15,9 +20,23 @@ from .algebras import (HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
                        validate_hom_lie, validate_hom_pre_lie, _record)
 
 
+def act(maps, x, v):
+    """The action at the vector x applied to the vector v: the sum of
+    x_p maps[p] v over the nonzero coefficients x_p."""
+    support = [(j, w) for j, w in enumerate(v) if w != 0]
+    out = [ZERO] * len(v)
+    for c, m in zip(x, maps):
+        if c != 0:
+            for k, row in enumerate(m.entries):
+                for j, w in support:
+                    if row[j] != 0:
+                        out[k] += c * row[j] * w
+    return tuple(out)
+
+
 def _combination(maps, coeffs, size):
     """Linear combination of size x size action matrices, summed entry by entry
-    into one table; defines the action at a general vector."""
+    into one table: the matrix of the action at a general vector."""
     table = [[ZERO] * size for _ in range(size)]
     for c, m in zip(coeffs, maps):
         if c != 0:
@@ -46,9 +65,6 @@ class HomLieRep:
         self.space_dim = space_dim
         self.twist = twist
         self.maps = maps
-
-    def action(self, x):
-        return _combination(self.maps, x, self.space_dim)
 
     def __eq__(self, other):
         if not isinstance(other, HomLieRep):
@@ -82,12 +98,6 @@ class HomPreLieRep:
         self.left = left
         self.right = right
 
-    def left_action(self, x):
-        return _combination(self.left, x, self.space_dim)
-
-    def right_action(self, x):
-        return _combination(self.right, x, self.space_dim)
-
     def __eq__(self, other):
         if not isinstance(other, HomPreLieRep):
             return NotImplemented
@@ -101,19 +111,17 @@ class HomPreLieRep:
 def _lie_action_failures(algebra, twist, maps, space_dim, failures, prefix=""):
     """Record the two Lie-side representation identities against the given bracket table."""
     n = algebra.dim
-    basis = [basis_vector(n, i) for i in range(n)]
-    phis = [algebra.twist.apply(b) for b in basis]
-    act = lambda x: _combination(maps, x, space_dim)
+    at_phi = [_combination(maps, algebra.twist.column(i), space_dim) for i in range(n)]
     for i in range(n):
-        lhs = act(phis[i]) @ twist
+        lhs = at_phi[i] @ twist
         rhs = twist @ maps[i]
         diff = lhs - rhs
         for j in range(space_dim):
             _record(failures, prefix + "action-twist-compatibility", (i, j), diff.column(j))
     for i in range(n):
         for j in range(n):
-            lhs = act(algebra.basis_bracket(i, j)) @ twist
-            rhs = act(phis[i]) @ maps[j] - act(phis[j]) @ maps[i]
+            lhs = _combination(maps, algebra.basis_bracket(i, j), space_dim) @ twist
+            rhs = at_phi[i] @ maps[j] - at_phi[j] @ maps[i]
             diff = lhs - rhs
             for k in range(space_dim):
                 _record(failures, prefix + "action-bracket-compatibility", (i, j, k), diff.column(k))
@@ -140,18 +148,18 @@ def validate_pre_lie_rep(rep):
     failures = []
     commutator = HomLieAlgebra(a.commutator_tensor(), a.twist)
     _lie_action_failures(commutator, beta, rep.left, m, failures, prefix="left-")
-    basis = [basis_vector(n, i) for i in range(n)]
-    alphas = [a.twist.apply(b) for b in basis]
-    mu = lambda x: _combination(rep.right, x, m)
-    rho = lambda x: _combination(rep.left, x, m)
+    alphas = [a.twist.column(i) for i in range(n)]
+    mu_at_alpha = [_combination(rep.right, x, m) for x in alphas]
+    rho_at_alpha = [_combination(rep.left, x, m) for x in alphas]
     for i in range(n):
-        diff = beta @ rep.right[i] - mu(alphas[i]) @ beta
+        diff = beta @ rep.right[i] - mu_at_alpha[i] @ beta
         for j in range(m):
             _record(failures, "right-twist-compatibility", (i, j), diff.column(j))
     for i in range(n):
         for j in range(n):
-            lhs = mu(alphas[j]) @ rep.right[i] - mu(a.basis_product(i, j)) @ beta
-            rhs = mu(alphas[j]) @ rep.left[i] - rho(alphas[i]) @ rep.right[j]
+            mu_at_product = _combination(rep.right, a.basis_product(i, j), m)
+            lhs = mu_at_alpha[j] @ rep.right[i] - mu_at_product @ beta
+            rhs = mu_at_alpha[j] @ rep.left[i] - rho_at_alpha[i] @ rep.right[j]
             diff = lhs - rhs
             for k in range(m):
                 _record(failures, "left-right-compatibility", (i, j, k), diff.column(k))
@@ -253,14 +261,13 @@ def check_one_cocycle(g, rep, delta):
         raise DimensionMismatch("cocycle candidate is %dx%d for dims %d -> %d"
                                 % (delta.rows, delta.cols, g.dim, rep.space_dim))
     n = g.dim
-    basis = [basis_vector(n, i) for i in range(n)]
-    phis = [g.twist.apply(b) for b in basis]
+    phis = [g.twist.column(i) for i in range(n)]
+    images = [delta.column(i) for i in range(n)]
     failures = []
     for i in range(n):
         for j in range(n):
             lhs = delta.apply(g.basis_bracket(i, j))
-            rhs = sub_vectors(rep.action(phis[i]).apply(delta.column(j)),
-                              rep.action(phis[j]).apply(delta.column(i)))
+            rhs = sub_vectors(act(rep.maps, phis[i], images[j]), act(rep.maps, phis[j], images[i]))
             _record(failures, "cocycle", (i, j), sub_vectors(lhs, rhs))
     return ValidationReport(failures)
 

@@ -9,6 +9,7 @@ from hombench import (HomPreLieRep, InvalidInput, LinearMap, SingularMap, Tensor
                       tensor_rep, triangular_bialgebra, validate_hom_pre_lie,
                       validate_lie_rep, validate_pre_lie_rep)
 from hombench import fixtures
+from hombench.representations import _combination, act
 
 
 def test_adjoint_matrices_oracle():
@@ -135,3 +136,16 @@ def test_rep_validation_rejects_singular_space_twist():
                        [LinearMap.zero(2, 2)] * 2, [LinearMap.zero(2, 2)] * 2)
     with pytest.raises(SingularMap):
         validate_pre_lie_rep(rep)
+
+
+def test_act_matches_the_combined_matrix():
+    maps = [LinearMap(((1, Fraction(-2, 3), 0), (Fraction(5, 2), 3, -1), (0, Fraction(1, 7), 2))),
+            LinearMap(((Fraction(-1, 4), 0, 6), (2, Fraction(3, 5), 1), (-3, 1, Fraction(2, 9)))),
+            LinearMap(((0, 1, Fraction(-5, 6)), (Fraction(7, 3), -2, 0), (1, 1, 1)))]
+    vectors = [(Fraction(2, 3), -1, Fraction(5, 4)), (0, 0, 0), (1, 0, 0), (Fraction(-7, 2), 3, 0)]
+    coefficients = vectors + [(0, 1, 0), (0, 0, 1)]
+    for x in coefficients:
+        for v in vectors:
+            assert act(maps, x, v) == _combination(maps, x, 3).apply(v), (x, v)
+    assert act(maps, (0, 0, 0), vectors[0]) == (0, 0, 0)
+    assert act(maps, (0, 1, 0), vectors[0]) == maps[1].apply(vectors[0])
