@@ -76,6 +76,18 @@ class ValidationReport:
         return "ValidationReport(valid=%r, failures=%d)" % (self.valid, len(self.failures))
 
 
+def agreement_report(verdicts, extra=None):
+    """Valid when the named verdicts (booleans or reports) all agree. The details
+    hold each verdict, an "agree" flag, and any extra entries."""
+    values = [v.valid if isinstance(v, ValidationReport) else v for v in verdicts.values()]
+    agree = all(v == values[0] for v in values)
+    failures = [] if agree else [Failure("verdict-agreement", (), ())]
+    details = dict(verdicts, agree=agree)
+    if extra:
+        details.update(extra)
+    return ValidationReport(failures, details)
+
+
 def combine_reports(named, details=None):
     """Merge sub-reports, prefixing each failure with its component name."""
     failures = []
@@ -109,11 +121,6 @@ class HomLieAlgebra:
 
     def basis_bracket(self, i, j):
         return self.bracket.slice12(i, j)
-
-    def adjoint_matrix(self, x):
-        """The map y -> [x, y] in the fixed basis."""
-        cols = [self.bracket_of(x, basis_vector(self.dim, j)) for j in range(self.dim)]
-        return LinearMap.from_columns(cols, rows=self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, HomLieAlgebra):
@@ -151,24 +158,11 @@ class HomPreLieAlgebra:
     def basis_product(self, i, j):
         return self.product.slice12(i, j)
 
-    def left_matrix(self, x):
-        """The map y -> x . y."""
-        cols = [self.product_of(x, basis_vector(self.dim, j)) for j in range(self.dim)]
-        return LinearMap.from_columns(cols, rows=self.dim)
-
-    def right_matrix(self, x):
-        """The map y -> y . x."""
-        cols = [self.product_of(basis_vector(self.dim, j), x) for j in range(self.dim)]
-        return LinearMap.from_columns(cols, rows=self.dim)
-
     def commutator_tensor(self):
         """Structure tensor of x . y - y . x, with no validity requirement."""
         n = self.dim
-        items = {}
-        for (i, j, k), c in self.product.nonzero_items():
-            items[(i, j, k)] = items.get((i, j, k), 0) + c
-            items[(j, i, k)] = items.get((j, i, k), 0) - c
-        return Tensor3.from_entries((n, n, n), items)
+        p = self.product
+        return Tensor3.from_slices(n, n, n, lambda i, j: sub_vectors(p.slice12(i, j), p.slice12(j, i)))
 
     def commutator_of(self, x, y):
         return sub_vectors(self.product_of(x, y), self.product_of(y, x))

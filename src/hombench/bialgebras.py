@@ -11,10 +11,10 @@ from .errors import (DimensionMismatch, InvalidInput, NotAnSMatrix, Pro1Violatio
                      TwistMismatch)
 from .foundation import (LinearMap, Tensor3, basis_vector, sub_vectors,
                          tensor2_to_map, tensor_product_map, zero_vector)
-from .algebras import (Failure, HomPreLieAlgebra, ValidationReport, combine_reports,
+from .algebras import (HomPreLieAlgebra, ValidationReport, agreement_report, combine_reports,
                        sub_adjacent, validate_hom_pre_lie, _record)
-from .representations import (act, check_one_cocycle, coboundary_maps, coboundary_rep,
-                              star_maps)
+from .representations import (_combination, act, check_one_cocycle, coboundary_maps,
+                              coboundary_rep, star_maps)
 from .matched import (coadjoint_matched_pair, require_dual_twists, standard_manin_triple,
                       validate_manin_triple, validate_matched_pair_pre_lie)
 
@@ -55,30 +55,24 @@ def dual_product_from_r(a, r):
     if not check_pro1(a, r):
         raise Pro1Violation("tensor does not intertwine the twists")
     n = a.dim
-    e = [basis_vector(n, i) for i in range(n)]
-    ad_family = [a.left_matrix(v) - a.right_matrix(v) for v in e]
-    right_family = [a.right_matrix(v) for v in e]
-    ad_star = star_maps(ad_family, a.twist, a.twist)
-    right_star = star_maps(right_family, a.twist, a.twist)
+    left_maps = a.product.left_maps()
+    right_maps = a.product.right_maps()
+    ad_star = star_maps([lm - rm for lm, rm in zip(left_maps, right_maps)], a.twist, a.twist)
+    right_star = star_maps(right_maps, a.twist, a.twist)
     sharp = r_sharp(r)
     flip_sharp = r_sharp(r.flip())
-    items = {}
-    for i in range(n):
-        xi_image = sharp.column(i)
-        for j in range(n):
-            eta_image = flip_sharp.column(j)
-            vec = zero_vector(n)
-            for p, c in enumerate(xi_image):
-                if c != 0:
-                    vec = tuple(v + c * w for v, w in zip(vec, ad_star[p].column(j)))
-            for q, c in enumerate(eta_image):
-                if c != 0:
-                    vec = tuple(v - c * w for v, w in zip(vec, right_star[q].column(i)))
-            for k, c in enumerate(vec):
-                if c != 0:
-                    items[(i, j, k)] = c
-    table = Tensor3.from_entries((n, n, n), items)
-    return HomPreLieAlgebra(table, a.twist.inverse().transpose())
+
+    def product(i, j):
+        vec = zero_vector(n)
+        for p, c in enumerate(sharp.column(i)):
+            if c != 0:
+                vec = tuple(v + c * w for v, w in zip(vec, ad_star[p].column(j)))
+        for q, c in enumerate(flip_sharp.column(j)):
+            if c != 0:
+                vec = tuple(v - c * w for v, w in zip(vec, right_star[q].column(i)))
+        return vec
+
+    return HomPreLieAlgebra(Tensor3.from_slices(n, n, n, product), a.twist.inverse().transpose())
 
 
 def hom_s_bracket(a, r):
@@ -113,7 +107,7 @@ def hom_s_bracket(a, r):
             accumulate(coeff, alphas[p], alphas[s], a.basis_product(q, t))
             accumulate(-coeff, alphas[p], commutators[(s, q)], alphas[t])
             accumulate(-coeff, a.basis_product(p, s), alphas[t], alphas[q])
-    return Tensor3(tuple(tuple(tuple(row) for row in plane) for plane in out), dims=(n, n, n))
+    return Tensor3.from_slices(n, n, n, lambda i, j: out[i][j])
 
 
 def check_pro3(a, r):
@@ -158,9 +152,10 @@ def check_P_condition(a, r):
     n = a.dim
     alpha = a.twist
     inv_sq = alpha.power(-2)
+    left_maps = a.product.left_maps()
     p_maps = []
     for k in range(n):
-        left = a.left_matrix(inv_sq.apply(basis_vector(n, k)))
+        left = _combination(left_maps, inv_sq.column(k), n)
         p_maps.append(tensor_product_map(left, alpha) + tensor_product_map(alpha, left))
 
     skew_part = _vec(r - r.flip())
@@ -193,11 +188,8 @@ def dualize_product(p):
     """The structure table read as a map into the tensor square of the dual:
     column k lists the pairings of basis products against the k-th dual vector."""
     n = p.dim
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            rows.append(tuple(p.product.entries[i][j]))
-    return LinearMap(tuple(rows), rows=n * n, cols=n)
+    rows = [p.product.slice12(i, j) for i in range(n) for j in range(n)]
+    return LinearMap(rows, rows=n * n, cols=n)
 
 
 class Bialgebra:
@@ -248,10 +240,7 @@ def check_equivalence_theorem(a, adual):
     bi = validate_bialgebra(Bialgebra(a, adual))
     mp = validate_matched_pair_pre_lie(coadjoint_matched_pair(a, adual))
     manin = validate_manin_triple(standard_manin_triple(a, adual))
-    agree = bi.valid == mp.valid == manin.valid
-    failures = [] if agree else [Failure("verdict-agreement", (), ())]
-    return ValidationReport(failures, {"bialgebra": bi, "matched_pair": mp,
-                                       "manin_triple": manin, "agree": agree})
+    return agreement_report({"bialgebra": bi, "matched_pair": mp, "manin_triple": manin})
 
 
 def triangular_bialgebra(a, r):

@@ -4,8 +4,8 @@ from collections import namedtuple
 
 from .errors import InvalidInput, UnsupportedKind, UnknownSlug
 from .foundation import basis_vector
-from .algebras import (Failure, ValidationReport, check_morphism, combine_reports,
-                       sub_adjacent, validate_hom_lie, validate_hom_pre_lie)
+from .algebras import (Failure, ValidationReport, agreement_report, check_morphism,
+                       combine_reports, sub_adjacent, validate_hom_lie, validate_hom_pre_lie)
 from .representations import (HomLieRep, check_one_cocycle, coadjoint_pre_lie_rep,
                               coboundary_rep, dual_pre_lie_rep, semidirect_pre_lie,
                               validate_lie_rep, validate_pre_lie_rep)
@@ -172,31 +172,27 @@ def run_derive(construction, docs):
     return CONSTRUCTIONS[construction](docs)
 
 
-def _agreement_report(verdicts, extra=None):
-    values = list(verdicts.values())
-    agree = all(v == values[0] for v in values)
-    failures = [] if agree else [Failure("verdict-agreement", (), ())]
-    details = dict(verdicts)
-    details["agree"] = agree
-    if extra:
-        details.update(extra)
-    return ValidationReport(failures, details)
+def _reports_agreement(reports):
+    """Agreement of named reports: their verdicts at the top of the details and
+    the reports themselves under "reports"."""
+    return agreement_report({name: report.valid for name, report in reports.items()},
+                            {"reports": reports})
+
+
+def _check_double(docs, kind, slug, validate_pair, build_double, validate_double):
+    (mp,) = _expect(docs, (kind,), slug)
+    return _reports_agreement({"matched_pair": validate_pair(mp),
+                               "double": validate_double(build_double(mp))})
 
 
 def _check_double_lie(docs):
-    (mp,) = _expect(docs, ("matched_pair_lie",), "double-lie-equiv")
-    pair_report = validate_matched_pair_lie(mp)
-    double_report = validate_hom_lie(double_lie(mp))
-    return _agreement_report({"matched_pair": pair_report.valid, "double": double_report.valid},
-                             {"reports": {"matched_pair": pair_report, "double": double_report}})
+    return _check_double(docs, "matched_pair_lie", "double-lie-equiv",
+                         validate_matched_pair_lie, double_lie, validate_hom_lie)
 
 
 def _check_double_pre_lie(docs):
-    (mp,) = _expect(docs, ("matched_pair_pre_lie",), "double-pre-lie-equiv")
-    pair_report = validate_matched_pair_pre_lie(mp)
-    double_report = validate_hom_pre_lie(double_pre_lie(mp))
-    return _agreement_report({"matched_pair": pair_report.valid, "double": double_report.valid},
-                             {"reports": {"matched_pair": pair_report, "double": double_report}})
+    return _check_double(docs, "matched_pair_pre_lie", "double-pre-lie-equiv",
+                         validate_matched_pair_pre_lie, double_pre_lie, validate_hom_pre_lie)
 
 
 def _check_matched_equiv(docs):
@@ -240,8 +236,7 @@ def _check_p_condition(docs):
     p_report = check_P_condition(a, r)
     cocycle_report = check_one_cocycle(sub_adjacent(dual), coboundary_rep(dual),
                                        dualize_product(a))
-    return _agreement_report({"p_condition": p_report.valid, "cocycle": cocycle_report.valid},
-                             {"reports": {"p_condition": p_report, "cocycle": cocycle_report}})
+    return _reports_agreement({"p_condition": p_report, "cocycle": cocycle_report})
 
 
 def _check_triangular(docs):

@@ -5,7 +5,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import ParseError, UnknownSlug, WorkbenchError
+from .errors import ParseError, WorkbenchError
 from .algebras import ValidationReport
 from .documents import parse_documents, serialize_documents
 from .checks import CHECKS, CONSTRUCTIONS, EXPLANATIONS, run_check, run_derive, run_validate
@@ -161,8 +161,6 @@ def _cmd_search(args):
 
 
 def _cmd_explain(args):
-    if args.slug not in EXPLANATIONS:
-        raise UnknownSlug("unknown check %r" % (args.slug,))
     print(args.slug)
     print(EXPLANATIONS[args.slug])
     return 0
@@ -204,7 +202,7 @@ def _build_parser():
     p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("explain", help="print the statement a check slug verifies")
-    p.add_argument("slug")
+    p.add_argument("slug", choices=sorted(EXPLANATIONS))
     return parser
 
 

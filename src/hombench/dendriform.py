@@ -14,8 +14,8 @@ from .errors import (AsymmetricInput, DimensionMismatch, IntertwinerViolation, I
                      SingularMap)
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vector, row_reduce,
                          sub_vectors)
-from .algebras import (Failure, HomPreLieAlgebra, ValidationReport, combine_reports,
-                       validate_hessian, validate_hom_pre_lie, _record)
+from .algebras import (Failure, HomPreLieAlgebra, ValidationReport, agreement_report,
+                       combine_reports, validate_hessian, validate_hom_pre_lie, _record)
 from .representations import (HomPreLieRep, act, coadjoint_pre_lie_rep,
                               dual_pre_lie_rep, semidirect_product_raw, star_maps,
                               validate_pre_lie_rep)
@@ -53,24 +53,6 @@ class HomLDendriform:
 
     def basis_right(self, i, j):
         return self.right.slice12(i, j)
-
-    def left_matrices(self):
-        """Per-basis matrices of x |> . (left multiplication by the left product)."""
-        n = self.dim
-        return [LinearMap.from_columns([self.left.slice12(i, j) for j in range(n)], rows=n)
-                for i in range(n)]
-
-    def left_angle_matrices(self):
-        """Per-basis matrices of x <| . (left multiplication by the right product)."""
-        n = self.dim
-        return [LinearMap.from_columns([self.right.slice12(i, j) for j in range(n)], rows=n)
-                for i in range(n)]
-
-    def right_angle_matrices(self):
-        """Per-basis matrices of . <| x (right multiplication by the right product)."""
-        n = self.dim
-        return [LinearMap.from_columns([self.right.slice12(j, i) for j in range(n)], rows=n)
-                for i in range(n)]
 
     def __eq__(self, other):
         if not isinstance(other, HomLDendriform):
@@ -134,12 +116,7 @@ def horizontal(d):
 
 def _vertical_table(d):
     n = d.dim
-    items = {}
-    for (i, j, k), c in d.left.nonzero_items():
-        items[(i, j, k)] = items.get((i, j, k), 0) + c
-    for (i, j, k), c in d.right.nonzero_items():
-        items[(j, i, k)] = items.get((j, i, k), 0) - c
-    return Tensor3.from_entries((n, n, n), items)
+    return Tensor3.from_slices(n, n, n, lambda i, j: sub_vectors(d.basis_left(i, j), d.basis_right(j, i)))
 
 
 def vertical(d):
@@ -154,8 +131,7 @@ def transpose_dendriform(d):
     if not validate_l_dendriform(d).valid:
         raise InvalidInput("transpose_dendriform needs a valid dendriform structure")
     n = d.dim
-    items = {(j, i, k): -c for (i, j, k), c in d.right.nonzero_items()}
-    return HomLDendriform(d.left, Tensor3.from_entries((n, n, n), items), d.twist)
+    return HomLDendriform(d.left, -Tensor3.from_slices(n, n, n, lambda i, j: d.basis_right(j, i)), d.twist)
 
 
 def dendriform_rep_check(d):
@@ -164,9 +140,9 @@ def dendriform_rep_check(d):
     if not validate_l_dendriform(d).valid:
         raise InvalidInput("dendriform_rep_check needs a valid dendriform structure")
     n = d.dim
-    tri = d.left_matrices()
-    angle_right = d.right_angle_matrices()
-    angle_left = d.left_angle_matrices()
+    tri = d.left.left_maps()
+    angle_right = d.right.right_maps()
+    angle_left = d.right.left_maps()
     horiz = HomPreLieAlgebra(d.left + d.right, d.twist)
     vert = HomPreLieAlgebra(_vertical_table(d), d.twist)
     named = [
@@ -236,9 +212,7 @@ def check_smatrix_ooperator_equiv(a, r):
     s_verdict = is_hom_s_matrix(a, r)
     operator = OOperator(coadjoint_pre_lie_rep(a), r_sharp(r) @ a.twist.inverse().transpose())
     o_report = validate_o_operator(operator)
-    agree = s_verdict == o_report.valid
-    failures = [] if agree else [Failure("verdict-agreement", (), ())]
-    return ValidationReport(failures, {"s_matrix": s_verdict, "o_operator": o_report, "agree": agree})
+    return agreement_report({"s_matrix": s_verdict, "o_operator": o_report})
 
 
 InducedDendriform = namedtuple("InducedDendriform", ["on_space", "on_image"])
@@ -267,41 +241,24 @@ def dendriform_from_o_operator(o):
     m = rep.space_dim
     t = o.matrix
     beta_inv = rep.twist.inverse()
-    shifted = [t.apply(beta_inv.apply(basis_vector(m, i))) for i in range(m)]
-    left_items = {}
-    right_items = {}
-    for i in range(m):
-        for j in range(m):
-            v = basis_vector(m, j)
-            for k, c in enumerate(act(rep.left, shifted[i], v)):
-                if c != 0:
-                    left_items[(i, j, k)] = c
-            for k, c in enumerate(act(rep.right, shifted[i], v)):
-                if c != 0:
-                    right_items[(i, j, k)] = -c
-    on_space = HomLDendriform(Tensor3.from_entries((m, m, m), left_items),
-                              Tensor3.from_entries((m, m, m), right_items),
-                              rep.twist)
+    shifted = [t.apply(beta_inv.column(i)) for i in range(m)]
+    e = [basis_vector(m, j) for j in range(m)]
+    on_space = HomLDendriform(
+        Tensor3.from_slices(m, m, m, lambda i, j: act(rep.left, shifted[i], e[j])),
+        -Tensor3.from_slices(m, m, m, lambda i, j: act(rep.right, shifted[i], e[j])),
+        rep.twist)
 
     pivots = row_reduce([list(row) for row in t.entries], t.cols)
     image_basis = LinearMap.from_columns([t.column(j) for j in pivots], rows=t.rows)
     r = len(pivots)
-    img_left = {}
-    img_right = {}
-    for s in range(r):
-        for u in range(r):
-            vec = t.apply(on_space.basis_left(pivots[s], pivots[u]))
-            for k, c in enumerate(_solve_in_basis(image_basis, vec)):
-                if c != 0:
-                    img_left[(s, u, k)] = c
-            vec = t.apply(on_space.basis_right(pivots[s], pivots[u]))
-            for k, c in enumerate(_solve_in_basis(image_basis, vec)):
-                if c != 0:
-                    img_right[(s, u, k)] = c
+
+    def transported(table):
+        return Tensor3.from_slices(r, r, r, lambda s, u: _solve_in_basis(
+            image_basis, t.apply(table.slice12(pivots[s], pivots[u]))))
+
     twist_cols = [_solve_in_basis(image_basis, o.algebra.twist.apply(image_basis.column(s)))
                   for s in range(r)]
-    on_image = HomLDendriform(Tensor3.from_entries((r, r, r), img_left),
-                              Tensor3.from_entries((r, r, r), img_right),
+    on_image = HomLDendriform(transported(on_space.left), transported(on_space.right),
                               LinearMap.from_columns(twist_cols, rows=r))
     return InducedDendriform(on_space=on_space, on_image=on_image)
 
@@ -319,21 +276,12 @@ def compatible_dendriform_from_invertible(o):
     n = a.dim
     alpha_inv = a.twist.inverse()
     t = o.matrix
-    left_items = {}
-    right_items = {}
-    for i in range(n):
-        back = alpha_inv.column(i)
-        for j in range(n):
-            pre = t_inv.column(j)
-            for k, c in enumerate(t.apply(act(rep.left, back, pre))):
-                if c != 0:
-                    left_items[(i, j, k)] = c
-            for k, c in enumerate(t.apply(act(rep.right, back, pre))):
-                if c != 0:
-                    right_items[(i, j, k)] = -c
-    return HomLDendriform(Tensor3.from_entries((n, n, n), left_items),
-                          Tensor3.from_entries((n, n, n), right_items),
-                          a.twist)
+    back = [alpha_inv.column(i) for i in range(n)]
+    pre = [t_inv.column(j) for j in range(n)]
+    return HomLDendriform(
+        Tensor3.from_slices(n, n, n, lambda i, j: t.apply(act(rep.left, back[i], pre[j]))),
+        -Tensor3.from_slices(n, n, n, lambda i, j: t.apply(act(rep.right, back[i], pre[j]))),
+        a.twist)
 
 
 def dendriform_from_hessian(a, b):
@@ -348,21 +296,12 @@ def dendriform_from_hessian(a, b):
     e = [basis_vector(n, i) for i in range(n)]
     back1 = [alpha_inv.apply(v) for v in e]
     back2 = [alpha_inv_sq.apply(v) for v in e]
-    left_items = {}
-    right_items = {}
-    for i in range(n):
-        for j in range(n):
-            gamma = tuple(-b.apply(e[j], a.commutator_of(back1[i], back2[k])) for k in range(n))
-            for k, c in enumerate(sharp_inv.apply(gamma)):
-                if c != 0:
-                    left_items[(i, j, k)] = c
-            gamma = tuple(-b.apply(e[j], a.product_of(back2[k], back1[i])) for k in range(n))
-            for k, c in enumerate(sharp_inv.apply(gamma)):
-                if c != 0:
-                    right_items[(i, j, k)] = c
-    return HomLDendriform(Tensor3.from_entries((n, n, n), left_items),
-                          Tensor3.from_entries((n, n, n), right_items),
-                          a.twist)
+    return HomLDendriform(
+        Tensor3.from_slices(n, n, n, lambda i, j: sharp_inv.apply(
+            tuple(-b.apply(e[j], a.commutator_of(back1[i], back2[k])) for k in range(n)))),
+        Tensor3.from_slices(n, n, n, lambda i, j: sharp_inv.apply(
+            tuple(-b.apply(e[j], a.product_of(back2[k], back1[i])) for k in range(n)))),
+        a.twist)
 
 
 SemidirectSolution = namedtuple("SemidirectSolution", ["algebra", "tensor", "verdict"])
@@ -406,10 +345,8 @@ def semidirect_smatrix(a, rep, t, variant="dual"):
     ambient_report = validate_hom_pre_lie(big)
     s_verdict = ambient_report.valid and solves_s_equation(big, tensor)
     o_report = validate_o_operator(OOperator(rep, t @ rep.twist))
-    agree = s_verdict == o_report.valid
-    failures = [] if agree else [Failure("verdict-agreement", (), ())]
-    verdict = ValidationReport(failures, {"s_matrix": s_verdict, "o_operator": o_report,
-                                          "ambient": ambient_report, "agree": agree})
+    verdict = agreement_report({"s_matrix": s_verdict, "o_operator": o_report},
+                               {"ambient": ambient_report})
     return SemidirectSolution(algebra=big, tensor=tensor, verdict=verdict)
 
 
@@ -423,7 +360,6 @@ def canonical_smatrix(d):
         raise InvalidInput("canonical_smatrix needs a valid dendriform structure")
     n = d.dim
     vert = HomPreLieAlgebra(_vertical_table(d), d.twist)
-    rep = HomPreLieRep(vert, n, d.twist, d.left_matrices(),
-                       [-m for m in d.left_angle_matrices()])
+    rep = HomPreLieRep(vert, n, d.twist, d.left.left_maps(), [-m for m in d.right.left_maps()])
     built = semidirect_smatrix(vert, rep, LinearMap.identity(n))
     return CanonicalSolution(algebra=built.algebra, tensor=built.tensor)

@@ -65,9 +65,6 @@ class _Cursor:
         self.pos += 1
         return item
 
-    def done(self):
-        return self.pos >= len(self.items)
-
 
 def _parse_int(token, line_no, minimum=None):
     if not _INT_RE.match(token):

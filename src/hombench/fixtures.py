@@ -1,14 +1,12 @@
 """Small benchmark structures used by the tests and the command line examples."""
 
-import os
-
 from .foundation import LinearMap, Tensor2, Tensor3
 from .algebras import BilinearForm, HomPreLieAlgebra, sub_adjacent
 from .representations import HomPreLieRep, adjoint_rep, regular_rep
 from .matched import coadjoint_lie_matched_pair, coadjoint_matched_pair, standard_manin_triple
 from .bialgebras import triangular_bialgebra
 from .dendriform import HomLDendriform, OOperator, _vertical_table
-from .documents import document_for, serialize_document
+from .documents import document_for
 
 
 def zero_algebra():
@@ -66,8 +64,7 @@ def mixed_action_operator(d):
     """The identity map over the difference algebra of a dendriform structure,
     carrying the left-product action and the negated right-product action."""
     vert = HomPreLieAlgebra(_vertical_table(d), d.twist)
-    rep = HomPreLieRep(vert, d.dim, d.twist, d.left_matrices(),
-                       [-m for m in d.left_angle_matrices()])
+    rep = HomPreLieRep(vert, d.dim, d.twist, d.left.left_maps(), [-m for m in d.right.left_maps()])
     return OOperator(rep, LinearMap.identity(d.dim))
 
 
@@ -97,13 +94,3 @@ def fixture_documents():
         ("scaling_twist", document_for(LinearMap.diagonal([1, 2]))),
     ]
 
-
-def write_fixture_documents(directory):
-    """Regenerate the shipped document files; returns the written paths."""
-    paths = []
-    for name, doc in fixture_documents():
-        path = os.path.join(directory, name + ".txt")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(serialize_document(doc))
-        paths.append(path)
-    return paths

@@ -3,6 +3,12 @@
 Everything is dense, immutable, and exact: scalars are fractions.Fraction,
 vectors are tuples, matrices act on column vectors, and composite indices are
 lexicographic with the left factor major. No floats anywhere.
+
+A structure table is a Tensor3 whose (i, j) output vector is the product of
+the basis pair. Other modules reach its storage only through three
+primitives: Tensor3.left_maps() and Tensor3.right_maps() give the
+multiplication operators by each basis vector, and Tensor3.from_slices()
+builds a table one output vector at a time.
 """
 
 from fractions import Fraction
@@ -148,11 +154,15 @@ class LinearMap:
         if self.cols != other.rows:
             raise DimensionMismatch("composing %dx%d with %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         rows = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            rows.append(tuple(sum((row[k] * other.entries[k][j] for k in range(self.cols)), ZERO)
-                              for j in range(other.cols)))
-        return LinearMap(tuple(rows), rows=self.rows, cols=other.cols)
+        for row in self.entries:
+            out = [ZERO] * other.cols
+            for c, src in zip(row, other.entries):
+                if c != 0:
+                    for j, x in enumerate(src):
+                        if x != 0:
+                            out[j] += c * x
+            rows.append(out)
+        return LinearMap(rows, rows=self.rows, cols=other.cols)
 
     def __add__(self, other):
         if not isinstance(other, LinearMap):
@@ -358,9 +368,25 @@ class Tensor3:
             return cls((), dims=dims)
         return cls(tuple(tuple(tuple(vec) for vec in plane) for plane in table), dims=dims)
 
+    @classmethod
+    def from_slices(cls, d1, d2, d3, vec_of):
+        """The table whose output vector at the basis pair (i, j) is vec_of(i, j)."""
+        return cls(tuple(tuple(vec_of(i, j) for j in range(d2)) for i in range(d1)), dims=(d1, d2, d3))
+
     def slice12(self, i, j):
         """The output vector attached to the basis pair (i, j)."""
         return self.entries[i][j]
+
+    def left_maps(self):
+        """Left multiplication by each basis vector: map i sends e_j to slice12(i, j)."""
+        _, d2, d3 = self.dims
+        return tuple(LinearMap(tuple(zip(*plane)), rows=d3, cols=d2) for plane in self.entries)
+
+    def right_maps(self):
+        """Right multiplication by each basis vector: map j sends e_i to slice12(i, j)."""
+        d1, d2, d3 = self.dims
+        return tuple(LinearMap(tuple(zip(*(plane[j] for plane in self.entries))), rows=d3, cols=d1)
+                     for j in range(d2))
 
     def nonzero_items(self):
         return [((i, j, k), c)

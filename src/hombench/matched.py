@@ -12,7 +12,7 @@ from .errors import AsymmetricInput, DimensionMismatch, InvalidInput, TwistMisma
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vector,
                          map_direct_sum, sub_vectors)
 from .algebras import (BilinearForm, Failure, HomLieAlgebra, HomPreLieAlgebra,
-                       ValidationReport, combine_reports, validate_hom_lie,
+                       ValidationReport, agreement_report, combine_reports, validate_hom_lie,
                        validate_hom_pre_lie, validate_quadratic, _record)
 from .representations import (HomLieRep, HomPreLieRep, act, star_maps, validate_lie_rep,
                               validate_pre_lie_rep)
@@ -276,36 +276,32 @@ def require_dual_twists(a, adual):
         raise TwistMismatch("second twist is not the inverse dual of the first")
 
 
+def _coadjoint_actions(a):
+    """The twisted duals of the commutator family and of the negated right
+    multiplication family of one algebra: its left and right actions on the
+    partner's space."""
+    left = a.product.left_maps()
+    right = a.product.right_maps()
+    return (star_maps([lm - rm for lm, rm in zip(left, right)], a.twist, a.twist),
+            tuple(-mm for mm in star_maps(right, a.twist, a.twist)))
+
+
 def coadjoint_matched_pair(a, adual):
     """The canonical candidate pair: each algebra acts on the other's dual space
     through the twisted dual of its commutator and right multiplication families."""
     require_dual_twists(a, adual)
-    n = a.dim
-    e = [basis_vector(n, i) for i in range(n)]
-    ad_first = [a.left_matrix(v) - a.right_matrix(v) for v in e]
-    right_first = [a.right_matrix(v) for v in e]
-    ad_second = [adual.left_matrix(v) - adual.right_matrix(v) for v in e]
-    right_second = [adual.right_matrix(v) for v in e]
-    first_left = star_maps(ad_first, a.twist, a.twist)
-    first_right = tuple(-mm for mm in star_maps(right_first, a.twist, a.twist))
-    second_left = star_maps(ad_second, adual.twist, adual.twist)
-    second_right = tuple(-mm for mm in star_maps(right_second, adual.twist, adual.twist))
-    return PreLieMatchedPair(a, adual, first_left, first_right, second_left, second_right)
+    return PreLieMatchedPair(a, adual, *_coadjoint_actions(a), *_coadjoint_actions(adual))
 
 
 def coadjoint_lie_matched_pair(a, adual):
     """The Lie-side counterpart: commutator algebras acting through twisted duals
     of the left multiplication families."""
     require_dual_twists(a, adual)
-    n = a.dim
-    e = [basis_vector(n, i) for i in range(n)]
-    left_first = [a.left_matrix(v) for v in e]
-    left_second = [adual.left_matrix(v) for v in e]
     lie_a = HomLieAlgebra(a.commutator_tensor(), a.twist)
     lie_d = HomLieAlgebra(adual.commutator_tensor(), adual.twist)
     return LieMatchedPair(lie_a, lie_d,
-                          star_maps(left_first, a.twist, a.twist),
-                          star_maps(left_second, adual.twist, adual.twist))
+                          star_maps(a.product.left_maps(), a.twist, a.twist),
+                          star_maps(adual.product.left_maps(), adual.twist, adual.twist))
 
 
 def check_pre_lie_matched_equiv(a, adual):
@@ -313,9 +309,7 @@ def check_pre_lie_matched_equiv(a, adual):
     require_dual_twists(a, adual)
     lie_report = validate_matched_pair_lie(coadjoint_lie_matched_pair(a, adual))
     pre_report = validate_matched_pair_pre_lie(coadjoint_matched_pair(a, adual))
-    agree = lie_report.valid == pre_report.valid
-    failures = [] if agree else [Failure("verdict-agreement", (), ())]
-    return ValidationReport(failures, {"lie": lie_report, "pre_lie": pre_report, "agree": agree})
+    return agreement_report({"lie": lie_report, "pre_lie": pre_report})
 
 
 class ManinTriple:
@@ -406,28 +400,14 @@ def standardize_manin_triple(mt):
                               for i in range(n1)), rows=n1, cols=n2)
     pairing_inv = pairing.inverse()
 
-    first_product = Tensor3.from_entries(
-        (n1, n1, n1),
-        {(i, j, k): total.basis_product(i, j)[k]
-         for i in range(n1) for j in range(n1) for k in range(n1)
-         if total.basis_product(i, j)[k] != 0})
+    first_product = Tensor3.from_slices(n1, n1, n1, lambda i, j: total.basis_product(i, j)[:n1])
     first_twist = LinearMap(tuple(tuple(total.twist.entries[i][j] for j in range(n1)) for i in range(n1)),
                             rows=n1, cols=n1)
     first = HomPreLieAlgebra(first_product, first_twist)
 
-    second_block = Tensor3.from_entries(
-        (n2, n2, n2),
-        {(i, j, k): total.basis_product(n1 + i, n1 + j)[n1 + k]
-         for i in range(n2) for j in range(n2) for k in range(n2)
-         if total.basis_product(n1 + i, n1 + j)[n1 + k] != 0})
-    dual_items = {}
-    for i in range(n2):
-        for j in range(n2):
-            vec = pairing.apply(apply_bilinear(second_block, pairing_inv.column(i), pairing_inv.column(j)))
-            for k, c in enumerate(vec):
-                if c != 0:
-                    dual_items[(i, j, k)] = c
-    dual_product = Tensor3.from_entries((n2, n2, n2), dual_items)
+    second_block = Tensor3.from_slices(n2, n2, n2, lambda i, j: total.basis_product(n1 + i, n1 + j)[n1:])
+    dual_product = Tensor3.from_slices(n2, n2, n2, lambda i, j: pairing.apply(
+        apply_bilinear(second_block, pairing_inv.column(i), pairing_inv.column(j))))
     expected_twist = first_twist.inverse().transpose()
     second_twist = LinearMap(tuple(tuple(total.twist.entries[n1 + i][n1 + j] for j in range(n2))
                                    for i in range(n2)), rows=n2, cols=n2)

@@ -10,11 +10,16 @@ one matrix per algebra basis vector and extended linearly.
 The action at a basis vector is its stored matrix. The action at a general
 vector x is reached in one of two ways: act(maps, x, v) applies it to one
 vector v without building a matrix, and _combination(maps, x, size) builds
-its matrix, which is used only where that matrix is composed with another.
+its matrix. _combination serves where that matrix is composed with another
+(_lie_action_failures, validate_pre_lie_rep, star_maps) and where a
+multiplication operator is needed at a non-basis vector: the left and right
+maps of a structure table (Tensor3.left_maps, Tensor3.right_maps) combined at
+a twisted basis vector in shifted_rep, coboundary_maps and
+bialgebras.check_P_condition.
 """
 
 from .errors import DimensionMismatch, InvalidInput, SingularMap
-from .foundation import (ZERO, LinearMap, basis_vector, map_direct_sum, sub_vectors,
+from .foundation import (ZERO, LinearMap, map_direct_sum, sub_vectors,
                          tensor_product_map, Tensor3)
 from .algebras import (HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
                        validate_hom_lie, validate_hom_pre_lie, _record)
@@ -170,19 +175,20 @@ def adjoint_rep(g):
     """The bracket acting on the algebra itself, with the twist as space twist."""
     if not validate_hom_lie(g).valid:
         raise InvalidInput("adjoint_rep needs a valid twisted Lie algebra")
-    maps = [g.adjoint_matrix(basis_vector(g.dim, i)) for i in range(g.dim)]
-    return HomLieRep(g, g.dim, g.twist, maps)
+    return HomLieRep(g, g.dim, g.twist, g.bracket.left_maps())
 
 
 def shifted_rep(a, s):
     """The regular action family L^s_x y = alpha^s(x) . y, R^s_x y = y . alpha^s(x)."""
     if not validate_hom_pre_lie(a).valid:
         raise InvalidInput("shifted_rep needs a valid twisted pre-Lie algebra")
+    n = a.dim
     power = a.twist.power(s)
-    shifted = [power.apply(basis_vector(a.dim, i)) for i in range(a.dim)]
-    left = [a.left_matrix(v) for v in shifted]
-    right = [a.right_matrix(v) for v in shifted]
-    return HomPreLieRep(a, a.dim, a.twist, left, right)
+    left_maps = a.product.left_maps()
+    right_maps = a.product.right_maps()
+    left = [_combination(left_maps, power.column(i), n) for i in range(n)]
+    right = [_combination(right_maps, power.column(i), n) for i in range(n)]
+    return HomPreLieRep(a, n, a.twist, left, right)
 
 
 def regular_rep(a):
@@ -235,11 +241,13 @@ def coboundary_maps(a):
     n = a.dim
     alpha = a.twist
     inv_sq = alpha.power(-2)
+    left_maps = a.product.left_maps()
+    right_maps = a.product.right_maps()
     maps = []
     for i in range(n):
-        shifted = inv_sq.apply(basis_vector(n, i))
-        left = a.left_matrix(shifted)
-        ad = left - a.right_matrix(shifted)
+        shifted = inv_sq.column(i)
+        left = _combination(left_maps, shifted, n)
+        ad = left - _combination(right_maps, shifted, n)
         maps.append(tensor_product_map(left, alpha) + tensor_product_map(alpha, ad))
     return maps
 

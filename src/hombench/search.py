@@ -83,6 +83,11 @@ def _require_base(spec, cls, label):
     return spec.base
 
 
+def _table(n, assign):
+    """The n x n x n table whose coefficients, in lexicographic (i, j, k) order, are assign."""
+    return Tensor3.from_slices(n, n, n, lambda i, j: assign[(i * n + j) * n:(i * n + j + 1) * n])
+
+
 def _triangle_slots(n):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
@@ -95,15 +100,7 @@ def _build_target(spec):
         identity = LinearMap.identity(n)
 
         def build(assign):
-            items = {}
-            pos = 0
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        if assign[pos] != 0:
-                            items[(i, j, k)] = assign[pos]
-                        pos += 1
-            candidate = HomPreLieAlgebra(Tensor3.from_entries((n, n, n), items), identity)
+            candidate = HomPreLieAlgebra(_table(n, assign), identity)
             return candidate if validate_hom_pre_lie(candidate).valid else None
 
         return n ** 3, build
@@ -113,18 +110,7 @@ def _build_target(spec):
         cube = n ** 3
 
         def build(assign):
-            tables = []
-            for half in (assign[:cube], assign[cube:]):
-                items = {}
-                pos = 0
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            if half[pos] != 0:
-                                items[(i, j, k)] = half[pos]
-                            pos += 1
-                tables.append(Tensor3.from_entries((n, n, n), items))
-            candidate = HomLDendriform(tables[0], tables[1], identity)
+            candidate = HomLDendriform(_table(n, assign[:cube]), _table(n, assign[cube:]), identity)
             return candidate if validate_l_dendriform(candidate).valid else None
 
         return 2 * cube, build

@@ -51,7 +51,6 @@ def lie_pair_candidates(seed, count, dim=2):
     """Four interleaved families: fully random actions, zero actions, the
     adjoint action on an abelian partner, and one-entry bumps of the latter."""
     out = []
-    basis = [tuple(1 if k == i else 0 for k in range(dim)) for i in range(dim)]
     for ordinal in range(count):
         s = substream(seed, ordinal)
         kind = ordinal % 4
@@ -69,7 +68,7 @@ def lie_pair_candidates(seed, count, dim=2):
         else:
             g = _random_lie(s, dim)
             h = _abelian_lie(dim)
-            first = [g.adjoint_matrix(v) for v in basis]
+            first = g.bracket.left_maps()
             second = [LinearMap.zero(dim, dim)] * dim
             if kind == 3:
                 which = s.below(dim)

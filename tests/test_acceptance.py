@@ -134,7 +134,7 @@ def test_criterion_6_hessian_dendriform_instance():
     a = fixtures.nilpotent_algebra()
     d = dendriform_from_hessian(a, fixtures.nilpotent_hessian_form())
     ok = validate_l_dendriform(d).valid
-    ok = ok and all(m.column(j) == (0, 0) for m in d.left_matrices() for j in range(2))
+    ok = ok and all(m.column(j) == (0, 0) for m in d.left.left_maps() for j in range(2))
     ok = ok and d.right_of((1, 0), (1, 0)) == (0, -1)
     ok = ok and vertical(d) == a
     finish(6, "hessian form induces the expected dendriform split", ok, started, 0.1)

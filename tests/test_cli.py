@@ -72,7 +72,9 @@ def test_precondition_violation_exit_code(tmp_path, capsys):
 
 
 def test_explain_unknown_slug_exit_code(capsys):
-    assert main(["explain", "nonsense-slug"]) == 3
+    with pytest.raises(SystemExit) as info:
+        main(["explain", "nonsense-slug"])
+    assert info.value.code == 2
 
 
 def test_explain_prints_prose(capsys):

@@ -21,7 +21,7 @@ def zero_tensor(n):
 def left_only_rep(d):
     v = vertical(d)
     return HomPreLieRep(v, v.dim, LinearMap.identity(v.dim),
-                        d.left_matrices(), [LinearMap.zero(v.dim, v.dim)] * v.dim)
+                        d.left.left_maps(), [LinearMap.zero(v.dim, v.dim)] * v.dim)
 
 
 def test_fixture_dendriform_valid():
@@ -104,7 +104,7 @@ def test_hessian_dendriform_instance():
     a = fixtures.nilpotent_algebra()
     hd = dendriform_from_hessian(a, fixtures.nilpotent_hessian_form())
     assert validate_l_dendriform(hd).valid
-    assert all(m == LinearMap.zero(2, 2) for m in hd.left_matrices())
+    assert all(m == LinearMap.zero(2, 2) for m in hd.left.left_maps())
     assert hd.right_of((1, 0), (1, 0)) == (0, -1)
     assert vertical(hd) == a
 

@@ -144,6 +144,14 @@ def test_shipped_fixture_files_are_canonical():
         assert serialize_documents(docs).encode("utf-8") == raw, name
 
 
+def test_shipped_fixture_files_match_the_python_fixtures():
+    built = dict(fixtures.fixture_documents())
+    assert sorted(os.listdir(FIXDIR)) == sorted(name + ".txt" for name in built)
+    for name, doc in built.items():
+        with open(os.path.join(FIXDIR, name + ".txt"), "rb") as handle:
+            assert handle.read() == serialize_document(doc).encode("utf-8"), name
+
+
 scalars = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 

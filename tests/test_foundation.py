@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hombench import (DimensionMismatch, LinearMap, SingularMap, Tensor2, Tensor3,
                       apply_bilinear, basis_vector, map_direct_sum, tensor2_to_map,
                       tensor_product_map)
+from hombench.representations import _combination
 
 scalars = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -71,6 +72,52 @@ def test_apply_bilinear_structure_tensor():
     product = Tensor3.from_entries((2, 2, 2), {(0, 0, 1): 1})
     assert apply_bilinear(product, (1, 0), (1, 0)) == (0, 1)
     assert apply_bilinear(product, (0, 1), (1, 0)) == (0, 0)
+
+
+def _dense_table(dims):
+    """A dense table of varied rationals (zero only where 1 + i + 2j - 3k is)."""
+    d1, d2, d3 = dims
+    return Tensor3.from_entries(dims, {(i, j, k): Fraction(1 + i + 2 * j - 3 * k, 1 + (i + j + k) % 3)
+                                       for i in range(d1) for j in range(d2) for k in range(d3)
+                                       if 1 + i + 2 * j - 3 * k != 0})
+
+
+def _sum_of_scaled(maps, coeffs, rows, cols):
+    total = LinearMap.zero(rows, cols)
+    for c, m in zip(coeffs, maps):
+        total = total + m.scale(c)
+    return total
+
+
+def test_multiplication_operators_of_a_rectangular_table():
+    t = _dense_table((2, 3, 4))
+    x = (Fraction(2, 3), -1)
+    y = (Fraction(-1, 2), 0, 3)
+    left, right = t.left_maps(), t.right_maps()
+    assert [(m.rows, m.cols) for m in left] == [(4, 3)] * 2
+    assert [(m.rows, m.cols) for m in right] == [(4, 2)] * 3
+    for i in range(2):
+        for j in range(3):
+            assert left[i].column(j) == t.slice12(i, j) == right[j].column(i)
+    assert _sum_of_scaled(left, x, 4, 3).apply(y) == apply_bilinear(t, x, y)
+    assert _sum_of_scaled(right, y, 4, 2).apply(x) == apply_bilinear(t, x, y)
+
+
+def test_combined_multiplication_operators_apply_the_table():
+    t = _dense_table((3, 3, 3))
+    x = (Fraction(2, 3), 0, -1)
+    y = (Fraction(-1, 2), 5, Fraction(1, 4))
+    assert _combination(t.left_maps(), x, 3).apply(y) == apply_bilinear(t, x, y)
+    assert _combination(t.right_maps(), y, 3).apply(x) == apply_bilinear(t, x, y)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 3, 3), (0, 2, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0)])
+def test_from_slices_equals_from_entries(dims):
+    t = _dense_table(dims)
+    rebuilt = Tensor3.from_slices(*dims, t.slice12)
+    assert rebuilt == t
+    assert rebuilt.dims == dims
+    assert len(t.left_maps()) == dims[0] and len(t.right_maps()) == dims[1]
 
 
 def test_flip_tensor2():

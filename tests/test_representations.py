@@ -66,7 +66,7 @@ def test_star_maps_coadjoint_oracle():
 
 def test_star_maps_formula_direct():
     a = fixtures.scaling_algebra()
-    maps = [a.left_matrix((1, 0)), a.left_matrix((0, 1))]
+    maps = a.product.left_maps()
     starred = star_maps(maps, a.twist, a.twist)
     beta_inv_t = a.twist.inverse().transpose()
     for i in range(2):
