@@ -8,6 +8,8 @@ arguments. Validators return reports with exact residual witnesses; they
 never raise on mathematically invalid candidates, only on shape errors.
 """
 
+from operator import add
+
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vector,
                          is_zero_vector, sub_vectors, zero_vector)
@@ -228,7 +230,10 @@ def _record(failures, identity, witness, residual):
 
 
 def validate_hom_lie(cand):
-    """Check skew-symmetry, twist invertibility, multiplicativity, and the twisted Jacobi identity."""
+    """Check skew-symmetry, twist invertibility, multiplicativity, and the twisted Jacobi identity.
+
+    Every bracket with a twisted basis vector phi(e_i) is read from its operator
+    [phi(e_i), -], built once per call."""
     n = cand.dim
     phi = cand.twist
     failures = []
@@ -238,46 +243,50 @@ def validate_hom_lie(cand):
             _record(failures, "skew-symmetry", (i, j), residual)
     if not phi.is_invertible():
         failures.append(Failure("twist-invertible", (), ()))
-    basis = [basis_vector(n, i) for i in range(n)]
-    phis = [phi.apply(b) for b in basis]
+    phis = [phi.column(i) for i in range(n)]
+    ad = [cand.bracket.left_at(p) for p in phis]
     for i in range(n):
         for j in range(n):
             lhs = phi.apply(cand.basis_bracket(i, j))
-            rhs = cand.bracket_of(phis[i], phis[j])
+            rhs = ad[i].apply(phis[j])
             _record(failures, "twist-bracket-morphism", (i, j), sub_vectors(lhs, rhs))
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 total = zero_vector(n)
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    term = cand.bracket_of(phis[a], cand.basis_bracket(b, c))
+                    term = ad[a].apply(cand.basis_bracket(b, c))
                     total = tuple(s + t for s, t in zip(total, term))
                 _record(failures, "hom-jacobi", (i, j, k), total)
     return ValidationReport(failures)
 
 
 def validate_hom_pre_lie(cand):
-    """Check twist invertibility, multiplicativity, and twisted-associator symmetry."""
+    """Check twist invertibility, multiplicativity, and twisted-associator symmetry.
+
+    Every product with a twisted basis vector alpha(e_i) is read from its left
+    or right multiplication operator, built once per call."""
     n = cand.dim
     alpha = cand.twist
     failures = []
     if not alpha.is_invertible():
         failures.append(Failure("twist-invertible", (), ()))
-    basis = [basis_vector(n, i) for i in range(n)]
-    alphas = [alpha.apply(b) for b in basis]
+    alphas = [alpha.column(i) for i in range(n)]
+    left = [cand.product.left_at(a) for a in alphas]
+    right = [cand.product.right_at(a) for a in alphas]
     for i in range(n):
         for j in range(n):
             lhs = alpha.apply(cand.basis_product(i, j))
-            rhs = cand.product_of(alphas[i], alphas[j])
+            rhs = left[i].apply(alphas[j])
             _record(failures, "twist-product-morphism", (i, j), sub_vectors(lhs, rhs))
     for i in range(n):
         for j in range(i + 1, n):
+            # (xy)a(z) - a(x)(yz) - (yx)a(z) + a(y)(xz) = [x, y]a(z) - a(x)(yz) + a(y)(xz)
+            commutator = sub_vectors(cand.basis_product(i, j), cand.basis_product(j, i))
             for k in range(n):
-                lhs = sub_vectors(cand.product_of(cand.basis_product(i, j), alphas[k]),
-                                  cand.product_of(alphas[i], cand.basis_product(j, k)))
-                rhs = sub_vectors(cand.product_of(cand.basis_product(j, i), alphas[k]),
-                                  cand.product_of(alphas[j], cand.basis_product(i, k)))
-                _record(failures, "twisted-associator-symmetry", (i, j, k), sub_vectors(lhs, rhs))
+                residual = sub_vectors(right[k].apply(commutator), left[i].apply(cand.basis_product(j, k)))
+                residual = tuple(map(add, residual, left[j].apply(cand.basis_product(i, k))))
+                _record(failures, "twisted-associator-symmetry", (i, j, k), residual)
     return ValidationReport(failures)
 
 

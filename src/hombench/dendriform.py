@@ -9,6 +9,7 @@ on algebra-plus-dual-space whose solution property mirrors the operator one.
 """
 
 from collections import namedtuple
+from operator import add
 
 from .errors import (AsymmetricInput, DimensionMismatch, IntertwinerViolation, InvalidInput,
                      SingularMap)
@@ -68,28 +69,35 @@ class HomLDendriform:
 
 def validate_l_dendriform(cand):
     """Check twist invertibility, multiplicativity for both products, and the two
-    splitting axioms."""
+    splitting axioms.
+
+    Every product with a twisted basis vector alpha(e_i) is read from its left
+    or right multiplication operator for |> or <|, built once per call."""
     n = cand.dim
     alpha = cand.twist
     failures = []
     if not alpha.is_invertible():
         failures.append(Failure("twist-invertible", (), ()))
-    basis = [basis_vector(n, i) for i in range(n)]
-    alphas = [alpha.apply(b) for b in basis]
+    alphas = [alpha.column(i) for i in range(n)]
+    left_l = [cand.left.left_at(a) for a in alphas]        # alpha(e_i) |> -
+    left_r = [cand.left.right_at(a) for a in alphas]       # - |> alpha(e_k)
+    right_l = [cand.right.left_at(a) for a in alphas]      # alpha(e_i) <| -
+    right_r = [cand.right.right_at(a) for a in alphas]     # - <| alpha(e_k)
     for i in range(n):
         for j in range(n):
             _record(failures, "twist-left-morphism", (i, j),
-                    sub_vectors(alpha.apply(cand.basis_left(i, j)),
-                                cand.left_of(alphas[i], alphas[j])))
+                    sub_vectors(alpha.apply(cand.basis_left(i, j)), left_l[i].apply(alphas[j])))
             _record(failures, "twist-right-morphism", (i, j),
-                    sub_vectors(alpha.apply(cand.basis_right(i, j)),
-                                cand.right_of(alphas[i], alphas[j])))
+                    sub_vectors(alpha.apply(cand.basis_right(i, j)), right_l[i].apply(alphas[j])))
+
+    # Products are linear in each slot, so terms that share an operator are
+    # applied once to the sum x |> y + x <| y or to the difference x |> y - y <| x.
+    both = [[tuple(map(add, cand.basis_left(i, j), cand.basis_right(i, j))) for j in range(n)]
+            for i in range(n)]
 
     def half(i, j, k):
         # (x|>y)|>a(z) + (x<|y)|>a(z) + a(y)|>(x|>z) for x=e_i, y=e_j, z=e_k
-        total = cand.left_of(cand.basis_left(i, j), alphas[k])
-        total = tuple(p + q for p, q in zip(total, cand.left_of(cand.basis_right(i, j), alphas[k])))
-        return tuple(p + q for p, q in zip(total, cand.left_of(alphas[j], cand.basis_left(i, k))))
+        return tuple(map(add, left_r[k].apply(both[i][j]), left_l[j].apply(cand.basis_left(i, k))))
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -97,12 +105,11 @@ def validate_l_dendriform(cand):
                 _record(failures, "left-axiom", (i, j, k), sub_vectors(half(i, j, k), half(j, i, k)))
     for i in range(n):
         for j in range(n):
+            # (x|>y)<|a(z) - (y<|x)<|a(z)
+            difference = sub_vectors(cand.basis_left(i, j), cand.basis_right(j, i))
             for k in range(n):
-                total = cand.right_of(cand.basis_left(i, j), alphas[k])
-                total = tuple(p + q for p, q in zip(total, cand.right_of(alphas[j], cand.basis_left(i, k))))
-                total = tuple(p + q for p, q in zip(total, cand.right_of(alphas[j], cand.basis_right(i, k))))
-                total = sub_vectors(total, cand.right_of(cand.basis_right(j, i), alphas[k]))
-                total = sub_vectors(total, cand.left_of(alphas[i], cand.basis_right(j, k)))
+                total = tuple(map(add, right_r[k].apply(difference), right_l[j].apply(both[i][k])))
+                total = sub_vectors(total, left_l[i].apply(cand.basis_right(j, k)))
                 _record(failures, "right-axiom", (i, j, k), total)
     return ValidationReport(failures)
 

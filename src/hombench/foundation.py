@@ -1,31 +1,37 @@
 """Exact rational linear and multilinear algebra.
 
-Everything is dense, immutable, and exact: scalars are fractions.Fraction,
+Everything is dense, immutable, and exact: scalars are ints when integral
+and fractions.Fraction otherwise (frac() coerces every entry a vector, matrix
+or tensor is built from; computed values compare by value, whichever type),
 vectors are tuples, matrices act on column vectors, and composite indices are
 lexicographic with the left factor major. No floats anywhere.
 
 A structure table is a Tensor3 whose (i, j) output vector is the product of
-the basis pair. Other modules reach its storage only through three
+the basis pair. Other modules reach its storage only through five
 primitives: Tensor3.left_maps() and Tensor3.right_maps() give the
-multiplication operators by each basis vector, and Tensor3.from_slices()
-builds a table one output vector at a time.
+multiplication operators by each basis vector, Tensor3.left_at(x) and
+Tensor3.right_at(y) give multiplication by one vector, and
+Tensor3.from_slices() builds a table one output vector at a time.
 """
 
 from fractions import Fraction
 
 from .errors import DimensionMismatch, SingularMap
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 def frac(value):
-    """Coerce an int, string, or Fraction to an exact Fraction."""
-    if isinstance(value, Fraction):
+    """Coerce an int, string, or Fraction to an exact scalar: a plain int when
+    the value is integral, a Fraction otherwise."""
+    if type(value) is int:
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError("not an exact scalar: %r" % (value,))
+        value = Fraction(value)
+    elif not isinstance(value, Fraction):
+        raise TypeError("not an exact scalar: %r" % (value,))
+    return value.numerator if value.denominator == 1 else value
 
 
 def vector(values):
@@ -47,7 +53,7 @@ def sub_vectors(u, v):
 
 
 def is_zero_vector(u):
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def dot(u, v):
@@ -71,8 +77,9 @@ def row_reduce(work, cols):
         if pivot is None:
             continue
         work[row], work[pivot] = work[pivot], work[row]
-        inv = ONE / work[row][col]
-        work[row] = [inv * x for x in work[row]]
+        if work[row][col] != 1:
+            inv = Fraction(1) / work[row][col]
+            work[row] = [inv * x for x in work[row]]
         for r in range(height):
             if r != row and work[r][col] != 0:
                 factor = work[r][col]
@@ -114,6 +121,16 @@ class LinearMap:
         self.entries = table
 
     @classmethod
+    def _trusted(cls, table, rows, cols):
+        """A rows x cols map over a tuple of row tuples that already hold exact
+        scalars, built without __init__'s per-entry coercion and shape checks."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = table
+        return m
+
+    @classmethod
     def identity(cls, n):
         return cls(tuple(basis_vector(n, i) for i in range(n)), rows=n, cols=n)
 
@@ -146,7 +163,8 @@ class LinearMap:
     def apply(self, u):
         if len(u) != self.cols:
             raise DimensionMismatch("applying %dx%d map to length-%d vector" % (self.rows, self.cols, len(u)))
-        return tuple(dot(row, u) for row in self.entries)
+        support = [(j, c) for j, c in enumerate(u) if c]
+        return tuple([sum([row[j] * c for j, c in support if row[j]]) for row in self.entries])
 
     def __matmul__(self, other):
         if not isinstance(other, LinearMap):
@@ -333,17 +351,21 @@ class Tensor3:
     __slots__ = ("dims", "entries")
 
     def __init__(self, entries, dims=None):
+        """Empty entries stand for the zero table of the declared dims; any other
+        table must be rectangular."""
         table = tuple(tuple(tuple(frac(x) for x in vec) for vec in plane) for plane in entries)
-        if table and table[0] and table[0][0]:
+        if table:
             d1 = len(table)
             d2 = len(table[0])
-            d3 = len(table[0][0])
+            d3 = len(table[0][0]) if d2 else (0 if dims is None else dims[2])
             for plane in table:
                 if len(plane) != d2:
                     raise DimensionMismatch("ragged tensor planes")
                 for vec in plane:
                     if len(vec) != d3:
                         raise DimensionMismatch("ragged tensor fibers")
+            if dims is None and not (d2 and d3):
+                raise DimensionMismatch("empty tensor needs explicit dims")
         else:
             if dims is None:
                 raise DimensionMismatch("empty tensor needs explicit dims")
@@ -387,6 +409,36 @@ class Tensor3:
         d1, d2, d3 = self.dims
         return tuple(LinearMap(tuple(zip(*(plane[j] for plane in self.entries))), rows=d3, cols=d1)
                      for j in range(d2))
+
+    def left_at(self, x):
+        """Left multiplication by the vector x: the d3 x d2 matrix sending y to
+        apply_bilinear(self, x, y), summed straight from the table."""
+        d1, d2, d3 = self.dims
+        if len(x) != d1:
+            raise DimensionMismatch("left multiplication of a %r tensor by length %d" % (self.dims, len(x)))
+        out = [[0] * d2 for _ in range(d3)]
+        for xi, plane in zip(x, self.entries):
+            if xi != 0:
+                for j, vec in enumerate(plane):
+                    for k, c in enumerate(vec):
+                        if c != 0:
+                            out[k][j] += xi * c
+        return LinearMap._trusted(tuple(map(tuple, out)), d3, d2)
+
+    def right_at(self, y):
+        """Right multiplication by the vector y: the d3 x d1 matrix sending x to
+        apply_bilinear(self, x, y), summed straight from the table."""
+        d1, d2, d3 = self.dims
+        if len(y) != d2:
+            raise DimensionMismatch("right multiplication of a %r tensor by length %d" % (self.dims, len(y)))
+        out = [[0] * d1 for _ in range(d3)]
+        for i, plane in enumerate(self.entries):
+            for yj, vec in zip(y, plane):
+                if yj != 0:
+                    for k, c in enumerate(vec):
+                        if c != 0:
+                            out[k][i] += yj * c
+        return LinearMap._trusted(tuple(map(tuple, out)), d3, d1)
 
     def nonzero_items(self):
         return [((i, j, k), c)

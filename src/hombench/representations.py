@@ -42,6 +42,9 @@ def act(maps, x, v):
 def _combination(maps, coeffs, size):
     """Linear combination of size x size action matrices, summed entry by entry
     into one table: the matrix of the action at a general vector."""
+    for m in maps:
+        if m.rows != size or m.cols != size:
+            raise DimensionMismatch("combining a %dx%d map as %dx%d" % (m.rows, m.cols, size, size))
     table = [[ZERO] * size for _ in range(size)]
     for c, m in zip(coeffs, maps):
         if c != 0:

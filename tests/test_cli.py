@@ -44,6 +44,16 @@ def test_validate_json_output(capsys):
     assert failure["witness"] == [0, 1, 1]
 
 
+def test_json_residuals_are_strings(tmp_path, capsys):
+    doc = tmp_path / "rational.txt"
+    doc.write_text("kind: hom_pre_lie\ndim: 2\ntwist:\n1/2 0\n0 3\nproduct:\n0 1 0 1\n1 1 1 -2/3\n")
+    assert main(["validate", "--json", fx("invalid_product_candidate"), str(doc)]) == 1
+    reports = [entry["report"] for entry in json.loads(capsys.readouterr().out)]
+    residuals = [c for report in reports for failure in report["failures"] for c in failure["residual"]]
+    assert "0" in residuals and "1" in residuals and any("/" in c for c in residuals)
+    assert all(isinstance(c, str) for c in residuals)
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("kind: tensor2\ndim_left: 2\ndim_right: 2\nentries:\n0 0 2/4\n")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hombench import (DimensionMismatch, LinearMap, SingularMap, Tensor2, Tensor3,
                       apply_bilinear, basis_vector, map_direct_sum, tensor2_to_map,
                       tensor_product_map)
+from hombench.foundation import frac, row_reduce
 from hombench.representations import _combination
 
 scalars = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -118,6 +119,72 @@ def test_from_slices_equals_from_entries(dims):
     assert rebuilt == t
     assert rebuilt.dims == dims
     assert len(t.left_maps()) == dims[0] and len(t.right_maps()) == dims[1]
+
+
+def test_multiplication_by_a_vector_applies_the_table():
+    t = _dense_table((2, 3, 4))
+    x = (Fraction(2, 3), -1)
+    y = (Fraction(-1, 2), 0, 3)
+    left, right = t.left_at(x), t.right_at(y)
+    assert (left.rows, left.cols, right.rows, right.cols) == (4, 3, 4, 2)
+    assert left.apply(y) == apply_bilinear(t, x, y) == right.apply(x)
+    assert left == _sum_of_scaled(t.left_maps(), x, 4, 3)
+    assert right == _sum_of_scaled(t.right_maps(), y, 4, 2)
+    assert t.left_at((0, 0)) == LinearMap.zero(4, 3)
+    with pytest.raises(DimensionMismatch):
+        t.left_at(y)
+    with pytest.raises(DimensionMismatch):
+        t.right_at(x)
+
+
+@pytest.mark.parametrize("dims", [(0, 2, 2), (2, 0, 3), (2, 3, 0)])
+def test_multiplication_by_a_vector_of_an_empty_table(dims):
+    t = _dense_table(dims)
+    d1, d2, d3 = dims
+    assert t.left_at((1,) * d1) == LinearMap.zero(d3, d2)
+    assert t.right_at((1,) * d2) == LinearMap.zero(d3, d1)
+
+
+def test_apply_skips_zero_coordinates_exactly():
+    m = LinearMap(((Fraction(1, 2), 3, -1), (0, Fraction(2, 3), 5)))
+    assert m.apply((0, 0, 0)) == (0, 0)
+    assert m.apply((2, 0, Fraction(1, 2))) == (Fraction(1, 2), Fraction(5, 2))
+    assert m.apply((0, 3, 0)) == (9, 2)
+
+
+def test_ragged_table_is_rejected():
+    with pytest.raises(DimensionMismatch):
+        Tensor3.from_slices(1, 2, 2, lambda i, j: () if j == 0 else (1, 2))
+    with pytest.raises(DimensionMismatch):
+        Tensor3.from_slices(1, 2, 2, lambda i, j: (1, 2) if j == 0 else ())
+    with pytest.raises(DimensionMismatch):
+        Tensor3(((), ((1,),)), dims=(2, 0, 1))
+    with pytest.raises(DimensionMismatch):
+        Tensor3((((),),))
+
+
+def test_combination_rejects_maps_that_are_not_square():
+    maps = _dense_table((2, 3, 4)).left_maps()
+    for size in (3, 4):
+        with pytest.raises(DimensionMismatch):
+            _combination(maps, (1, 1), size)
+
+
+def test_integral_scalars_are_plain_ints():
+    for value in (3, "3", Fraction(6, 2), True, "-4", Fraction(0)):
+        assert type(frac(value)) is int
+    assert frac(True) == 1 and frac(Fraction(6, 2)) == 3
+    assert type(frac("1/2")) is Fraction and frac("1/2") == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        frac(0.5)
+    assert all(type(c) is int for row in LinearMap.diagonal([1, "2", Fraction(4, 2)]).entries for c in row)
+
+
+def test_row_reduce_of_an_integer_matrix_gives_exact_halves():
+    work = [[2, 1, 1, 0], [0, 2, 0, 1]]
+    assert row_reduce(work, 2) == [0, 1]
+    assert work == [[1, 0, Fraction(1, 2), Fraction(-1, 4)], [0, 1, 0, Fraction(1, 2)]]
+    assert LinearMap.diagonal([2, 4]).inverse() == LinearMap.diagonal([Fraction(1, 2), Fraction(1, 4)])
 
 
 def test_flip_tensor2():
