@@ -11,10 +11,10 @@ from .algebras import (BilinearForm, Failure, HomLieAlgebra, HomPreLieAlgebra,
                        ValidationReport, check_morphism, combine_reports,
                        sub_adjacent, validate_hessian, validate_hom_lie,
                        validate_hom_pre_lie, validate_quadratic)
-from .representations import (HomLieRep, HomPreLieRep, adjoint_rep, check_one_cocycle,
-                              coadjoint_pre_lie_rep, coboundary_rep, dual_pre_lie_rep,
-                              regular_rep, semidirect_pre_lie, shifted_rep, star_maps,
-                              tensor_rep, validate_lie_rep, validate_pre_lie_rep)
+from .representations import (HomLieRep, HomPreLieRep, action_table, adjoint_rep,
+                              check_one_cocycle, coadjoint_pre_lie_rep, coboundary_rep,
+                              dual_pre_lie_rep, regular_rep, semidirect_pre_lie, shifted_rep,
+                              star_maps, tensor_rep, validate_lie_rep, validate_pre_lie_rep)
 from .matched import (LieMatchedPair, ManinTriple, PreLieMatchedPair,
                       StandardizedTriple, check_pre_lie_matched_equiv,
                       coadjoint_lie_matched_pair, coadjoint_matched_pair, double_lie,

@@ -12,7 +12,7 @@ from operator import add
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vector,
-                         is_zero_vector, sub_vectors, zero_vector)
+                         is_zero_vector, sub_vectors)
 
 
 class Failure:
@@ -117,9 +117,6 @@ class HomLieAlgebra:
 
     def operation(self):
         return self.bracket
-
-    def bracket_of(self, x, y):
-        return apply_bilinear(self.bracket, x, y)
 
     def basis_bracket(self, i, j):
         return self.bracket.slice12(i, j)
@@ -233,7 +230,8 @@ def validate_hom_lie(cand):
     """Check skew-symmetry, twist invertibility, multiplicativity, and the twisted Jacobi identity.
 
     Every bracket with a twisted basis vector phi(e_i) is read from its operator
-    [phi(e_i), -], built once per call."""
+    [phi(e_i), -], built once per call, and each Jacobi term
+    [phi(e_a), [e_b, e_c]] is computed once and shared by its three rotations."""
     n = cand.dim
     phi = cand.twist
     failures = []
@@ -250,14 +248,13 @@ def validate_hom_lie(cand):
             lhs = phi.apply(cand.basis_bracket(i, j))
             rhs = ad[i].apply(phis[j])
             _record(failures, "twist-bracket-morphism", (i, j), sub_vectors(lhs, rhs))
+    terms = [[[ad[a].apply(cand.basis_bracket(b, c)) for c in range(n)] for b in range(n)]
+             for a in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                total = zero_vector(n)
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    term = ad[a].apply(cand.basis_bracket(b, c))
-                    total = tuple(s + t for s, t in zip(total, term))
-                _record(failures, "hom-jacobi", (i, j, k), total)
+                cyclic = zip(terms[i][j][k], terms[j][k][i], terms[k][i][j])
+                _record(failures, "hom-jacobi", (i, j, k), tuple(p + q + r for p, q, r in cyclic))
     return ValidationReport(failures)
 
 

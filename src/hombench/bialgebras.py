@@ -9,11 +9,11 @@ square) induces such a dual product and always yields a valid bialgebra.
 
 from .errors import (DimensionMismatch, InvalidInput, NotAnSMatrix, Pro1Violation,
                      TwistMismatch)
-from .foundation import (LinearMap, Tensor3, basis_vector, sub_vectors,
-                         tensor2_to_map, tensor_product_map, zero_vector)
+from .foundation import (LinearMap, Tensor3, apply_bilinear, basis_vector, sub_vectors,
+                         tensor2_to_map, tensor_product_map)
 from .algebras import (HomPreLieAlgebra, ValidationReport, agreement_report, combine_reports,
                        sub_adjacent, validate_hom_pre_lie, _record)
-from .representations import (_combination, act, check_one_cocycle, coboundary_maps,
+from .representations import (action_table, check_one_cocycle, coboundary_maps,
                               coboundary_rep, star_maps)
 from .matched import (coadjoint_matched_pair, require_dual_twists, standard_manin_triple,
                       validate_manin_triple, validate_matched_pair_pre_lie)
@@ -55,22 +55,17 @@ def dual_product_from_r(a, r):
     if not check_pro1(a, r):
         raise Pro1Violation("tensor does not intertwine the twists")
     n = a.dim
-    left_maps = a.product.left_maps()
     right_maps = a.product.right_maps()
-    ad_star = star_maps([lm - rm for lm, rm in zip(left_maps, right_maps)], a.twist, a.twist)
-    right_star = star_maps(right_maps, a.twist, a.twist)
+    ad_maps = [lm - rm for lm, rm in zip(a.product.left_maps(), right_maps)]
+    ad_star = action_table(star_maps(ad_maps, a.twist, a.twist), n)
+    right_star = action_table(star_maps(right_maps, a.twist, a.twist), n)
     sharp = r_sharp(r)
     flip_sharp = r_sharp(r.flip())
+    e = [basis_vector(n, i) for i in range(n)]
 
     def product(i, j):
-        vec = zero_vector(n)
-        for p, c in enumerate(sharp.column(i)):
-            if c != 0:
-                vec = tuple(v + c * w for v, w in zip(vec, ad_star[p].column(j)))
-        for q, c in enumerate(flip_sharp.column(j)):
-            if c != 0:
-                vec = tuple(v - c * w for v, w in zip(vec, right_star[q].column(i)))
-        return vec
+        return sub_vectors(apply_bilinear(ad_star, sharp.column(i), e[j]),
+                           apply_bilinear(right_star, flip_sharp.column(j), e[i]))
 
     return HomPreLieAlgebra(Tensor3.from_slices(n, n, n, product), a.twist.inverse().transpose())
 
@@ -130,17 +125,7 @@ def check_pro3(a, r):
             right_vec = sharp.apply(alpha_dual.column(j))
             lhs = a.product_of(left_vec, right_vec)
             lhs = sub_vectors(lhs, sharp.apply(alpha_dual.apply(dual.basis_product(i, j))))
-            xi = inv_sq_dual.column(i)
-            eta = inv_sq_dual.column(j)
-            rhs = zero_vector(n)
-            for p, cp in enumerate(xi):
-                if cp == 0:
-                    continue
-                for q, cq in enumerate(eta):
-                    if cq == 0:
-                        continue
-                    coeff = cp * cq
-                    rhs = tuple(v + coeff * w for v, w in zip(rhs, square.slice12(p, q)))
+            rhs = apply_bilinear(square, inv_sq_dual.column(i), inv_sq_dual.column(j))
             _record(failures, "s-identity", (i, j), sub_vectors(lhs, rhs))
     return ValidationReport(failures)
 
@@ -152,20 +137,18 @@ def check_P_condition(a, r):
     n = a.dim
     alpha = a.twist
     inv_sq = alpha.power(-2)
-    left_maps = a.product.left_maps()
     p_maps = []
     for k in range(n):
-        left = _combination(left_maps, inv_sq.column(k), n)
+        left = a.product.left_at(inv_sq.column(k))
         p_maps.append(tensor_product_map(left, alpha) + tensor_product_map(alpha, left))
-
-    skew_part = _vec(r - r.flip())
-    p_skew = [p.apply(skew_part) for p in p_maps]
+    table = action_table(p_maps, n * n)
+    on_skew = table.right_at(_vec(r - r.flip()))       # x -> P(x) applied to the skew part
+    at_alpha = [table.left_at(alpha.column(i)) for i in range(n)]
     failures = []
     for i in range(n):
         for j in range(n):
             _record(failures, "p-condition", (i, j),
-                    sub_vectors(act(p_maps, a.basis_product(i, j), skew_part),
-                                act(p_maps, alpha.column(i), p_skew[j])))
+                    sub_vectors(on_skew.apply(a.basis_product(i, j)), at_alpha[i].apply(on_skew.column(j))))
     return ValidationReport(failures)
 
 

@@ -17,7 +17,7 @@ from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vect
                          sub_vectors)
 from .algebras import (Failure, HomPreLieAlgebra, ValidationReport, agreement_report,
                        combine_reports, validate_hessian, validate_hom_pre_lie, _record)
-from .representations import (HomPreLieRep, act, coadjoint_pre_lie_rep,
+from .representations import (HomPreLieRep, action_table, coadjoint_pre_lie_rep,
                               dual_pre_lie_rep, semidirect_product_raw, star_maps,
                               validate_pre_lie_rep)
 from .bialgebras import is_hom_s_matrix, r_sharp, solves_s_equation
@@ -42,9 +42,6 @@ class HomLDendriform:
         self.left = left
         self.right = right
         self.twist = twist
-
-    def left_of(self, x, y):
-        return apply_bilinear(self.left, x, y)
 
     def right_of(self, x, y):
         return apply_bilinear(self.right, x, y)
@@ -133,6 +130,13 @@ def vertical(d):
     return HomPreLieAlgebra(_vertical_table(d), d.twist)
 
 
+def _mixed_rep(d):
+    """The mixed action pair on the vertical algebra, without validation: x |> -
+    as the left action and -(x <| -) as the right action."""
+    vert = HomPreLieAlgebra(_vertical_table(d), d.twist)
+    return HomPreLieRep(vert, d.dim, d.twist, d.left.left_maps(), [-m for m in d.right.left_maps()])
+
+
 def transpose_dendriform(d):
     """Keep the left product, replace x <| y by -(y <| x); an involution."""
     if not validate_l_dendriform(d).valid:
@@ -146,18 +150,14 @@ def dendriform_rep_check(d):
     regular pair on the horizontal algebra and the mixed pair on the vertical one."""
     if not validate_l_dendriform(d).valid:
         raise InvalidInput("dendriform_rep_check needs a valid dendriform structure")
-    n = d.dim
-    tri = d.left.left_maps()
-    angle_right = d.right.right_maps()
-    angle_left = d.right.left_maps()
     horiz = HomPreLieAlgebra(d.left + d.right, d.twist)
-    vert = HomPreLieAlgebra(_vertical_table(d), d.twist)
+    mixed = _mixed_rep(d)
     named = [
         ("horizontal", validate_hom_pre_lie(horiz)),
-        ("horizontal-action", validate_pre_lie_rep(HomPreLieRep(horiz, n, d.twist, tri, angle_right))),
-        ("vertical", validate_hom_pre_lie(vert)),
-        ("vertical-action", validate_pre_lie_rep(
-            HomPreLieRep(vert, n, d.twist, tri, [-m for m in angle_left]))),
+        ("horizontal-action", validate_pre_lie_rep(
+            HomPreLieRep(horiz, d.dim, d.twist, d.left.left_maps(), d.right.right_maps()))),
+        ("vertical", validate_hom_pre_lie(mixed.algebra)),
+        ("vertical-action", validate_pre_lie_rep(mixed)),
     ]
     return combine_reports(named)
 
@@ -188,7 +188,10 @@ class OOperator:
 
 
 def validate_o_operator(o):
-    """Check the twist intertwining and the product-through-action identity."""
+    """Check the twist intertwining and the product-through-action identity.
+
+    The actions are taken as given: whether they form a representation of the
+    algebra is not checked (validate_pre_lie_rep does that)."""
     rep = o.rep
     a = rep.algebra
     t = o.matrix
@@ -200,13 +203,15 @@ def validate_o_operator(o):
     for j in range(rep.space_dim):
         _record(failures, "twist-intertwine", (j,), diff.column(j))
     m = rep.space_dim
-    v = [basis_vector(m, i) for i in range(m)]
-    shifted = [t.apply(beta_inv.apply(b)) for b in v]
+    shifted = [t.apply(beta_inv.column(i)) for i in range(m)]
+    left = action_table(rep.left, m)
+    right = action_table(rep.right, m)
+    rho = [left.left_at(x) for x in shifted]        # rho(T beta^-1 v_i)
+    mu = [right.left_at(x) for x in shifted]        # mu(T beta^-1 v_j)
     for i in range(m):
         for j in range(m):
             lhs = a.product_of(t.column(i), t.column(j))
-            inner = act(rep.left, shifted[i], v[j])
-            inner = tuple(p + q for p, q in zip(inner, act(rep.right, shifted[j], v[i])))
+            inner = tuple(map(add, rho[i].column(j), mu[j].column(i)))
             _record(failures, "operator-product", (i, j), sub_vectors(lhs, t.apply(inner)))
     return ValidationReport(failures)
 
@@ -249,11 +254,11 @@ def dendriform_from_o_operator(o):
     t = o.matrix
     beta_inv = rep.twist.inverse()
     shifted = [t.apply(beta_inv.column(i)) for i in range(m)]
-    e = [basis_vector(m, j) for j in range(m)]
-    on_space = HomLDendriform(
-        Tensor3.from_slices(m, m, m, lambda i, j: act(rep.left, shifted[i], e[j])),
-        -Tensor3.from_slices(m, m, m, lambda i, j: act(rep.right, shifted[i], e[j])),
-        rep.twist)
+    left = action_table(rep.left, m)
+    right = action_table(rep.right, m)
+    on_space = HomLDendriform(action_table([left.left_at(x) for x in shifted], m),
+                              -action_table([right.left_at(x) for x in shifted], m),
+                              rep.twist)
 
     pivots = row_reduce([list(row) for row in t.entries], t.cols)
     image_basis = LinearMap.from_columns([t.column(j) for j in pivots], rows=t.rows)
@@ -284,11 +289,12 @@ def compatible_dendriform_from_invertible(o):
     alpha_inv = a.twist.inverse()
     t = o.matrix
     back = [alpha_inv.column(i) for i in range(n)]
-    pre = [t_inv.column(j) for j in range(n)]
-    return HomLDendriform(
-        Tensor3.from_slices(n, n, n, lambda i, j: t.apply(act(rep.left, back[i], pre[j]))),
-        -Tensor3.from_slices(n, n, n, lambda i, j: t.apply(act(rep.right, back[i], pre[j]))),
-        a.twist)
+    left = action_table(rep.left, n)
+    right = action_table(rep.right, n)
+    # T rho(alpha^-1(x)) T^-1, and likewise for mu
+    return HomLDendriform(action_table([t @ left.left_at(x) @ t_inv for x in back], n),
+                          -action_table([t @ right.left_at(x) @ t_inv for x in back], n),
+                          a.twist)
 
 
 def dendriform_from_hessian(a, b):
@@ -365,8 +371,6 @@ def canonical_smatrix(d):
     identity operator, mixed action pair, vertical base algebra."""
     if not validate_l_dendriform(d).valid:
         raise InvalidInput("canonical_smatrix needs a valid dendriform structure")
-    n = d.dim
-    vert = HomPreLieAlgebra(_vertical_table(d), d.twist)
-    rep = HomPreLieRep(vert, n, d.twist, d.left.left_maps(), [-m for m in d.right.left_maps()])
-    built = semidirect_smatrix(vert, rep, LinearMap.identity(n))
+    rep = _mixed_rep(d)
+    built = semidirect_smatrix(rep.algebra, rep, LinearMap.identity(d.dim))
     return CanonicalSolution(algebra=built.algebra, tensor=built.tensor)

@@ -2,10 +2,10 @@
 
 from .foundation import LinearMap, Tensor2, Tensor3
 from .algebras import BilinearForm, HomPreLieAlgebra, sub_adjacent
-from .representations import HomPreLieRep, adjoint_rep, regular_rep
+from .representations import adjoint_rep, regular_rep
 from .matched import coadjoint_lie_matched_pair, coadjoint_matched_pair, standard_manin_triple
 from .bialgebras import triangular_bialgebra
-from .dendriform import HomLDendriform, OOperator, _vertical_table
+from .dendriform import HomLDendriform, OOperator, _mixed_rep
 from .documents import document_for
 
 
@@ -63,9 +63,7 @@ def zero_dual_partner(a):
 def mixed_action_operator(d):
     """The identity map over the difference algebra of a dendriform structure,
     carrying the left-product action and the negated right-product action."""
-    vert = HomPreLieAlgebra(_vertical_table(d), d.twist)
-    rep = HomPreLieRep(vert, d.dim, d.twist, d.left.left_maps(), [-m for m in d.right.left_maps()])
-    return OOperator(rep, LinearMap.identity(d.dim))
+    return OOperator(_mixed_rep(d), LinearMap.identity(d.dim))
 
 
 def fixture_documents():

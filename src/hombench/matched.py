@@ -14,8 +14,8 @@ from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vect
 from .algebras import (BilinearForm, Failure, HomLieAlgebra, HomPreLieAlgebra,
                        ValidationReport, agreement_report, combine_reports, validate_hom_lie,
                        validate_hom_pre_lie, validate_quadratic, _record)
-from .representations import (HomLieRep, HomPreLieRep, act, star_maps, validate_lie_rep,
-                              validate_pre_lie_rep)
+from .representations import (HomLieRep, HomPreLieRep, action_table, star_maps,
+                              validate_lie_rep, validate_pre_lie_rep)
 
 
 class LieMatchedPair:
@@ -96,26 +96,25 @@ def _add(u, v):
     return tuple(p + q for p, q in zip(u, v))
 
 
-def _columns(maps, count):
-    """columns[p][q]: the action at basis vector p applied to basis vector q."""
-    return [[m.column(q) for q in range(count)] for m in maps]
-
-
 def _lie_cross(acting, acted, action, back):
     """The cross identity with values in the acted-on algebra, as a residual
     function of (x, y, z): rho(phi(x))[y, z] = [rho(x)y, psi(z)] + [psi(y), rho(x)z]
     + rho(rho'(z)x)psi(y) - rho(rho'(y)x)psi(z), where action is rho (acting on
-    acted), back is rho' (acted on acting), and phi, psi are the two twists."""
-    phi = [acting.twist.column(x) for x in range(acting.dim)]
+    acted), back is rho' (acted on acting), and phi, psi are the two twists.
+    Every operator at a twisted basis vector is built once per call."""
+    on = action_table(action, acted.dim)
+    back_on = action_table(back, acting.dim)
     psi = [acted.twist.column(y) for y in range(acted.dim)]
-    on = _columns(action, acted.dim)
-    back_on = _columns(back, acting.dim)
+    at_phi = [on.left_at(acting.twist.column(x)) for x in range(acting.dim)]   # rho(phi(x))
+    on_psi = [on.right_at(p) for p in psi]                                     # u -> rho(u)psi(y)
+    bracket_psi = [acted.bracket.left_at(p) for p in psi]                      # [psi(y), -]
+    psi_bracket = [acted.bracket.right_at(p) for p in psi]                     # [-, psi(z)]
 
     def residual(x, y, z):
-        lhs = act(action, phi[x], acted.basis_bracket(y, z))
-        rhs = _add(acted.bracket_of(on[x][y], psi[z]), acted.bracket_of(psi[y], on[x][z]))
-        rhs = _add(rhs, act(action, back_on[z][x], psi[y]))
-        rhs = sub_vectors(rhs, act(action, back_on[y][x], psi[z]))
+        lhs = at_phi[x].apply(acted.basis_bracket(y, z))
+        rhs = _add(psi_bracket[z].apply(on.slice12(x, y)), bracket_psi[y].apply(on.slice12(x, z)))
+        rhs = _add(rhs, on_psi[y].apply(back_on.slice12(z, x)))
+        rhs = sub_vectors(rhs, on_psi[z].apply(back_on.slice12(y, x)))
         return sub_vectors(lhs, rhs)
 
     return residual
@@ -183,33 +182,41 @@ def _pre_lie_cross_failures(failures, side, acting, acted, left, right, back_lef
       l(alpha(x))(y.z) = -l(l'(y)x - r'(y)x)beta(z) + (l(x)y - r(x)y).beta(z)
                          + r(r'(z)x)beta(y) + beta(y).l(x)z,
     where (l, r) = (left, right) act on acted, (l', r') = (back_left, back_right)
-    act back on acting, and alpha, beta are the twists of acting and acted."""
+    act back on acting, and alpha, beta are the twists of acting and acted.
+    Every operator at a twisted basis vector is built once per call."""
     nx = acting.dim
     ny = acted.dim
+    l_on = action_table(left, ny)
+    r_on = action_table(right, ny)
+    l_back = action_table(back_left, nx)
+    r_back = action_table(back_right, nx)
     alpha = [acting.twist.column(x) for x in range(nx)]
     beta = [acted.twist.column(y) for y in range(ny)]
-    e = [basis_vector(ny, y) for y in range(ny)]
-    l_on = _columns(left, ny)
-    r_on = _columns(right, ny)
-    l_back = _columns(back_left, nx)
-    r_back = _columns(back_right, nx)
+    l_alpha = [l_on.left_at(a) for a in alpha]                 # l(alpha(x))
+    r_alpha = [r_on.left_at(a) for a in alpha]                 # r(alpha(x))
+    l_beta = [l_on.right_at(b) for b in beta]                  # u -> l(u)beta(y)
+    r_beta = [r_on.right_at(b) for b in beta]                  # u -> r(u)beta(y)
+    beta_times = [acted.product.left_at(b) for b in beta]      # beta(y).-
+    times_beta = [acted.product.right_at(b) for b in beta]     # -.beta(z)
     for x in range(nx):
         for y in range(ny):
             for z in range(ny):
-                lhs = act(right, alpha[x], acted.commutator_of(e[y], e[z]))
-                rhs = sub_vectors(act(right, l_back[z][x], beta[y]), act(right, l_back[y][x], beta[z]))
-                rhs = _add(rhs, acted.product_of(beta[y], r_on[x][z]))
-                rhs = sub_vectors(rhs, acted.product_of(beta[z], r_on[x][y]))
+                commutator = sub_vectors(acted.basis_product(y, z), acted.basis_product(z, y))
+                lhs = r_alpha[x].apply(commutator)
+                rhs = sub_vectors(r_beta[y].apply(l_back.slice12(z, x)),
+                                  r_beta[z].apply(l_back.slice12(y, x)))
+                rhs = _add(rhs, beta_times[y].apply(r_on.slice12(x, z)))
+                rhs = sub_vectors(rhs, beta_times[z].apply(r_on.slice12(x, y)))
                 _record(failures, "cross-right-" + side, (x, y, z), sub_vectors(lhs, rhs))
     for x in range(nx):
         for y in range(ny):
             for z in range(ny):
-                lhs = act(left, alpha[x], acted.basis_product(y, z))
-                mixed = sub_vectors(l_back[y][x], r_back[y][x])
-                rhs = tuple(-c for c in act(left, mixed, beta[z]))
-                rhs = _add(rhs, acted.product_of(sub_vectors(l_on[x][y], r_on[x][y]), beta[z]))
-                rhs = _add(rhs, act(right, r_back[z][x], beta[y]))
-                rhs = _add(rhs, acted.product_of(beta[y], l_on[x][z]))
+                lhs = l_alpha[x].apply(acted.basis_product(y, z))
+                mixed = sub_vectors(l_back.slice12(y, x), r_back.slice12(y, x))
+                rhs = tuple(-c for c in l_beta[z].apply(mixed))
+                rhs = _add(rhs, times_beta[z].apply(sub_vectors(l_on.slice12(x, y), r_on.slice12(x, y))))
+                rhs = _add(rhs, r_beta[y].apply(r_back.slice12(z, x)))
+                rhs = _add(rhs, beta_times[y].apply(l_on.slice12(x, z)))
                 _record(failures, "cross-left-" + side, (x, y, z), sub_vectors(lhs, rhs))
 
 

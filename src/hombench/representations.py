@@ -7,52 +7,30 @@ where rho is a Lie-side representation of the commutator algebra and mu
 satisfies the twisted right-action compatibilities. Actions are stored as
 one matrix per algebra basis vector and extended linearly.
 
-The action at a basis vector is its stored matrix. The action at a general
-vector x is reached in one of two ways: act(maps, x, v) applies it to one
-vector v without building a matrix, and _combination(maps, x, size) builds
-its matrix. _combination serves where that matrix is composed with another
-(_lie_action_failures, validate_pre_lie_rep, star_maps) and where a
-multiplication operator is needed at a non-basis vector: the left and right
-maps of a structure table (Tensor3.left_maps, Tensor3.right_maps) combined at
-a twisted basis vector in shifted_rep, coboundary_maps and
-bialgebras.check_P_condition.
+The action at a basis vector is its stored matrix. A family of n actions on a
+space of dimension m holds the same data as an (n, m, m) structure table, and
+action_table(maps, m) is the one converter: slice (p, q) is maps[p].column(q),
+so Tensor3.left_maps() gives the family back. Every action at a general vector
+is then read through the table primitives of foundation: table.left_at(x) is
+the matrix of the action at x, table.right_at(v) sends x to the action at x
+applied to v, and apply_bilinear(table, x, v) is one such value. The
+multiplication operators of an algebra at a general vector come straight from
+its own table (Tensor3.left_at, Tensor3.right_at).
 """
 
 from .errors import DimensionMismatch, InvalidInput, SingularMap
-from .foundation import (ZERO, LinearMap, map_direct_sum, sub_vectors,
-                         tensor_product_map, Tensor3)
+from .foundation import map_direct_sum, sub_vectors, tensor_product_map, Tensor3
 from .algebras import (HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
                        validate_hom_lie, validate_hom_pre_lie, _record)
 
 
-def act(maps, x, v):
-    """The action at the vector x applied to the vector v: the sum of
-    x_p maps[p] v over the nonzero coefficients x_p."""
-    support = [(j, w) for j, w in enumerate(v) if w != 0]
-    out = [ZERO] * len(v)
-    for c, m in zip(x, maps):
-        if c != 0:
-            for k, row in enumerate(m.entries):
-                for j, w in support:
-                    if row[j] != 0:
-                        out[k] += c * row[j] * w
-    return tuple(out)
-
-
-def _combination(maps, coeffs, size):
-    """Linear combination of size x size action matrices, summed entry by entry
-    into one table: the matrix of the action at a general vector."""
+def action_table(maps, size):
+    """The family of size x size action matrices as one (len(maps), size, size)
+    table whose slice (p, q) is maps[p].column(q)."""
     for m in maps:
         if m.rows != size or m.cols != size:
-            raise DimensionMismatch("combining a %dx%d map as %dx%d" % (m.rows, m.cols, size, size))
-    table = [[ZERO] * size for _ in range(size)]
-    for c, m in zip(coeffs, maps):
-        if c != 0:
-            for row, src in zip(table, m.entries):
-                for j, x in enumerate(src):
-                    if x != 0:
-                        row[j] += c * x
-    return LinearMap(table, rows=size, cols=size)
+            raise DimensionMismatch("action matrix is %dx%d, expected %dx%d" % (m.rows, m.cols, size, size))
+    return Tensor3.from_slices(len(maps), size, size, lambda p, q: maps[p].column(q))
 
 
 class HomLieRep:
@@ -119,7 +97,8 @@ class HomPreLieRep:
 def _lie_action_failures(algebra, twist, maps, space_dim, failures, prefix=""):
     """Record the two Lie-side representation identities against the given bracket table."""
     n = algebra.dim
-    at_phi = [_combination(maps, algebra.twist.column(i), space_dim) for i in range(n)]
+    table = action_table(maps, space_dim)
+    at_phi = [table.left_at(algebra.twist.column(i)) for i in range(n)]
     for i in range(n):
         lhs = at_phi[i] @ twist
         rhs = twist @ maps[i]
@@ -128,7 +107,7 @@ def _lie_action_failures(algebra, twist, maps, space_dim, failures, prefix=""):
             _record(failures, prefix + "action-twist-compatibility", (i, j), diff.column(j))
     for i in range(n):
         for j in range(n):
-            lhs = _combination(maps, algebra.basis_bracket(i, j), space_dim) @ twist
+            lhs = table.left_at(algebra.basis_bracket(i, j)) @ twist
             rhs = at_phi[i] @ maps[j] - at_phi[j] @ maps[i]
             diff = lhs - rhs
             for k in range(space_dim):
@@ -157,15 +136,17 @@ def validate_pre_lie_rep(rep):
     commutator = HomLieAlgebra(a.commutator_tensor(), a.twist)
     _lie_action_failures(commutator, beta, rep.left, m, failures, prefix="left-")
     alphas = [a.twist.column(i) for i in range(n)]
-    mu_at_alpha = [_combination(rep.right, x, m) for x in alphas]
-    rho_at_alpha = [_combination(rep.left, x, m) for x in alphas]
+    left = action_table(rep.left, m)
+    right = action_table(rep.right, m)
+    mu_at_alpha = [right.left_at(x) for x in alphas]
+    rho_at_alpha = [left.left_at(x) for x in alphas]
     for i in range(n):
         diff = beta @ rep.right[i] - mu_at_alpha[i] @ beta
         for j in range(m):
             _record(failures, "right-twist-compatibility", (i, j), diff.column(j))
     for i in range(n):
         for j in range(n):
-            mu_at_product = _combination(rep.right, a.basis_product(i, j), m)
+            mu_at_product = right.left_at(a.basis_product(i, j))
             lhs = mu_at_alpha[j] @ rep.right[i] - mu_at_product @ beta
             rhs = mu_at_alpha[j] @ rep.left[i] - rho_at_alpha[i] @ rep.right[j]
             diff = lhs - rhs
@@ -187,10 +168,8 @@ def shifted_rep(a, s):
         raise InvalidInput("shifted_rep needs a valid twisted pre-Lie algebra")
     n = a.dim
     power = a.twist.power(s)
-    left_maps = a.product.left_maps()
-    right_maps = a.product.right_maps()
-    left = [_combination(left_maps, power.column(i), n) for i in range(n)]
-    right = [_combination(right_maps, power.column(i), n) for i in range(n)]
+    left = [a.product.left_at(power.column(i)) for i in range(n)]
+    right = [a.product.right_at(power.column(i)) for i in range(n)]
     return HomPreLieRep(a, n, a.twist, left, right)
 
 
@@ -214,11 +193,11 @@ def tensor_rep(g, r1, r2):
 def star_maps(maps, algebra_twist, space_twist):
     """The twisted dual action family: at basis vector i, minus the transpose of the
     action at twist(e_i), composed with the inverse-square dual of the space twist."""
-    n = algebra_twist.rows
+    table = action_table(maps, space_twist.rows)
     inv_t = space_twist.inverse().transpose()
     sq = inv_t @ inv_t
-    return tuple((-_combination(maps, algebra_twist.column(i), space_twist.rows).transpose()) @ sq
-                 for i in range(n))
+    return tuple((-table.left_at(algebra_twist.column(i)).transpose()) @ sq
+                 for i in range(algebra_twist.rows))
 
 
 def dual_pre_lie_rep(a, r):
@@ -244,13 +223,11 @@ def coboundary_maps(a):
     n = a.dim
     alpha = a.twist
     inv_sq = alpha.power(-2)
-    left_maps = a.product.left_maps()
-    right_maps = a.product.right_maps()
     maps = []
     for i in range(n):
         shifted = inv_sq.column(i)
-        left = _combination(left_maps, shifted, n)
-        ad = left - _combination(right_maps, shifted, n)
+        left = a.product.left_at(shifted)
+        ad = left - a.product.right_at(shifted)
         maps.append(tensor_product_map(left, alpha) + tensor_product_map(alpha, ad))
     return maps
 
@@ -272,13 +249,14 @@ def check_one_cocycle(g, rep, delta):
         raise DimensionMismatch("cocycle candidate is %dx%d for dims %d -> %d"
                                 % (delta.rows, delta.cols, g.dim, rep.space_dim))
     n = g.dim
-    phis = [g.twist.column(i) for i in range(n)]
+    table = action_table(rep.maps, rep.space_dim)
+    at_phi = [table.left_at(g.twist.column(i)) for i in range(n)]
     images = [delta.column(i) for i in range(n)]
     failures = []
     for i in range(n):
         for j in range(n):
             lhs = delta.apply(g.basis_bracket(i, j))
-            rhs = sub_vectors(act(rep.maps, phis[i], images[j]), act(rep.maps, phis[j], images[i]))
+            rhs = sub_vectors(at_phi[i].apply(images[j]), at_phi[j].apply(images[i]))
             _record(failures, "cocycle", (i, j), sub_vectors(lhs, rhs))
     return ValidationReport(failures)
 

@@ -8,7 +8,7 @@ from hombench import (DimensionMismatch, LinearMap, SingularMap, Tensor2, Tensor
                       apply_bilinear, basis_vector, map_direct_sum, tensor2_to_map,
                       tensor_product_map)
 from hombench.foundation import frac, row_reduce
-from hombench.representations import _combination
+from hombench.representations import action_table
 
 scalars = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -104,12 +104,15 @@ def test_multiplication_operators_of_a_rectangular_table():
     assert _sum_of_scaled(right, y, 4, 2).apply(x) == apply_bilinear(t, x, y)
 
 
-def test_combined_multiplication_operators_apply_the_table():
+def test_action_table_of_the_multiplication_operators_is_the_table():
     t = _dense_table((3, 3, 3))
     x = (Fraction(2, 3), 0, -1)
     y = (Fraction(-1, 2), 5, Fraction(1, 4))
-    assert _combination(t.left_maps(), x, 3).apply(y) == apply_bilinear(t, x, y)
-    assert _combination(t.right_maps(), y, 3).apply(x) == apply_bilinear(t, x, y)
+    assert action_table(t.left_maps(), 3) == t
+    swapped = action_table(t.right_maps(), 3)
+    assert all(swapped.slice12(j, i) == t.slice12(i, j) for i in range(3) for j in range(3))
+    assert action_table(t.left_maps(), 3).left_at(x).apply(y) == apply_bilinear(t, x, y)
+    assert swapped.left_at(y).apply(x) == apply_bilinear(t, x, y)
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 4), (3, 3, 3), (0, 2, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0)])
@@ -163,11 +166,11 @@ def test_ragged_table_is_rejected():
         Tensor3((((),),))
 
 
-def test_combination_rejects_maps_that_are_not_square():
+def test_action_table_rejects_maps_that_are_not_square():
     maps = _dense_table((2, 3, 4)).left_maps()
     for size in (3, 4):
         with pytest.raises(DimensionMismatch):
-            _combination(maps, (1, 1), size)
+            action_table(maps, size)
 
 
 def test_integral_scalars_are_plain_ints():

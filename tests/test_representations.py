@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from hombench import (HomPreLieRep, InvalidInput, LinearMap, SingularMap, Tensor3,
+from hombench import (DimensionMismatch, HomPreLieRep, InvalidInput, LinearMap, SingularMap, Tensor3,
                       adjoint_rep, check_one_cocycle, coadjoint_pre_lie_rep,
                       coboundary_rep, dual_pre_lie_rep, regular_rep,
                       semidirect_pre_lie, shifted_rep, star_maps, sub_adjacent,
                       tensor_rep, triangular_bialgebra, validate_hom_pre_lie,
                       validate_lie_rep, validate_pre_lie_rep)
 from hombench import fixtures
-from hombench.representations import _combination, act
+from hombench.representations import action_table
 
 
 def test_adjoint_matrices_oracle():
@@ -138,14 +138,22 @@ def test_rep_validation_rejects_singular_space_twist():
         validate_pre_lie_rep(rep)
 
 
-def test_act_matches_the_combined_matrix():
-    maps = [LinearMap(((1, Fraction(-2, 3), 0), (Fraction(5, 2), 3, -1), (0, Fraction(1, 7), 2))),
+def test_action_table_round_trips_an_action_family():
+    maps = (LinearMap(((1, Fraction(-2, 3), 0), (Fraction(5, 2), 3, -1), (0, Fraction(1, 7), 2))),
             LinearMap(((Fraction(-1, 4), 0, 6), (2, Fraction(3, 5), 1), (-3, 1, Fraction(2, 9)))),
-            LinearMap(((0, 1, Fraction(-5, 6)), (Fraction(7, 3), -2, 0), (1, 1, 1)))]
+            LinearMap(((0, 1, Fraction(-5, 6)), (Fraction(7, 3), -2, 0), (1, 1, 1))))
+    table = action_table(maps, 3)
+    assert table.left_maps() == maps
+    assert action_table(table.left_maps(), 3) == table
     vectors = [(Fraction(2, 3), -1, Fraction(5, 4)), (0, 0, 0), (1, 0, 0), (Fraction(-7, 2), 3, 0)]
     coefficients = vectors + [(0, 1, 0), (0, 0, 1)]
     for x in coefficients:
+        combined = LinearMap.zero(3, 3)
+        for c, m in zip(x, maps):
+            combined = combined + m.scale(c)
+        assert table.left_at(x) == combined, x
         for v in vectors:
-            assert act(maps, x, v) == _combination(maps, x, 3).apply(v), (x, v)
-    assert act(maps, (0, 0, 0), vectors[0]) == (0, 0, 0)
-    assert act(maps, (0, 1, 0), vectors[0]) == maps[1].apply(vectors[0])
+            assert table.left_at(x).apply(v) == combined.apply(v) == table.right_at(v).apply(x), (x, v)
+    assert table.left_at((0, 1, 0)) == maps[1]
+    with pytest.raises(DimensionMismatch):
+        action_table(maps, 2)
