@@ -12,9 +12,22 @@ primitives: Tensor3.left_maps() and Tensor3.right_maps() give the
 multiplication operators by each basis vector, Tensor3.left_at(x) and
 Tensor3.right_at(y) give multiplication by one vector, and
 Tensor3.from_slices() builds a table one output vector at a time.
+
+The contractions (LinearMap.apply and @, Tensor3.left_at and right_at,
+apply_bilinear and Tensor2.pair) run in integers. Each LinearMap, Tensor2 and
+Tensor3 keeps a private integer form, built on first use: the lcm d of its
+entry denominators and its entries times d. A kernel scales each input vector
+to ints once, does every multiply-add on ints, and divides each output entry
+once, giving an int when the division is exact and a Fraction otherwise.
+Integral data is the d = 1 case and is never divided. Maps that a kernel
+summed in ints keep that form, and a map remembers whether it is invertible.
+These caches are safe because every object is immutable; equality, hashing,
+repr and serialization never read them.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatch, SingularMap
 
@@ -56,10 +69,42 @@ def is_zero_vector(u):
     return not any(u)
 
 
-def dot(u, v):
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths %d and %d" % (len(u), len(v)))
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+def _times(values, d):
+    """The exact scalars in values times d, as a tuple of ints; d is a multiple
+    of every denominator."""
+    return tuple([c * d if type(c) is int else c.numerator * (d // c.denominator) for c in values])
+
+
+def _scaled(values):
+    """(e, ints): the lcm e of the denominators of a sequence of exact scalars,
+    and the scalars times e. A sequence of ints is its own scaled form."""
+    for c in values:
+        if type(c) is not int:
+            e = lcm(*[c.denominator for c in values if type(c) is not int])
+            return e, _times(values, e)
+    return 1, values
+
+
+def _integer_rows(rows):
+    """(d, ints): the lcm d of the denominators in a tuple of rows of exact
+    scalars, and each row times d. Rows of ints are their own scaled form."""
+    dens = [c.denominator for row in rows for c in row if type(c) is not int]
+    if not dens:
+        return 1, rows
+    d = lcm(*dens)
+    return d, tuple([_times(row, d) for row in rows])
+
+
+def _quotients(totals, d):
+    """The tuple of exact scalars t / d for the ints t in totals and a positive
+    int d: an int where the division is exact, a Fraction otherwise."""
+    if d == 1:
+        return tuple(totals)
+    out = []
+    for t in totals:
+        q, r = divmod(t, d)
+        out.append(Fraction(t, d) if r else q)
+    return tuple(out)
 
 
 def row_reduce(work, cols):
@@ -92,10 +137,11 @@ class LinearMap:
     """A rows x cols matrix over the rationals, acting on column vectors.
 
     Explicit shape arguments are only needed when entries are empty, so that
-    zero-dimensional spaces stay representable.
+    zero-dimensional spaces stay representable. The integer form and the
+    invertibility verdict are caches, built on first use and never compared.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_form", "_invertible")
 
     def __init__(self, entries, rows=None, cols=None):
         table = tuple(tuple(frac(x) for x in row) for row in entries)
@@ -119,16 +165,35 @@ class LinearMap:
         self.rows = self_rows
         self.cols = self_cols
         self.entries = table
+        self._form = None
+        self._invertible = None
 
     @classmethod
-    def _trusted(cls, table, rows, cols):
-        """A rows x cols map over a tuple of row tuples that already hold exact
-        scalars, built without __init__'s per-entry coercion and shape checks."""
+    def _from_integers(cls, ints, d, rows, cols):
+        """The rows x cols map with entries ints[i][j] / d, for int row lists and
+        a positive int d, built without __init__'s per-entry coercion and shape
+        checks. It keeps the integer form it was summed in, reduced so that d is
+        the lcm of its entry denominators."""
+        ints = tuple(map(tuple, ints))
+        if d > 1:
+            g = gcd(d, *[x for row in ints for x in row])
+            if g > 1:
+                d //= g
+                ints = tuple([tuple([x // g for x in row]) for row in ints])
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.entries = table
+        m.entries = ints if d == 1 else tuple([_quotients(row, d) for row in ints])
+        m._form = d, ints
+        m._invertible = None
         return m
+
+    def _integer_form(self):
+        """(d, rows): the lcm d of the entry denominators and the entries times d
+        as int row tuples."""
+        if self._form is None:
+            self._form = _integer_rows(self.entries)
+        return self._form
 
     @classmethod
     def identity(cls, n):
@@ -163,24 +228,27 @@ class LinearMap:
     def apply(self, u):
         if len(u) != self.cols:
             raise DimensionMismatch("applying %dx%d map to length-%d vector" % (self.rows, self.cols, len(u)))
-        support = [(j, c) for j, c in enumerate(u) if c]
-        return tuple([sum([row[j] * c for j, c in support if row[j]]) for row in self.entries])
+        d, rows = self._form or self._integer_form()
+        e, v = _scaled(u)
+        return _quotients([sum(map(mul, row, v)) for row in rows], d * e)
 
     def __matmul__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch("composing %dx%d with %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        rows = []
-        for row in self.entries:
-            out = [ZERO] * other.cols
-            for c, src in zip(row, other.entries):
-                if c != 0:
+        d1, left = self._form or self._integer_form()
+        d2, right = other._form or other._integer_form()
+        out = []
+        for row in left:
+            acc = [0] * other.cols
+            for c, src in zip(row, right):
+                if c:
                     for j, x in enumerate(src):
-                        if x != 0:
-                            out[j] += c * x
-            rows.append(out)
-        return LinearMap(rows, rows=self.rows, cols=other.cols)
+                        if x:
+                            acc[j] += c * x
+            out.append(acc)
+        return LinearMap._from_integers(out, d1 * d2, self.rows, other.cols)
 
     def __add__(self, other):
         if not isinstance(other, LinearMap):
@@ -233,10 +301,12 @@ class LinearMap:
         return result
 
     def is_invertible(self):
-        """Full rank, found by row-reducing a copy of the matrix."""
+        """Full rank, found by row-reducing a copy of the matrix on the first call."""
         if not self.is_square():
             raise DimensionMismatch("inverting a %dx%d map" % (self.rows, self.cols))
-        return len(row_reduce([list(row) for row in self.entries], self.cols)) == self.rows
+        if self._invertible is None:
+            self._invertible = len(row_reduce([list(row) for row in self.entries], self.cols)) == self.rows
+        return self._invertible
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
@@ -251,9 +321,10 @@ class LinearMap:
 
 
 class Tensor2:
-    """An element of V (x) W in fixed bases: entries[i][j] is the e_i (x) f_j coefficient."""
+    """An element of V (x) W in fixed bases: entries[i][j] is the e_i (x) f_j
+    coefficient. The integer form is a cache, built on first use and never compared."""
 
-    __slots__ = ("dim_left", "dim_right", "entries")
+    __slots__ = ("dim_left", "dim_right", "entries", "_form")
 
     def __init__(self, entries, dim_left=None, dim_right=None):
         table = tuple(tuple(frac(x) for x in row) for row in entries)
@@ -273,6 +344,14 @@ class Tensor2:
         if dim_right is not None and table and table[0] and dim_right != self.dim_right:
             raise DimensionMismatch("declared right dim %d, got %d" % (dim_right, self.dim_right))
         self.entries = table
+        self._form = None
+
+    def _integer_form(self):
+        """(d, rows): the lcm d of the entry denominators and the entries times d
+        as int row tuples."""
+        if self._form is None:
+            self._form = _integer_rows(self.entries)
+        return self._form
 
     @classmethod
     def zero(cls, dim_left, dim_right):
@@ -306,12 +385,11 @@ class Tensor2:
         if len(u) != self.dim_left or len(v) != self.dim_right:
             raise DimensionMismatch("pairing %dx%d tensor with lengths %d, %d"
                                     % (self.dim_left, self.dim_right, len(u), len(v)))
-        total = ZERO
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            total += ui * dot(self.entries[i], v)
-        return total
+        d, rows = self._form or self._integer_form()
+        eu, us = _scaled(u)
+        ev, vs = _scaled(v)
+        total = sum([ui * sum(map(mul, row, vs)) for ui, row in zip(us, rows) if ui])
+        return _quotients((total,), d * eu * ev)[0]
 
     def nonzero_items(self):
         return [((i, j), c) for i, row in enumerate(self.entries) for j, c in enumerate(row) if c != 0]
@@ -346,9 +424,10 @@ class Tensor2:
 
 
 class Tensor3:
-    """A three-index array: entries[i][j][k], shapes may differ per slot."""
+    """A three-index array: entries[i][j][k], shapes may differ per slot. The
+    integer form is a cache, built on first use and never compared."""
 
-    __slots__ = ("dims", "entries")
+    __slots__ = ("dims", "entries", "_form")
 
     def __init__(self, entries, dims=None):
         """Empty entries stand for the zero table of the declared dims; any other
@@ -375,6 +454,7 @@ class Tensor3:
             raise DimensionMismatch("declared dims %r, got %r" % (tuple(dims), (d1, d2, d3)))
         self.dims = (d1, d2, d3)
         self.entries = table
+        self._form = None
 
     @classmethod
     def zero(cls, d1, d2, d3):
@@ -394,6 +474,18 @@ class Tensor3:
     def from_slices(cls, d1, d2, d3, vec_of):
         """The table whose output vector at the basis pair (i, j) is vec_of(i, j)."""
         return cls(tuple(tuple(vec_of(i, j) for j in range(d2)) for i in range(d1)), dims=(d1, d2, d3))
+
+    def _integer_form(self):
+        """(d, planes): the lcm d of the entry denominators and the table times d,
+        with int output vectors."""
+        if self._form is None:
+            dens = [c.denominator for plane in self.entries for vec in plane for c in vec if type(c) is not int]
+            if not dens:
+                self._form = 1, self.entries
+            else:
+                d = lcm(*dens)
+                self._form = d, tuple(tuple([_times(vec, d) for vec in plane]) for plane in self.entries)
+        return self._form
 
     def slice12(self, i, j):
         """The output vector attached to the basis pair (i, j)."""
@@ -416,14 +508,16 @@ class Tensor3:
         d1, d2, d3 = self.dims
         if len(x) != d1:
             raise DimensionMismatch("left multiplication of a %r tensor by length %d" % (self.dims, len(x)))
+        d, planes = self._form or self._integer_form()
+        e, xs = _scaled(x)
         out = [[0] * d2 for _ in range(d3)]
-        for xi, plane in zip(x, self.entries):
-            if xi != 0:
+        for xi, plane in zip(xs, planes):
+            if xi:
                 for j, vec in enumerate(plane):
                     for k, c in enumerate(vec):
-                        if c != 0:
+                        if c:
                             out[k][j] += xi * c
-        return LinearMap._trusted(tuple(map(tuple, out)), d3, d2)
+        return LinearMap._from_integers(out, d * e, d3, d2)
 
     def right_at(self, y):
         """Right multiplication by the vector y: the d3 x d1 matrix sending x to
@@ -431,14 +525,16 @@ class Tensor3:
         d1, d2, d3 = self.dims
         if len(y) != d2:
             raise DimensionMismatch("right multiplication of a %r tensor by length %d" % (self.dims, len(y)))
+        d, planes = self._form or self._integer_form()
+        e, ys = _scaled(y)
         out = [[0] * d1 for _ in range(d3)]
-        for i, plane in enumerate(self.entries):
-            for yj, vec in zip(y, plane):
-                if yj != 0:
+        for i, plane in enumerate(planes):
+            for yj, vec in zip(ys, plane):
+                if yj:
                     for k, c in enumerate(vec):
-                        if c != 0:
+                        if c:
                             out[k][i] += yj * c
-        return LinearMap._trusted(tuple(map(tuple, out)), d3, d1)
+        return LinearMap._from_integers(out, d * e, d3, d1)
 
     def nonzero_items(self):
         return [((i, j, k), c)
@@ -502,20 +598,19 @@ def apply_bilinear(c, x, y):
     d1, d2, d3 = c.dims
     if len(x) != d1 or len(y) != d2:
         raise DimensionMismatch("contracting %r tensor with lengths %d, %d" % (c.dims, len(x), len(y)))
-    out = [ZERO] * d3
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        plane = c.entries[i]
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            coeff = xi * yj
-            vec = plane[j]
-            for k in range(d3):
-                if vec[k] != 0:
-                    out[k] += coeff * vec[k]
-    return tuple(out)
+    d, planes = c._form or c._integer_form()
+    ex, xs = _scaled(x)
+    ey, ys = _scaled(y)
+    out = [0] * d3
+    for xi, plane in zip(xs, planes):
+        if xi:
+            for yj, vec in zip(ys, plane):
+                if yj:
+                    coeff = xi * yj
+                    for k, b in enumerate(vec):
+                        if b:
+                            out[k] += coeff * b
+    return _quotients(out, d * ex * ey)
 
 
 def tensor2_to_map(r):

@@ -238,3 +238,155 @@ def test_bilinearity_is_exact(positions, x, y, c):
 def test_flip_involution(items):
     t = Tensor2.from_entries(3, 3, items)
     assert t.flip().flip() == t
+
+
+# Every contraction runs on an integer form (common denominator times the
+# entries) and divides each output entry once. The references below sum the
+# same products in plain Fraction arithmetic.
+
+mixed_scalars = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.integers(-4, 4).map(lambda k: Fraction(2 * k, 2)),      # integral Fractions
+)
+sizes = st.integers(0, 3)
+
+
+def _vectors(n):
+    return st.one_of(st.just((0,) * n), st.lists(mixed_scalars, min_size=n, max_size=n).map(tuple))
+
+
+def _grids(rows, cols):
+    return st.lists(st.lists(mixed_scalars, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def _maps(draw, rows=None, cols=None):
+    rows = draw(sizes) if rows is None else rows
+    cols = draw(sizes) if cols is None else cols
+    return LinearMap(draw(_grids(rows, cols)), rows=rows, cols=cols)
+
+
+@st.composite
+def _tables(draw):
+    d1, d2, d3 = draw(sizes), draw(sizes), draw(sizes)
+    vecs = draw(st.lists(_grids(d2, d3), min_size=d1, max_size=d1))
+    return Tensor3.from_slices(d1, d2, d3, lambda i, j: vecs[i][j])
+
+
+def _total(products):
+    return sum((Fraction(a) * Fraction(b) for a, b in products), Fraction(0))
+
+
+def _assert_exact(got, want):
+    """Equal values, with every integral entry a plain int."""
+    assert len(got) == len(want)
+    for c, w in zip(got, want):
+        assert c == w
+        assert type(c) is (int if w.denominator == 1 else Fraction)
+
+
+@given(_maps(), st.data())
+def test_apply_is_exact(m, data):
+    u = data.draw(_vectors(m.cols))
+    _assert_exact(m.apply(u), [_total(zip(row, u)) for row in m.entries])
+
+
+@given(st.data())
+def test_matmul_is_exact_and_keeps_an_exact_integer_form(data):
+    rows, inner, cols = data.draw(sizes), data.draw(sizes), data.draw(sizes)
+    a = data.draw(_maps(rows, inner))
+    b = data.draw(_maps(inner, cols))
+    product = a @ b
+    assert (product.rows, product.cols) == (rows, cols)
+    for i in range(rows):
+        _assert_exact(product.entries[i], [_total((a.entries[i][t], b.entries[t][j]) for t in range(inner))
+                                           for j in range(cols)])
+    u = data.draw(_vectors(cols))
+    _assert_exact(product.apply(u), [_total(zip(row, u)) for row in product.entries])
+
+
+@given(_tables(), st.data())
+def test_multiplication_by_a_vector_is_exact(t, data):
+    d1, d2, d3 = t.dims
+    x = data.draw(_vectors(d1))
+    y = data.draw(_vectors(d2))
+    left, right = t.left_at(x), t.right_at(y)
+    for k in range(d3):
+        _assert_exact(left.entries[k], [_total((x[i], t.entries[i][j][k]) for i in range(d1)) for j in range(d2)])
+        _assert_exact(right.entries[k], [_total((y[j], t.entries[i][j][k]) for j in range(d2)) for i in range(d1)])
+    want = [_total((x[i] * y[j], t.entries[i][j][k]) for i in range(d1) for j in range(d2)) for k in range(d3)]
+    _assert_exact(apply_bilinear(t, x, y), want)
+    _assert_exact(left.apply(y), want)
+    _assert_exact(right.apply(x), want)
+
+
+@given(st.data())
+def test_pair_is_exact(data):
+    n, m = data.draw(sizes), data.draw(sizes)
+    r = Tensor2(data.draw(_grids(n, m)), n, m)
+    u, v = data.draw(_vectors(n)), data.draw(_vectors(m))
+    want = _total((r.entries[i][j], u[i] * v[j]) for i in range(n) for j in range(m))
+    _assert_exact([r.pair(u, v)], [want])
+
+
+def test_kernels_give_plain_ints_for_integral_fraction_inputs():
+    m = LinearMap(((Fraction(1, 2), Fraction(1, 3)), (2, -1)))
+    assert m.apply((Fraction(6, 2), Fraction(6, 1))) == (Fraction(7, 2), 0)
+    assert [type(c) for c in m.apply((Fraction(6, 2), Fraction(-3, 1)))] == [Fraction, int]
+    assert all(type(c) is int for row in (m @ LinearMap.diagonal([6, 6])).entries for c in row)
+    t = Tensor3.from_entries((1, 1, 2), {(0, 0, 0): Fraction(1, 2), (0, 0, 1): Fraction(3, 4)})
+    assert apply_bilinear(t, (Fraction(4, 2),), (Fraction(4, 1),)) == (4, 6)
+    assert all(type(c) is int for c in apply_bilinear(t, (Fraction(4, 2),), (Fraction(4, 1),)))
+    assert type(Tensor2(((Fraction(1, 2),),)).pair((Fraction(2, 1),), (1,))) is int
+
+
+def _fresh_and_used():
+    """Pairs of equal objects: the first built from entries, the second used by
+    every kernel (so its integer form and invertibility verdict are built) or
+    made by a kernel that hands its integer form over."""
+    rows = ((Fraction(1, 2), Fraction(-2, 3), 0), (3, Fraction(5, 4), -1), (0, 1, Fraction(6, 2)))
+    singular = ((1, Fraction(1, 2), 0), (2, 1, 0), (0, 0, Fraction(1, 3)))
+    t_items = {(0, 1, 2): Fraction(1, 2), (1, 1, 0): -3, (2, 0, 1): Fraction(2, 3)}
+    used_map, used_singular = LinearMap(rows), LinearMap(singular)
+    for m in (used_map, used_singular):
+        m.apply((1, Fraction(1, 3), 2))
+        m.is_invertible()
+        m @ m
+    used_table = Tensor3.from_entries((3, 3, 3), t_items)
+    used_table.left_at((1, 2, Fraction(1, 2)))
+    apply_bilinear(used_table, (1, 0, 1), (0, Fraction(1, 5), 1))
+    used_form = Tensor2.from_entries(3, 3, {(0, 1): Fraction(1, 2), (2, 2): 3})
+    used_form.pair((1, 2, 3), (Fraction(1, 2), 1, 0))
+    product = LinearMap(rows) @ LinearMap(singular)
+    operator = Tensor3.from_entries((3, 3, 3), t_items).left_at((Fraction(2, 3), 0, 3))
+    return [(LinearMap(rows), used_map), (LinearMap(singular), used_singular),
+            (LinearMap(product.entries), product), (LinearMap(operator.entries), operator),
+            (Tensor3.from_entries((3, 3, 3), t_items), used_table),
+            (Tensor2.from_entries(3, 3, {(0, 1): Fraction(1, 2), (2, 2): 3}), used_form)]
+
+
+def test_cached_state_is_invisible():
+    from hombench import HomPreLieAlgebra, document_for, serialize_document
+    pairs = _fresh_and_used()
+    for fresh, used in pairs:
+        assert fresh == used and used == fresh
+        assert hash(fresh) == hash(used)
+        assert repr(fresh) == repr(used)
+    (m, used_m), _, (p, used_p), _, (t, used_t), (r, used_r) = pairs
+    for fresh, used in ((HomPreLieAlgebra(t, m), HomPreLieAlgebra(used_t, used_m)),
+                        (HomPreLieAlgebra(t, p), HomPreLieAlgebra(used_t, used_p)), (r, used_r)):
+        assert serialize_document(document_for(fresh)) == serialize_document(document_for(used))
+
+
+def test_invertibility_verdict_is_stable():
+    invertible = LinearMap(((Fraction(1, 2), 1), (0, Fraction(-2, 3))))
+    singular = LinearMap(((Fraction(1, 2), 1), (1, 2)))
+    assert [invertible.is_invertible() for _ in range(3)] == [True] * 3
+    assert [singular.is_invertible() for _ in range(3)] == [False] * 3
+    with pytest.raises(SingularMap):
+        singular.inverse()
+    assert singular.is_invertible() is False
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch):
+            LinearMap(((1, 0),)).is_invertible()
