@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hombench import (DimensionMismatch, LinearMap, SingularMap, Tensor2, Tensor3,
-                      apply_bilinear, basis_vector, map_direct_sum, tensor2_to_map,
-                      tensor_product_map)
+from hombench import (DimensionMismatch, HomPreLieAlgebra, LinearMap, SingularMap, Tensor2,
+                      Tensor3, apply_bilinear, basis_vector, document_for, map_direct_sum,
+                      serialize_document, tensor2_to_map, tensor_product_map)
 from hombench.foundation import frac, row_reduce
 from hombench.representations import action_table
 
@@ -367,7 +367,6 @@ def _fresh_and_used():
 
 
 def test_cached_state_is_invisible():
-    from hombench import HomPreLieAlgebra, document_for, serialize_document
     pairs = _fresh_and_used()
     for fresh, used in pairs:
         assert fresh == used and used == fresh
