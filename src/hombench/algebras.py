@@ -11,8 +11,8 @@ never raise on mathematically invalid candidates, only on shape errors.
 from operator import add
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput
-from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vector,
-                         is_zero_vector, sub_vectors)
+from .foundation import (Tensor2, Tensor3, apply_bilinear, basis_vector, is_zero_vector,
+                         sub_vectors, tensor2_to_map)
 
 
 class Failure:
@@ -205,9 +205,7 @@ class BilinearForm:
 
     def sharp(self):
         """The induced map x -> B(x, .) into coordinate covectors."""
-        return LinearMap(tuple(tuple(self.matrix.entries[j][i] for j in range(self.dim))
-                               for i in range(self.dim)),
-                         rows=self.dim, cols=self.dim)
+        return tensor2_to_map(self.matrix)
 
     def is_nondegenerate(self):
         return self.sharp().is_invertible()

@@ -1,4 +1,14 @@
-"""Validator dispatch, named constructions, and the theorem-check registry."""
+"""Validator dispatch, named constructions, and the theorem-check registry.
+
+CONSTRUCTIONS and CHECKS hold one row per name: the kinds of the documents
+it takes, in order, and the call on their parsed values. run_derive and
+run_check match the documents against the kinds and call the row once. A
+construction's call returns one value, or a tuple of values (a builder's
+namedtuple) for several documents; a check's call returns the report whose
+verdict sets the exit code. Only the composite checks are functions here.
+Every row names its library functions in a body that runs at call time, so
+a rebinding of this module's globals (as the bench tracer does) reaches it.
+"""
 
 from collections import namedtuple
 
@@ -25,8 +35,7 @@ from .dendriform import (_vertical_table, canonical_smatrix,
                          validate_l_dendriform, validate_o_operator, vertical)
 from .documents import document_for
 
-ValidateResult = namedtuple("ValidateResult", ["report", "exit_code"])
-CheckResult = namedtuple("CheckResult", ["report", "exit_code"])
+Result = namedtuple("Result", ["report", "exit_code"])
 
 _VALIDATORS = {
     "hom_lie": validate_hom_lie,
@@ -37,20 +46,20 @@ _VALIDATORS = {
     "bialgebra": validate_bialgebra,
     "manin_triple": validate_manin_triple,
     "o_operator": validate_o_operator,
+    "representation": lambda rep: (validate_lie_rep(rep) if isinstance(rep, HomLieRep)
+                                   else validate_pre_lie_rep(rep)),
 }
+
+
+def _result(report):
+    return Result(report, 0 if report.valid else 1)
 
 
 def run_validate(doc):
     """Validate one document; exit code 0 when every identity holds."""
-    if doc.kind == "representation":
-        value = doc.value
-        report = (validate_lie_rep(value) if isinstance(value, HomLieRep)
-                  else validate_pre_lie_rep(value))
-    elif doc.kind in _VALIDATORS:
-        report = _VALIDATORS[doc.kind](doc.value)
-    else:
+    if doc.kind not in _VALIDATORS:
         raise UnsupportedKind("%s documents validate only in context" % doc.kind)
-    return ValidateResult(report, 0 if report.valid else 1)
+    return _result(_VALIDATORS[doc.kind](doc.value))
 
 
 def _expect(docs, kinds, name):
@@ -64,104 +73,37 @@ def _expect(docs, kinds, name):
     return values
 
 
-def _derive_sub_adjacent(docs):
-    (a,) = _expect(docs, ("hom_pre_lie",), "sub-adjacent")
-    return [document_for(sub_adjacent(a))]
-
-
-def _derive_dual_rep(docs):
-    (rep,) = _expect(docs, ("representation",), "dual-rep")
+def _pre_lie_rep(rep, name):
+    """The (algebra, representation) arguments of a pre-Lie-side construction."""
     if isinstance(rep, HomLieRep):
-        raise InvalidInput("dual-rep takes a pre-Lie representation")
-    return [document_for(dual_pre_lie_rep(rep.algebra, rep))]
+        raise InvalidInput("%s takes a pre-Lie representation" % name)
+    return rep.algebra, rep
 
 
-def _derive_coadjoint(docs):
-    (a,) = _expect(docs, ("hom_pre_lie",), "coadjoint")
-    return [document_for(coadjoint_pre_lie_rep(a))]
-
-
-def _derive_coboundary_rep(docs):
-    (a,) = _expect(docs, ("hom_pre_lie",), "coboundary-rep")
-    return [document_for(coboundary_rep(a))]
-
-
-def _derive_double_lie(docs):
-    (mp,) = _expect(docs, ("matched_pair_lie",), "double-lie")
-    return [document_for(double_lie(mp))]
-
-
-def _derive_double_pre_lie(docs):
-    (mp,) = _expect(docs, ("matched_pair_pre_lie",), "double-pre-lie")
-    return [document_for(double_pre_lie(mp))]
-
-
-def _derive_standard_manin(docs):
-    a, adual = _expect(docs, ("hom_pre_lie", "hom_pre_lie"), "standard-manin")
-    return [document_for(standard_manin_triple(a, adual))]
-
-
-def _derive_standardize_manin(docs):
-    (mt,) = _expect(docs, ("manin_triple",), "standardize-manin")
-    built = standardize_manin_triple(mt)
-    return [document_for(built.iso), document_for(built.standard)]
-
-
-def _derive_coboundary_cocycle(docs):
-    a, r = _expect(docs, ("hom_pre_lie", "tensor2"), "coboundary-cocycle")
-    return [document_for(coboundary_cocycle(a, r))]
-
-
-def _derive_dual_product(docs):
-    a, r = _expect(docs, ("hom_pre_lie", "tensor2"), "dual-product")
-    return [document_for(dual_product_from_r(a, r))]
-
-
-def _derive_triangular(docs):
-    a, r = _expect(docs, ("hom_pre_lie", "tensor2"), "triangular-bialgebra")
-    return [document_for(triangular_bialgebra(a, r))]
-
-
-def _derive_dendriform_from_hessian(docs):
-    a, b = _expect(docs, ("hom_pre_lie", "bilinear_form"), "dendriform-from-hessian")
-    return [document_for(dendriform_from_hessian(a, b))]
-
-
-def _derive_semidirect(docs):
-    (rep,) = _expect(docs, ("representation",), "semidirect")
-    if isinstance(rep, HomLieRep):
-        raise InvalidInput("semidirect takes a pre-Lie representation")
-    return [document_for(semidirect_pre_lie(rep.algebra, rep))]
-
-
-def _derive_semidirect_smatrix(docs):
-    (o,) = _expect(docs, ("o_operator",), "semidirect-smatrix")
-    built = semidirect_smatrix(o.algebra, o.rep, o.matrix)
-    return [document_for(built.algebra), document_for(built.tensor)]
-
-
-def _derive_canonical_smatrix(docs):
-    (d,) = _expect(docs, ("dendriform",), "canonical-smatrix")
-    built = canonical_smatrix(d)
-    return [document_for(built.algebra), document_for(built.tensor)]
-
+_PRE_LIE = ("hom_pre_lie",)
+_PAIR = ("hom_pre_lie", "hom_pre_lie")
+_WITH_R = ("hom_pre_lie", "tensor2")
+_WITH_FORM = ("hom_pre_lie", "bilinear_form")
 
 CONSTRUCTIONS = {
-    "sub-adjacent": _derive_sub_adjacent,
-    "dual-rep": _derive_dual_rep,
-    "coadjoint": _derive_coadjoint,
-    "coboundary-rep": _derive_coboundary_rep,
-    "double-lie": _derive_double_lie,
-    "double-pre-lie": _derive_double_pre_lie,
-    "standard-manin": _derive_standard_manin,
-    "standardize-manin": _derive_standardize_manin,
-    "coboundary-cocycle": _derive_coboundary_cocycle,
-    "dual-product": _derive_dual_product,
-    "triangular-bialgebra": _derive_triangular,
-    "dendriform-from-hessian": _derive_dendriform_from_hessian,
-    "semidirect": _derive_semidirect,
-    "semidirect-smatrix": _derive_semidirect_smatrix,
-    "canonical-smatrix": _derive_canonical_smatrix,
+    "sub-adjacent": (_PRE_LIE, lambda a: sub_adjacent(a)),
+    "dual-rep": (("representation",),
+                 lambda rep: dual_pre_lie_rep(*_pre_lie_rep(rep, "dual-rep"))),
+    "coadjoint": (_PRE_LIE, lambda a: coadjoint_pre_lie_rep(a)),
+    "coboundary-rep": (_PRE_LIE, lambda a: coboundary_rep(a)),
+    "double-lie": (("matched_pair_lie",), lambda mp: double_lie(mp)),
+    "double-pre-lie": (("matched_pair_pre_lie",), lambda mp: double_pre_lie(mp)),
+    "standard-manin": (_PAIR, lambda a, adual: standard_manin_triple(a, adual)),
+    "standardize-manin": (("manin_triple",), lambda mt: standardize_manin_triple(mt)),
+    "coboundary-cocycle": (_WITH_R, lambda a, r: coboundary_cocycle(a, r)),
+    "dual-product": (_WITH_R, lambda a, r: dual_product_from_r(a, r)),
+    "triangular-bialgebra": (_WITH_R, lambda a, r: triangular_bialgebra(a, r)),
+    "dendriform-from-hessian": (_WITH_FORM, lambda a, b: dendriform_from_hessian(a, b)),
+    "semidirect": (("representation",),
+                   lambda rep: semidirect_pre_lie(*_pre_lie_rep(rep, "semidirect"))),
+    "semidirect-smatrix": (("o_operator",),
+                           lambda o: semidirect_smatrix(o.algebra, o.rep, o.matrix)[:2]),
+    "canonical-smatrix": (("dendriform",), lambda d: canonical_smatrix(d)),
 }
 
 
@@ -169,7 +111,9 @@ def run_derive(construction, docs):
     """Apply a named construction to parsed documents; returns result documents."""
     if construction not in CONSTRUCTIONS:
         raise UnknownSlug("unknown construction %r" % (construction,))
-    return CONSTRUCTIONS[construction](docs)
+    kinds, call = CONSTRUCTIONS[construction]
+    built = call(*_expect(docs, kinds, construction))
+    return [document_for(value) for value in (built if isinstance(built, tuple) else (built,))]
 
 
 def _reports_agreement(reports):
@@ -179,29 +123,7 @@ def _reports_agreement(reports):
                             {"reports": reports})
 
 
-def _check_double(docs, kind, slug, validate_pair, build_double, validate_double):
-    (mp,) = _expect(docs, (kind,), slug)
-    return _reports_agreement({"matched_pair": validate_pair(mp),
-                               "double": validate_double(build_double(mp))})
-
-
-def _check_double_lie(docs):
-    return _check_double(docs, "matched_pair_lie", "double-lie-equiv",
-                         validate_matched_pair_lie, double_lie, validate_hom_lie)
-
-
-def _check_double_pre_lie(docs):
-    return _check_double(docs, "matched_pair_pre_lie", "double-pre-lie-equiv",
-                         validate_matched_pair_pre_lie, double_pre_lie, validate_hom_pre_lie)
-
-
-def _check_matched_equiv(docs):
-    a, adual = _expect(docs, ("hom_pre_lie", "hom_pre_lie"), "matched-equiv")
-    return check_pre_lie_matched_equiv(a, adual)
-
-
-def _check_manin_standardize(docs):
-    (mt,) = _expect(docs, ("manin_triple",), "manin-standardize")
+def _manin_standardize(mt):
     built = standardize_manin_triple(mt)
     named = [
         ("standard", validate_manin_triple(built.standard)),
@@ -220,18 +142,7 @@ def _check_manin_standardize(docs):
     return combine_reports(named)
 
 
-def _check_bialgebra_tri_equiv(docs):
-    a, adual = _expect(docs, ("hom_pre_lie", "hom_pre_lie"), "bialgebra-tri-equiv")
-    return check_equivalence_theorem(a, adual)
-
-
-def _check_s_identity(docs):
-    a, r = _expect(docs, ("hom_pre_lie", "tensor2"), "s-identity")
-    return check_pro3(a, r)
-
-
-def _check_p_condition(docs):
-    a, r = _expect(docs, ("hom_pre_lie", "tensor2"), "p-condition")
+def _p_condition(a, r):
     dual = dual_product_from_r(a, r)
     p_report = check_P_condition(a, r)
     cocycle_report = check_one_cocycle(sub_adjacent(dual), coboundary_rep(dual),
@@ -239,23 +150,7 @@ def _check_p_condition(docs):
     return _reports_agreement({"p_condition": p_report, "cocycle": cocycle_report})
 
 
-def _check_triangular(docs):
-    a, r = _expect(docs, ("hom_pre_lie", "tensor2"), "triangular")
-    return validate_bialgebra(triangular_bialgebra(a, r))
-
-
-def _check_smatrix_ooperator(docs):
-    a, r = _expect(docs, ("hom_pre_lie", "tensor2"), "smatrix-ooperator")
-    return check_smatrix_ooperator_equiv(a, r)
-
-
-def _check_dendriform_reps(docs):
-    (d,) = _expect(docs, ("dendriform",), "dendriform-reps")
-    return dendriform_rep_check(d)
-
-
-def _check_o_to_dendriform(docs):
-    (o,) = _expect(docs, ("o_operator",), "o-to-dendriform")
+def _o_to_dendriform(o):
     built = dendriform_from_o_operator(o)
     named = [
         ("space", validate_l_dendriform(built.on_space)),
@@ -267,36 +162,16 @@ def _check_o_to_dendriform(docs):
     return combine_reports(named)
 
 
-def _tensor_match_failures(identity, produced, wanted):
-    diff = produced - wanted
-    return [Failure(identity, index, (c,)) for index, c in diff.nonzero_items()]
-
-
-def _check_invertible_o(docs):
-    (o,) = _expect(docs, ("o_operator",), "invertible-o")
-    d = compatible_dendriform_from_invertible(o)
+def _vertical_recovers(d, product):
+    """The dendriform structure's report and whether its vertical product is the given one."""
     named = [("dendriform", validate_l_dendriform(d))]
-    named.append(("vertical", ValidationReport(
-        _tensor_match_failures("vertical-recovers", _vertical_table(d), o.algebra.product))))
+    diff = _vertical_table(d) - product
+    failures = [Failure("vertical-recovers", index, (c,)) for index, c in diff.nonzero_items()]
+    named.append(("vertical", ValidationReport(failures)))
     return combine_reports(named)
 
 
-def _check_hessian_dendriform(docs):
-    a, b = _expect(docs, ("hom_pre_lie", "bilinear_form"), "hessian-dendriform")
-    d = dendriform_from_hessian(a, b)
-    named = [("dendriform", validate_l_dendriform(d))]
-    named.append(("vertical", ValidationReport(
-        _tensor_match_failures("vertical-recovers", _vertical_table(d), a.product))))
-    return combine_reports(named)
-
-
-def _check_semidirect_smatrix(docs):
-    (o,) = _expect(docs, ("o_operator",), "semidirect-smatrix")
-    return semidirect_smatrix(o.algebra, o.rep, o.matrix).verdict
-
-
-def _check_canonical_smatrix(docs):
-    (d,) = _expect(docs, ("dendriform",), "canonical-smatrix")
+def _canonical_smatrix(d):
     built = canonical_smatrix(d)
     ambient = validate_hom_pre_lie(built.algebra)
     failures = []
@@ -310,21 +185,27 @@ def _check_canonical_smatrix(docs):
 
 
 CHECKS = {
-    "double-lie-equiv": _check_double_lie,
-    "double-pre-lie-equiv": _check_double_pre_lie,
-    "matched-equiv": _check_matched_equiv,
-    "manin-standardize": _check_manin_standardize,
-    "bialgebra-tri-equiv": _check_bialgebra_tri_equiv,
-    "s-identity": _check_s_identity,
-    "p-condition": _check_p_condition,
-    "triangular": _check_triangular,
-    "smatrix-ooperator": _check_smatrix_ooperator,
-    "dendriform-reps": _check_dendriform_reps,
-    "o-to-dendriform": _check_o_to_dendriform,
-    "invertible-o": _check_invertible_o,
-    "hessian-dendriform": _check_hessian_dendriform,
-    "semidirect-smatrix": _check_semidirect_smatrix,
-    "canonical-smatrix": _check_canonical_smatrix,
+    "double-lie-equiv": (("matched_pair_lie",), lambda mp: _reports_agreement(
+        {"matched_pair": validate_matched_pair_lie(mp), "double": validate_hom_lie(double_lie(mp))})),
+    "double-pre-lie-equiv": (("matched_pair_pre_lie",), lambda mp: _reports_agreement(
+        {"matched_pair": validate_matched_pair_pre_lie(mp),
+         "double": validate_hom_pre_lie(double_pre_lie(mp))})),
+    "matched-equiv": (_PAIR, lambda a, adual: check_pre_lie_matched_equiv(a, adual)),
+    "manin-standardize": (("manin_triple",), _manin_standardize),
+    "bialgebra-tri-equiv": (_PAIR, lambda a, adual: check_equivalence_theorem(a, adual)),
+    "s-identity": (_WITH_R, lambda a, r: check_pro3(a, r)),
+    "p-condition": (_WITH_R, _p_condition),
+    "triangular": (_WITH_R, lambda a, r: validate_bialgebra(triangular_bialgebra(a, r))),
+    "smatrix-ooperator": (_WITH_R, lambda a, r: check_smatrix_ooperator_equiv(a, r)),
+    "dendriform-reps": (("dendriform",), lambda d: dendriform_rep_check(d)),
+    "o-to-dendriform": (("o_operator",), _o_to_dendriform),
+    "invertible-o": (("o_operator",), lambda o: _vertical_recovers(
+        compatible_dendriform_from_invertible(o), o.algebra.product)),
+    "hessian-dendriform": (_WITH_FORM, lambda a, b: _vertical_recovers(
+        dendriform_from_hessian(a, b), a.product)),
+    "semidirect-smatrix": (("o_operator",),
+                           lambda o: semidirect_smatrix(o.algebra, o.rep, o.matrix).verdict),
+    "canonical-smatrix": (("dendriform",), _canonical_smatrix),
 }
 
 EXPLANATIONS = {
@@ -393,5 +274,5 @@ def run_check(slug, docs):
     """Run one registered theorem checker; exit 0 iff the asserted statement holds."""
     if slug not in CHECKS:
         raise UnknownSlug("unknown check %r" % (slug,))
-    report = CHECKS[slug](docs)
-    return CheckResult(report, 0 if report.valid else 1)
+    kinds, call = CHECKS[slug]
+    return _result(call(*_expect(docs, kinds, slug)))

@@ -83,8 +83,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, (bool, int, str)) or value is None:
         return value
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -129,7 +127,7 @@ def _cmd_check(args):
     else:
         print("%s: fails, %d failure(s)" % (args.slug, result.report.failure_count))
         _print_report(result.report, args.verbose)
-    _print_details(result.report.details or {})
+    _print_details(result.report.details)
     return result.exit_code
 
 

@@ -619,6 +619,28 @@ def tensor2_to_map(r):
                      rows=r.dim_right, cols=r.dim_left)
 
 
+def direct_sum_table(dim, tables, actions):
+    """The (dim, dim, dim) structure table of a direct sum, placed block by block.
+    tables holds (offset, table) pairs: entry (i, j, k) of the table lands at
+    (offset + i, offset + j, offset + k). actions holds (maps, acting, acted,
+    swap, negate) rows: entry (k, j) of maps[i], the action of basis vector i
+    of the summand at offset acting on basis vector j of the summand at offset
+    acted, lands at (acting + i, acted + j, acted + k), or at (acted + j,
+    acting + i, acted + k) when swap is set, negated when negate is set."""
+    items = {}
+    for offset, table in tables:
+        for (i, j, k), c in table.nonzero_items():
+            items[(offset + i, offset + j, offset + k)] = c
+    for maps, acting, acted, swap, negate in actions:
+        for i, m in enumerate(maps):
+            for j, column in enumerate(zip(*m.entries)):
+                x, y = (acted + j, acting + i) if swap else (acting + i, acted + j)
+                for k, c in enumerate(column):
+                    if c != 0:
+                        items[(x, y, acted + k)] = -c if negate else c
+    return Tensor3.from_entries((dim, dim, dim), items)
+
+
 def map_direct_sum(f, g):
     """Block diagonal sum of two maps."""
     rows = f.rows + g.rows

@@ -10,7 +10,7 @@ from collections import namedtuple
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput, TwistMismatch
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vector,
-                         map_direct_sum, sub_vectors)
+                         direct_sum_table, map_direct_sum, sub_vectors)
 from .algebras import (BilinearForm, Failure, HomLieAlgebra, HomPreLieAlgebra,
                        ValidationReport, agreement_report, combine_reports, validate_hom_lie,
                        validate_hom_pre_lie, validate_quadratic, _record)
@@ -152,26 +152,9 @@ def double_lie(mp):
     g = mp.first
     h = mp.second
     n = g.dim
-    m = h.dim
-    total = n + m
-    items = {}
-    for (i, j, k), c in g.bracket.nonzero_items():
-        items[(i, j, k)] = c
-    for (i, j, k), c in h.bracket.nonzero_items():
-        items[(n + i, n + j, n + k)] = c
-    for i in range(n):
-        for j in range(m):
-            acted = mp.first_action[i].column(j)
-            for k, c in enumerate(acted):
-                if c != 0:
-                    items[(i, n + j, n + k)] = c
-                    items[(n + j, i, n + k)] = -c
-            acted = mp.second_action[j].column(i)
-            for k, c in enumerate(acted):
-                if c != 0:
-                    items[(i, n + j, k)] = -c
-                    items[(n + j, i, k)] = c
-    bracket = Tensor3.from_entries((total, total, total), items)
+    bracket = direct_sum_table(n + h.dim, [(0, g.bracket), (n, h.bracket)], [
+        (mp.first_action, 0, n, False, False), (mp.first_action, 0, n, True, True),
+        (mp.second_action, n, 0, False, False), (mp.second_action, n, 0, True, True)])
     return HomLieAlgebra(bracket, map_direct_sum(g.twist, h.twist))
 
 
@@ -246,32 +229,9 @@ def double_pre_lie(mp):
     a = mp.first
     b = mp.second
     n = a.dim
-    m = b.dim
-    total = n + m
-    items = {}
-    for (i, j, k), c in a.product.nonzero_items():
-        items[(i, j, k)] = c
-    for (i, j, k), c in b.product.nonzero_items():
-        items[(n + i, n + j, n + k)] = c
-    for i in range(n):
-        for j in range(m):
-            part = mp.second_right[j].column(i)
-            for k, c in enumerate(part):
-                if c != 0:
-                    items[(i, n + j, k)] = c
-            part = mp.first_left[i].column(j)
-            for k, c in enumerate(part):
-                if c != 0:
-                    items[(i, n + j, n + k)] = c
-            part = mp.second_left[j].column(i)
-            for k, c in enumerate(part):
-                if c != 0:
-                    items[(n + j, i, k)] = c
-            part = mp.first_right[i].column(j)
-            for k, c in enumerate(part):
-                if c != 0:
-                    items[(n + j, i, n + k)] = c
-    product = Tensor3.from_entries((total, total, total), items)
+    product = direct_sum_table(n + b.dim, [(0, a.product), (n, b.product)], [
+        (mp.first_left, 0, n, False, False), (mp.first_right, 0, n, True, False),
+        (mp.second_left, n, 0, False, False), (mp.second_right, n, 0, True, False)])
     return HomPreLieAlgebra(product, map_direct_sum(a.twist, b.twist))
 
 

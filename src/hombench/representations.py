@@ -19,7 +19,8 @@ its own table (Tensor3.left_at, Tensor3.right_at).
 """
 
 from .errors import DimensionMismatch, InvalidInput, SingularMap
-from .foundation import map_direct_sum, sub_vectors, tensor_product_map, Tensor3
+from .foundation import (Tensor3, direct_sum_table, map_direct_sum, sub_vectors,
+                         tensor_product_map)
 from .algebras import (HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
                        validate_hom_lie, validate_hom_pre_lie, _record)
 
@@ -264,22 +265,8 @@ def check_one_cocycle(g, rep, delta):
 def semidirect_product_raw(a, rep):
     """Build the semidirect product table without validating the action pair."""
     n = a.dim
-    m = rep.space_dim
-    total = n + m
-    items = {}
-    for (i, j, k), c in a.product.nonzero_items():
-        items[(i, j, k)] = c
-    for i in range(n):
-        for j in range(m):
-            col = rep.left[i].column(j)
-            for k, c in enumerate(col):
-                if c != 0:
-                    items[(i, n + j, n + k)] = c
-            col = rep.right[i].column(j)
-            for k, c in enumerate(col):
-                if c != 0:
-                    items[(n + j, i, n + k)] = c
-    table = Tensor3.from_entries((total, total, total), items)
+    table = direct_sum_table(n + rep.space_dim, [(0, a.product)],
+                             [(rep.left, 0, n, False, False), (rep.right, 0, n, True, False)])
     return HomPreLieAlgebra(table, map_direct_sum(a.twist, rep.twist))
 
 

@@ -1,17 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import sweeps
 from hombench import (BilinearForm, DimensionMismatch, HomLieAlgebra, HomPreLieAlgebra,
-                      LieMatchedPair, LinearMap, ManinTriple, PreLieMatchedPair, Tensor3,
-                      TwistMismatch, adjoint_rep, check_pre_lie_matched_equiv,
+                      HomPreLieRep, LieMatchedPair, LinearMap, ManinTriple, PreLieMatchedPair,
+                      Tensor3, TwistMismatch, adjoint_rep, apply_bilinear,
+                      check_pre_lie_matched_equiv,
                       coadjoint_lie_matched_pair, coadjoint_matched_pair, double_lie,
                       double_pre_lie, dual_pre_lie_rep, map_direct_sum, shifted_rep,
                       standard_manin_triple, standardize_manin_triple, sub_adjacent,
                       validate_hom_lie, validate_hom_pre_lie, validate_manin_triple,
                       validate_matched_pair_lie, validate_matched_pair_pre_lie)
 from hombench import fixtures
+from hombench.representations import semidirect_product_raw
 
 TWISTED = (fixtures.scaling_algebra, fixtures.scaled_nilpotent_algebra)
 SCALARS = (Fraction(2), Fraction(-1), Fraction(1, 3))
@@ -296,3 +299,56 @@ def test_pinned_failures_of_an_unequal_lie_pair():
         ("cross-second", (2, 1, 0), (-2, 0)),
     ]
     assert not validate_hom_lie(double_lie(bad)).valid
+
+
+def _random_map(rng, rows, cols):
+    return LinearMap(tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols))
+                           for _ in range(rows)), rows=rows, cols=cols)
+
+
+def _random_table(rng, n):
+    return Tensor3.from_entries((n, n, n), {(i, j, k): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                            for i in range(n) for j in range(n) for k in range(n)})
+
+
+def test_direct_sums_multiply_by_their_defining_formulas():
+    """Each direct sum table, read back on split vectors x + u and y + v:
+    double_lie gives [x,y] + rho'(u)y - rho'(v)x + [u,v] + rho(x)v - rho(y)u,
+    double_pre_lie gives x.y + l'(u)y + r'(v)x + u.v + l(x)v + r(y)u, and the
+    semidirect product gives x.y + rho(x)v + mu(y)u."""
+    def at(maps, x):
+        total = LinearMap.zero(maps[0].rows, maps[0].cols)
+        for c, m in zip(x, maps):
+            total = total + m.scale(c)
+        return total
+
+    def add(*vectors):
+        return tuple(sum(parts) for parts in zip(*vectors))
+
+    def neg(v):
+        return tuple(-c for c in v)
+
+    rng = random.Random(5)
+    for n, m in ((1, 3), (3, 2), (2, 2)):
+        g, h = _random_table(rng, n), _random_table(rng, m)
+        twist_g, twist_h = _random_map(rng, n, n), _random_map(rng, m, m)
+        x, y = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)) for _ in range(2)]
+        u, v = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(m)) for _ in range(2)]
+        rho, mu = [[_random_map(rng, m, m) for _ in range(n)] for _ in range(2)]
+        back, back_mu = [[_random_map(rng, n, n) for _ in range(m)] for _ in range(2)]
+
+        lie = double_lie(LieMatchedPair(HomLieAlgebra(g, twist_g), HomLieAlgebra(h, twist_h), rho, back))
+        got = apply_bilinear(lie.bracket, x + u, y + v)
+        assert got[:n] == add(apply_bilinear(g, x, y), at(back, u).apply(y), neg(at(back, v).apply(x)))
+        assert got[n:] == add(apply_bilinear(h, u, v), at(rho, x).apply(v), neg(at(rho, y).apply(u)))
+
+        a, b = HomPreLieAlgebra(g, twist_g), HomPreLieAlgebra(h, twist_h)
+        pre = double_pre_lie(PreLieMatchedPair(a, b, rho, mu, back, back_mu))
+        got = apply_bilinear(pre.product, x + u, y + v)
+        assert got[:n] == add(apply_bilinear(g, x, y), at(back, u).apply(y), at(back_mu, v).apply(x))
+        assert got[n:] == add(apply_bilinear(h, u, v), at(rho, x).apply(v), at(mu, y).apply(u))
+
+        semi = semidirect_product_raw(a, HomPreLieRep(a, m, twist_h, rho, mu))
+        got = apply_bilinear(semi.product, x + u, y + v)
+        assert got == apply_bilinear(g, x, y) + add(at(rho, x).apply(v), at(mu, y).apply(u))
+        assert semi.twist == pre.twist == lie.twist == map_direct_sum(twist_g, twist_h)
