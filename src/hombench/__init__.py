@@ -3,7 +3,7 @@
 from .errors import (AsymmetricInput, BudgetExceeded, DimensionMismatch,
                      IntertwinerViolation, InvalidInput, NotAnSMatrix, ParseError,
                      Pro1Violation, SingularMap, TwistMismatch, UnknownSlug,
-                     UnsupportedKind, WorkbenchError)
+                     UnsupportedKind, UsageError, WorkbenchError)
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vector,
                          frac, map_direct_sum, tensor2_to_map, tensor_product_map,
                          zero_vector)

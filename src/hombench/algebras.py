@@ -6,13 +6,19 @@ A Hom-pre-Lie algebra is a product table plus a twist alpha satisfying
 multiplicativity and symmetry of the twisted associator in its first two
 arguments. Validators return reports with exact residual witnesses; they
 never raise on mathematically invalid candidates, only on shape errors.
+
+Each validator sums every identity instance in ints: the operators it applies
+come from foundation._integer_family at one common denominator D, and the
+vectors they apply to (table slices and map columns) at another, d. An
+instance is then a list of int dot products, sum(map(mul, row, v)), tested for
+zero; only a failing one is divided by D * d into its exact residual (_record).
 """
 
-from operator import add
+from operator import add, mul, sub
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput
-from .foundation import (Tensor2, Tensor3, apply_bilinear, basis_vector, is_zero_vector,
-                         sub_vectors, tensor2_to_map)
+from .foundation import (Tensor2, Tensor3, apply_bilinear, sub_vectors, tensor2_to_map,
+                         _integer_family, _quotients)
 
 
 class Failure:
@@ -219,9 +225,11 @@ class BilinearForm:
         return "BilinearForm(dim=%d, %s)" % (self.dim, self.symmetry)
 
 
-def _record(failures, identity, witness, residual):
-    if not is_zero_vector(residual):
-        failures.append(Failure(identity, witness, residual))
+def _record(failures, identity, witness, totals, d=1):
+    """Record a failure when the ints (or exact scalars) in totals are not all
+    zero; its residual is totals / d, built only then."""
+    if any(totals):
+        failures.append(Failure(identity, witness, _quotients(totals, d)))
 
 
 def validate_hom_lie(cand):
@@ -233,26 +241,28 @@ def validate_hom_lie(cand):
     n = cand.dim
     phi = cand.twist
     failures = []
+    d, (planes, twist_rows) = _integer_family([cand.bracket, phi])
     for i in range(n):
         for j in range(i, n):
-            residual = tuple(a + b for a, b in zip(cand.basis_bracket(i, j), cand.basis_bracket(j, i)))
-            _record(failures, "skew-symmetry", (i, j), residual)
+            _record(failures, "skew-symmetry", (i, j), list(map(add, planes[i][j], planes[j][i])), d)
     if not phi.is_invertible():
         failures.append(Failure("twist-invertible", (), ()))
-    phis = [phi.column(i) for i in range(n)]
-    ad = [cand.bracket.left_at(p) for p in phis]
+    phis = list(zip(*twist_rows))
+    D, (phi_rows, *ad) = _integer_family([phi] + [cand.bracket.left_at(phi.column(i)) for i in range(n)])
+    scale = D * d
     for i in range(n):
         for j in range(n):
-            lhs = phi.apply(cand.basis_bracket(i, j))
-            rhs = ad[i].apply(phis[j])
-            _record(failures, "twist-bracket-morphism", (i, j), sub_vectors(lhs, rhs))
-    terms = [[[ad[a].apply(cand.basis_bracket(b, c)) for c in range(n)] for b in range(n)]
+            bracket, twisted = planes[i][j], phis[j]
+            _record(failures, "twist-bracket-morphism", (i, j),
+                    [sum(map(mul, pr, bracket)) - sum(map(mul, ar, twisted))
+                     for pr, ar in zip(phi_rows, ad[i])], scale)
+    terms = [[[[sum(map(mul, row, planes[b][c])) for row in ad[a]] for c in range(n)] for b in range(n)]
              for a in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 cyclic = zip(terms[i][j][k], terms[j][k][i], terms[k][i][j])
-                _record(failures, "hom-jacobi", (i, j, k), tuple(p + q + r for p, q, r in cyclic))
+                _record(failures, "hom-jacobi", (i, j, k), [p + q + r for p, q, r in cyclic], scale)
     return ValidationReport(failures)
 
 
@@ -266,22 +276,28 @@ def validate_hom_pre_lie(cand):
     failures = []
     if not alpha.is_invertible():
         failures.append(Failure("twist-invertible", (), ()))
-    alphas = [alpha.column(i) for i in range(n)]
-    left = [cand.product.left_at(a) for a in alphas]
-    right = [cand.product.right_at(a) for a in alphas]
+    twisted = [alpha.column(i) for i in range(n)]
+    D, (alpha_rows, *ops) = _integer_family([alpha] + [cand.product.left_at(a) for a in twisted]
+                                            + [cand.product.right_at(a) for a in twisted])
+    left, right = ops[:n], ops[n:]
+    d, (planes, twist_rows) = _integer_family([cand.product, alpha])
+    alphas = list(zip(*twist_rows))
+    scale = D * d
     for i in range(n):
         for j in range(n):
-            lhs = alpha.apply(cand.basis_product(i, j))
-            rhs = left[i].apply(alphas[j])
-            _record(failures, "twist-product-morphism", (i, j), sub_vectors(lhs, rhs))
+            product, aj = planes[i][j], alphas[j]
+            _record(failures, "twist-product-morphism", (i, j),
+                    [sum(map(mul, ar, product)) - sum(map(mul, lr, aj))
+                     for ar, lr in zip(alpha_rows, left[i])], scale)
     for i in range(n):
         for j in range(i + 1, n):
             # (xy)a(z) - a(x)(yz) - (yx)a(z) + a(y)(xz) = [x, y]a(z) - a(x)(yz) + a(y)(xz)
-            commutator = sub_vectors(cand.basis_product(i, j), cand.basis_product(j, i))
+            commutator = list(map(sub, planes[i][j], planes[j][i]))
             for k in range(n):
-                residual = sub_vectors(right[k].apply(commutator), left[i].apply(cand.basis_product(j, k)))
-                residual = tuple(map(add, residual, left[j].apply(cand.basis_product(i, k))))
-                _record(failures, "twisted-associator-symmetry", (i, j, k), residual)
+                u, w = planes[j][k], planes[i][k]
+                _record(failures, "twisted-associator-symmetry", (i, j, k),
+                        [sum(map(mul, rk, commutator)) - sum(map(mul, li, u)) + sum(map(mul, lj, w))
+                         for rk, li, lj in zip(right[k], left[i], left[j])], scale)
     return ValidationReport(failures)
 
 
@@ -299,22 +315,46 @@ def check_morphism(f, src, dst):
     if f.cols != src.dim or f.rows != dst.dim:
         raise DimensionMismatch("map is %dx%d between dims %d -> %d" % (f.rows, f.cols, src.dim, dst.dim))
     failures = []
-    lhs = f @ src.twist
-    rhs = dst.twist @ f
-    for j in range(src.dim):
-        _record(failures, "twist-intertwine", (j,), sub_vectors(lhs.column(j), rhs.column(j)))
     src_table = src.operation()
     dst_table = dst.operation()
+    D, (f_rows, twist_rows, *at_images) = _integer_family(
+        [f, dst.twist] + [dst_table.left_at(f.column(i)) for i in range(src.dim)])     # f(e_i) * -
+    d, (planes, src_twist, f_ints) = _integer_family([src_table, src.twist, f])
+    src_cols = list(zip(*src_twist))
+    f_cols = list(zip(*f_ints))
+    scale = D * d
+    for j in range(src.dim):
+        moved, image = src_cols[j], f_cols[j]
+        _record(failures, "twist-intertwine", (j,),
+                [sum(map(mul, fr, moved)) - sum(map(mul, tr, image))
+                 for fr, tr in zip(f_rows, twist_rows)], scale)
     for i in range(src.dim):
         for j in range(src.dim):
-            mapped = f.apply(src_table.slice12(i, j))
-            recomputed = apply_bilinear(dst_table, f.column(i), f.column(j))
-            _record(failures, "operation-preserved", (i, j), sub_vectors(mapped, recomputed))
+            product, image = planes[i][j], f_cols[j]
+            _record(failures, "operation-preserved", (i, j),
+                    [sum(map(mul, fr, product)) - sum(map(mul, lr, image))
+                     for fr, lr in zip(f_rows, at_images[i])], scale)
     return ValidationReport(failures)
 
 
+def _form_ints(form, twist):
+    """(D, moved, plain, outer, inner): the form's data as ints at one common
+    denominator D, with moved[i][j] = form(alpha(e_i), alpha(e_j)) and
+    plain[i][j] = form(e_i, e_j) times D, and the covectors outer[k] and
+    inner[j] with form(x, alpha(e_k)) = x . outer[k] / D and
+    form(alpha(e_j), y) = inner[j] . y / D."""
+    sharp = form.sharp()
+    matrix = sharp.transpose()
+    at_twist = matrix @ twist                  # column k: M alpha(e_k)
+    D, (moved, plain, outer, inner) = _integer_family([twist.transpose() @ at_twist, matrix, at_twist,
+                                                       sharp @ twist])
+    return D, moved, plain, list(zip(*outer)), list(zip(*inner))
+
+
 def validate_quadratic(a, w):
-    """Check that a skew form is twist-invariant and pairs the product against the commutator."""
+    """Check that a skew form is twist-invariant and pairs the product against the commutator.
+
+    Each instance is two int dot products against covectors built once per call."""
     if w.symmetry != "skew":
         raise AsymmetricInput("quadratic structures use a skew form")
     if w.dim != a.dim:
@@ -323,23 +363,27 @@ def validate_quadratic(a, w):
     failures = []
     if not w.is_nondegenerate():
         failures.append(Failure("nondegenerate", (), ()))
-    basis = [basis_vector(n, i) for i in range(n)]
-    alphas = [a.twist.apply(b) for b in basis]
+    D, moved, plain, outer, inner = _form_ints(w, a.twist)
     for i in range(n):
         for j in range(n):
-            residual = w.apply(alphas[i], alphas[j]) - w.apply(basis[i], basis[j])
-            _record(failures, "twist-invariance", (i, j), (residual,))
+            _record(failures, "twist-invariance", (i, j), (moved[i][j] - plain[i][j],), D)
+    d, (planes,) = _integer_family([a.product])
+    commutators = [[list(map(sub, planes[i][k], planes[k][i])) for k in range(n)] for i in range(n)]
+    scale = D * d
     for i in range(n):
         for j in range(n):
+            product, covector = planes[i][j], inner[j]
             for k in range(n):
-                residual = (w.apply(a.basis_product(i, j), alphas[k])
-                            + w.apply(alphas[j], a.commutator_of(basis[i], basis[k])))
-                _record(failures, "product-invariance", (i, j, k), (residual,))
+                # w(e_i e_j, alpha(e_k)) + w(alpha(e_j), [e_i, e_k])
+                total = sum(map(mul, product, outer[k])) + sum(map(mul, covector, commutators[i][k]))
+                _record(failures, "product-invariance", (i, j, k), (total,), scale)
     return ValidationReport(failures)
 
 
 def validate_hessian(a, b):
-    """Check that a symmetric form is twist-invariant and satisfies the product cocycle symmetry."""
+    """Check that a symmetric form is twist-invariant and satisfies the product cocycle symmetry.
+
+    Each instance is three int dot products against covectors built once per call."""
     if b.symmetry != "symmetric":
         raise AsymmetricInput("hessian structures use a symmetric form")
     if b.dim != a.dim:
@@ -348,16 +392,18 @@ def validate_hessian(a, b):
     failures = []
     if not b.is_nondegenerate():
         failures.append(Failure("nondegenerate", (), ()))
-    basis = [basis_vector(n, i) for i in range(n)]
-    alphas = [a.twist.apply(v) for v in basis]
+    D, moved, plain, outer, inner = _form_ints(b, a.twist)
     for i in range(n):
         for j in range(i, n):
-            residual = b.apply(alphas[i], alphas[j]) - b.apply(basis[i], basis[j])
-            _record(failures, "twist-invariance", (i, j), (residual,))
+            _record(failures, "twist-invariance", (i, j), (moved[i][j] - plain[i][j],), D)
+    d, (planes,) = _integer_family([a.product])
+    scale = D * d
     for i in range(n):
         for j in range(i + 1, n):
+            commutator = list(map(sub, planes[i][j], planes[j][i]))
             for k in range(n):
-                lhs = b.apply(a.basis_product(i, j), alphas[k]) - b.apply(alphas[i], a.basis_product(j, k))
-                rhs = b.apply(a.basis_product(j, i), alphas[k]) - b.apply(alphas[j], a.basis_product(i, k))
-                _record(failures, "cocycle-symmetry", (i, j, k), (lhs - rhs,))
+                # b([e_i, e_j], alpha(e_k)) - b(alpha(e_i), e_j e_k) + b(alpha(e_j), e_i e_k)
+                total = (sum(map(mul, commutator, outer[k])) - sum(map(mul, inner[i], planes[j][k]))
+                         + sum(map(mul, inner[j], planes[i][k])))
+                _record(failures, "cocycle-symmetry", (i, j, k), (total,), scale)
     return ValidationReport(failures)

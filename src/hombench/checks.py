@@ -12,7 +12,7 @@ a rebinding of this module's globals (as the bench tracer does) reaches it.
 
 from collections import namedtuple
 
-from .errors import InvalidInput, UnsupportedKind, UnknownSlug
+from .errors import UnsupportedKind, UnknownSlug, UsageError
 from .foundation import basis_vector
 from .algebras import (Failure, ValidationReport, agreement_report, check_morphism,
                        combine_reports, sub_adjacent, validate_hom_lie, validate_hom_pre_lie)
@@ -64,11 +64,11 @@ def run_validate(doc):
 
 def _expect(docs, kinds, name):
     if len(docs) != len(kinds):
-        raise InvalidInput("%s takes %d document(s), got %d" % (name, len(kinds), len(docs)))
+        raise UsageError("%s takes %d document(s), got %d" % (name, len(kinds), len(docs)))
     values = []
     for doc, kind in zip(docs, kinds):
         if doc.kind != kind:
-            raise InvalidInput("%s expects a %s document, got %s" % (name, kind, doc.kind))
+            raise UsageError("%s expects a %s document, got %s" % (name, kind, doc.kind))
         values.append(doc.value)
     return values
 
@@ -76,7 +76,7 @@ def _expect(docs, kinds, name):
 def _pre_lie_rep(rep, name):
     """The (algebra, representation) arguments of a pre-Lie-side construction."""
     if isinstance(rep, HomLieRep):
-        raise InvalidInput("%s takes a pre-Lie representation" % name)
+        raise UsageError("%s takes a pre-Lie representation" % name)
     return rep.algebra, rep
 
 

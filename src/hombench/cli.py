@@ -1,11 +1,12 @@
 """Command line front end: validate, derive, check, search, explain."""
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
-from .errors import ParseError, WorkbenchError
+from .errors import ParseError, UsageError, WorkbenchError
 from .algebras import ValidationReport
 from .documents import parse_documents, serialize_documents
 from .checks import CHECKS, CONSTRUCTIONS, EXPLANATIONS, run_check, run_derive, run_validate
@@ -164,7 +165,9 @@ def _cmd_explain(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="hombench",
         description="Exact-arithmetic workbench for twisted Lie and pre-Lie structures.")
@@ -217,7 +220,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.verb](args)
-    except ParseError as exc:
+    except (ParseError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except WorkbenchError as exc:

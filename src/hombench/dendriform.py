@@ -9,12 +9,12 @@ on algebra-plus-dual-space whose solution property mirrors the operator one.
 """
 
 from collections import namedtuple
-from operator import add
+from operator import add, mul, sub
 
 from .errors import (AsymmetricInput, DimensionMismatch, IntertwinerViolation, InvalidInput,
                      SingularMap)
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vector, row_reduce,
-                         sub_vectors)
+                         sub_vectors, _integer_family)
 from .algebras import (Failure, HomPreLieAlgebra, ValidationReport, agreement_report,
                        combine_reports, validate_hessian, validate_hom_pre_lie, _record)
 from .representations import (HomPreLieRep, action_table, coadjoint_pre_lie_rep,
@@ -69,45 +69,55 @@ def validate_l_dendriform(cand):
     splitting axioms.
 
     Every product with a twisted basis vector alpha(e_i) is read from its left
-    or right multiplication operator for |> or <|, built once per call."""
+    or right multiplication operator for |> or <|, built once per call, and each
+    instance is summed in ints as in the validators of algebras."""
     n = cand.dim
     alpha = cand.twist
     failures = []
     if not alpha.is_invertible():
         failures.append(Failure("twist-invertible", (), ()))
-    alphas = [alpha.column(i) for i in range(n)]
-    left_l = [cand.left.left_at(a) for a in alphas]        # alpha(e_i) |> -
-    left_r = [cand.left.right_at(a) for a in alphas]       # - |> alpha(e_k)
-    right_l = [cand.right.left_at(a) for a in alphas]      # alpha(e_i) <| -
-    right_r = [cand.right.right_at(a) for a in alphas]     # - <| alpha(e_k)
+    twisted = [alpha.column(i) for i in range(n)]
+    D, (alpha_rows, *ops) = _integer_family([alpha]
+                                            + [cand.left.left_at(a) for a in twisted]     # alpha(e_i) |> -
+                                            + [cand.left.right_at(a) for a in twisted]    # - |> alpha(e_k)
+                                            + [cand.right.left_at(a) for a in twisted]    # alpha(e_i) <| -
+                                            + [cand.right.right_at(a) for a in twisted])  # - <| alpha(e_k)
+    left_l, left_r, right_l, right_r = (ops[s * n:(s + 1) * n] for s in range(4))
+    d, (lt, rt, twist_ints) = _integer_family([cand.left, cand.right, alpha])
+    alphas = list(zip(*twist_ints))
+    scale = D * d
     for i in range(n):
         for j in range(n):
+            aj = alphas[j]
             _record(failures, "twist-left-morphism", (i, j),
-                    sub_vectors(alpha.apply(cand.basis_left(i, j)), left_l[i].apply(alphas[j])))
+                    [sum(map(mul, ar, lt[i][j])) - sum(map(mul, lr, aj))
+                     for ar, lr in zip(alpha_rows, left_l[i])], scale)
             _record(failures, "twist-right-morphism", (i, j),
-                    sub_vectors(alpha.apply(cand.basis_right(i, j)), right_l[i].apply(alphas[j])))
+                    [sum(map(mul, ar, rt[i][j])) - sum(map(mul, rr, aj))
+                     for ar, rr in zip(alpha_rows, right_l[i])], scale)
 
     # Products are linear in each slot, so terms that share an operator are
     # applied once to the sum x |> y + x <| y or to the difference x |> y - y <| x.
-    both = [[tuple(map(add, cand.basis_left(i, j), cand.basis_right(i, j))) for j in range(n)]
-            for i in range(n)]
-
-    def half(i, j, k):
-        # (x|>y)|>a(z) + (x<|y)|>a(z) + a(y)|>(x|>z) for x=e_i, y=e_j, z=e_k
-        return tuple(map(add, left_r[k].apply(both[i][j]), left_l[j].apply(cand.basis_left(i, k))))
-
+    both = [[list(map(add, lt[i][j], rt[i][j])) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
+            # half(x, y, z) = (x|>y)|>a(z) + (x<|y)|>a(z) + a(y)|>(x|>z), for x=e_i, y=e_j, z=e_k;
+            # the axiom is half(x, y, z) - half(y, x, z)
+            swapped = list(map(sub, both[i][j], both[j][i]))
             for k in range(n):
-                _record(failures, "left-axiom", (i, j, k), sub_vectors(half(i, j, k), half(j, i, k)))
+                u, w = lt[i][k], lt[j][k]
+                _record(failures, "left-axiom", (i, j, k),
+                        [sum(map(mul, rk, swapped)) + sum(map(mul, lj, u)) - sum(map(mul, li, w))
+                         for rk, lj, li in zip(left_r[k], left_l[j], left_l[i])], scale)
     for i in range(n):
         for j in range(n):
-            # (x|>y)<|a(z) - (y<|x)<|a(z)
-            difference = sub_vectors(cand.basis_left(i, j), cand.basis_right(j, i))
+            # (x|>y)<|a(z) - (y<|x)<|a(z) + a(y)<|(x|>z + x<|z) - a(x)|>(y<|z)
+            difference = list(map(sub, lt[i][j], rt[j][i]))
             for k in range(n):
-                total = tuple(map(add, right_r[k].apply(difference), right_l[j].apply(both[i][k])))
-                total = sub_vectors(total, left_l[i].apply(cand.basis_right(j, k)))
-                _record(failures, "right-axiom", (i, j, k), total)
+                u, w = both[i][k], rt[j][k]
+                _record(failures, "right-axiom", (i, j, k),
+                        [sum(map(mul, rk, difference)) + sum(map(mul, rj, u)) - sum(map(mul, li, w))
+                         for rk, rj, li in zip(right_r[k], right_l[j], left_l[i])], scale)
     return ValidationReport(failures)
 
 
@@ -198,21 +208,35 @@ def validate_o_operator(o):
     if not rep.twist.is_invertible():
         raise SingularMap("representation space twist is singular")
     beta_inv = rep.twist.inverse()
-    failures = []
-    diff = t @ rep.twist - a.twist @ t
-    for j in range(rep.space_dim):
-        _record(failures, "twist-intertwine", (j,), diff.column(j))
     m = rep.space_dim
     shifted = [t.apply(beta_inv.column(i)) for i in range(m)]
     left = action_table(rep.left, m)
     right = action_table(rep.right, m)
     rho = [left.left_at(x) for x in shifted]        # rho(T beta^-1 v_i)
     mu = [right.left_at(x) for x in shifted]        # mu(T beta^-1 v_j)
+    D, (t_rows, twist_rows, *images) = _integer_family(
+        [t, a.twist] + [a.product.left_at(t.column(i)) for i in range(m)])      # T(v_i) . -
+    d, (t_ints, beta_ints, *actions) = _integer_family([t, rep.twist] + rho + mu)
+    columns = list(zip(*t_ints))
+    betas = list(zip(*beta_ints))
+    rho_cols = [list(zip(*r)) for r in actions[:m]]     # [i][j]: rho(T beta^-1 v_i) v_j
+    mu_cols = [list(zip(*r)) for r in actions[m:]]
+    scale = D * d
+    failures = []
+    for j in range(m):
+        # T beta(v_j) - alpha T(v_j)
+        moved, image = betas[j], columns[j]
+        _record(failures, "twist-intertwine", (j,),
+                [sum(map(mul, tr, moved)) - sum(map(mul, ar, image))
+                 for tr, ar in zip(t_rows, twist_rows)], scale)
     for i in range(m):
         for j in range(m):
-            lhs = a.product_of(t.column(i), t.column(j))
-            inner = tuple(map(add, rho[i].column(j), mu[j].column(i)))
-            _record(failures, "operator-product", (i, j), sub_vectors(lhs, t.apply(inner)))
+            # T(v_i) . T(v_j) - T(rho(T beta^-1 v_i) v_j + mu(T beta^-1 v_j) v_i)
+            image = columns[j]
+            inner = list(map(add, rho_cols[i][j], mu_cols[j][i]))
+            _record(failures, "operator-product", (i, j),
+                    [sum(map(mul, lr, image)) - sum(map(mul, tr, inner))
+                     for lr, tr in zip(images[i], t_rows)], scale)
     return ValidationReport(failures)
 
 

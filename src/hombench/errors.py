@@ -1,8 +1,8 @@
 """Error types shared across the workbench.
 
 Every failure mode that callers are expected to handle gets its own class so
-the CLI can map them to exit codes (2 for unreadable input, 3 for violated
-preconditions) without string matching.
+the CLI can map them to exit codes (2 for unreadable input or a wrong usage, 3
+for violated preconditions) without string matching.
 """
 
 
@@ -20,6 +20,10 @@ class SingularMap(WorkbenchError):
 
 class InvalidInput(WorkbenchError):
     """A construction received an object that fails its validity precondition."""
+
+
+class UsageError(InvalidInput):
+    """A verb received documents of the wrong number or kind for its name."""
 
 
 class TwistMismatch(WorkbenchError):

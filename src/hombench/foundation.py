@@ -23,6 +23,17 @@ Integral data is the d = 1 case and is never divided. Maps that a kernel
 summed in ints keep that form, and a map remembers whether it is invertible.
 These caches are safe because every object is immutable; equality, hashing,
 repr and serialization never read them.
+
+The identity validators read those forms through one entry point,
+_integer_family(items): a family of maps and tables brought to one common
+denominator D, each as its int rows or int planes. A validator takes its
+operators from one family and the vectors they act on (table slices, map
+columns) from another, with denominator d, so that every identity instance is a
+list of int dot products sum(map(mul, row, v)) equal to D * d times the
+residual. The rule is: no Fraction for a passing instance. The list is tested
+with any(), and only a failing instance is divided, by _quotients(totals, D * d),
+into the exact residual it reports. Outside this module the forms are read
+only through _integer_family.
 """
 
 from fractions import Fraction
@@ -65,10 +76,6 @@ def sub_vectors(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def is_zero_vector(u):
-    return not any(u)
-
-
 def _times(values, d):
     """The exact scalars in values times d, as a tuple of ints; d is a multiple
     of every denominator."""
@@ -105,6 +112,25 @@ def _quotients(totals, d):
         q, r = divmod(t, d)
         out.append(Fraction(t, d) if r else q)
     return tuple(out)
+
+
+def _integer_family(items):
+    """(D, forms): the lcm D of the entry denominators of a sequence of LinearMaps
+    and Tensor3s, and each item times D in int form: a map as a tuple of int rows,
+    a table as a tuple of planes of int output vectors. Each item's cached integer
+    form is reused, and scaled up only when its own lcm is less than D."""
+    cached = [item._form or item._integer_form() for item in items]
+    scale = lcm(*[d for d, _ in cached])
+    forms = []
+    for item, (d, ints) in zip(items, cached):
+        if d != scale:
+            f = scale // d
+            if isinstance(item, Tensor3):
+                ints = tuple(tuple([tuple([x * f for x in vec]) for vec in plane]) for plane in ints)
+            else:
+                ints = tuple([tuple([x * f for x in row]) for row in ints])
+        forms.append(ints)
+    return scale, forms
 
 
 def row_reduce(work, cols):

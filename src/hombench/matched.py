@@ -4,13 +4,15 @@ A matched pair is two algebras acting on each other such that the direct sum
 carries the same kind of structure (the double). The validators accept
 arbitrary candidates and fold the component structures' own validity into the
 verdict, so the double-equivalence theorems can be exercised on random input.
+The cross identities are summed in ints, as the validators of algebras are.
 """
 
 from collections import namedtuple
+from operator import mul, sub
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput, TwistMismatch
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vector,
-                         direct_sum_table, map_direct_sum, sub_vectors)
+                         direct_sum_table, map_direct_sum, _integer_family)
 from .algebras import (BilinearForm, Failure, HomLieAlgebra, HomPreLieAlgebra,
                        ValidationReport, agreement_report, combine_reports, validate_hom_lie,
                        validate_hom_pre_lie, validate_quadratic, _record)
@@ -92,32 +94,33 @@ class PreLieMatchedPair:
         return "PreLieMatchedPair(%d, %d)" % (self.first.dim, self.second.dim)
 
 
-def _add(u, v):
-    return tuple(p + q for p, q in zip(u, v))
-
-
 def _lie_cross(acting, acted, action, back):
-    """The cross identity with values in the acted-on algebra, as a residual
-    function of (x, y, z): rho(phi(x))[y, z] = [rho(x)y, psi(z)] + [psi(y), rho(x)z]
-    + rho(rho'(z)x)psi(y) - rho(rho'(y)x)psi(z), where action is rho (acting on
-    acted), back is rho' (acted on acting), and phi, psi are the two twists.
-    Every operator at a twisted basis vector is built once per call."""
-    on = action_table(action, acted.dim)
-    back_on = action_table(back, acting.dim)
-    psi = [acted.twist.column(y) for y in range(acted.dim)]
-    at_phi = [on.left_at(acting.twist.column(x)) for x in range(acting.dim)]   # rho(phi(x))
-    on_psi = [on.right_at(p) for p in psi]                                     # u -> rho(u)psi(y)
-    bracket_psi = [acted.bracket.left_at(p) for p in psi]                      # [psi(y), -]
-    psi_bracket = [acted.bracket.right_at(p) for p in psi]                     # [-, psi(z)]
+    """The cross identity with values in the acted-on algebra, as (d, residual)
+    where residual(x, y, z) is d times the residual of
+    rho(phi(x))[y, z] = [rho(x)y, psi(z)] + [psi(y), rho(x)z]
+    + rho(rho'(z)x)psi(y) - rho(rho'(y)x)psi(z), as a list of ints; action is rho
+    (acting on acted), back is rho' (acted on acting), and phi, psi are the two
+    twists. Every operator at a twisted basis vector is built once per call."""
+    nx = acting.dim
+    ny = acted.dim
+    on = action_table(action, ny)
+    back_on = action_table(back, nx)
+    psi = [acted.twist.column(y) for y in range(ny)]
+    D, ops = _integer_family([on.left_at(acting.twist.column(x)) for x in range(nx)]   # rho(phi(x))
+                             + [on.right_at(p) for p in psi]                          # u -> rho(u)psi(y)
+                             + [acted.bracket.left_at(p) for p in psi]                # [psi(y), -]
+                             + [acted.bracket.right_at(p) for p in psi])              # [-, psi(z)]
+    at_phi = ops[:nx]
+    on_psi, bracket_psi, psi_bracket = (ops[nx + s * ny:nx + (s + 1) * ny] for s in range(3))
+    d, (brackets, acts, backs) = _integer_family([acted.bracket, on, back_on])
 
     def residual(x, y, z):
-        lhs = at_phi[x].apply(acted.basis_bracket(y, z))
-        rhs = _add(psi_bracket[z].apply(on.slice12(x, y)), bracket_psi[y].apply(on.slice12(x, z)))
-        rhs = _add(rhs, on_psi[y].apply(back_on.slice12(z, x)))
-        rhs = sub_vectors(rhs, on_psi[z].apply(back_on.slice12(y, x)))
-        return sub_vectors(lhs, rhs)
+        bracket, xy, xz, zx, yx = brackets[y][z], acts[x][y], acts[x][z], backs[z][x], backs[y][x]
+        return [sum(map(mul, pa, bracket)) - sum(map(mul, pz, xy)) - sum(map(mul, by, xz))
+                - sum(map(mul, oy, zx)) + sum(map(mul, oz, yx))
+                for pa, pz, by, oy, oz in zip(at_phi[x], psi_bracket[z], bracket_psi[y], on_psi[y], on_psi[z])]
 
-    return residual
+    return D * d, residual
 
 
 def validate_matched_pair_lie(mp):
@@ -134,16 +137,16 @@ def validate_matched_pair_lie(mp):
     failures = list(report.failures)
 
     # values in the first algebra; the acting index comes last
-    cross = _lie_cross(h, g, mp.second_action, mp.first_action)
+    scale, cross = _lie_cross(h, g, mp.second_action, mp.first_action)
     for i in range(n):
         for j in range(n):
             for k in range(m):
-                _record(failures, "cross-first", (i, j, k), cross(k, i, j))
-    cross = _lie_cross(g, h, mp.first_action, mp.second_action)
+                _record(failures, "cross-first", (i, j, k), cross(k, i, j), scale)
+    scale, cross = _lie_cross(g, h, mp.first_action, mp.second_action)
     for i in range(n):
         for j in range(m):
             for k in range(m):
-                _record(failures, "cross-second", (i, j, k), cross(i, j, k))
+                _record(failures, "cross-second", (i, j, k), cross(i, j, k), scale)
     return ValidationReport(failures, report.details)
 
 
@@ -175,32 +178,37 @@ def _pre_lie_cross_failures(failures, side, acting, acted, left, right, back_lef
     r_back = action_table(back_right, nx)
     alpha = [acting.twist.column(x) for x in range(nx)]
     beta = [acted.twist.column(y) for y in range(ny)]
-    l_alpha = [l_on.left_at(a) for a in alpha]                 # l(alpha(x))
-    r_alpha = [r_on.left_at(a) for a in alpha]                 # r(alpha(x))
-    l_beta = [l_on.right_at(b) for b in beta]                  # u -> l(u)beta(y)
-    r_beta = [r_on.right_at(b) for b in beta]                  # u -> r(u)beta(y)
-    beta_times = [acted.product.left_at(b) for b in beta]      # beta(y).-
-    times_beta = [acted.product.right_at(b) for b in beta]     # -.beta(z)
+    D, ops = _integer_family([l_on.left_at(a) for a in alpha]                  # l(alpha(x))
+                             + [r_on.left_at(a) for a in alpha]                # r(alpha(x))
+                             + [l_on.right_at(b) for b in beta]                # u -> l(u)beta(y)
+                             + [r_on.right_at(b) for b in beta]                # u -> r(u)beta(y)
+                             + [acted.product.left_at(b) for b in beta]        # beta(y).-
+                             + [acted.product.right_at(b) for b in beta])      # -.beta(z)
+    l_alpha, r_alpha = ops[:nx], ops[nx:2 * nx]
+    l_beta, r_beta, beta_times, times_beta = (ops[2 * nx + s * ny:2 * nx + (s + 1) * ny] for s in range(4))
+    d, (planes, ls, rs, lb, rb) = _integer_family([acted.product, l_on, r_on, l_back, r_back])
+    scale = D * d
+    commutators = [[list(map(sub, planes[y][z], planes[z][y])) for z in range(ny)] for y in range(ny)]
     for x in range(nx):
         for y in range(ny):
             for z in range(ny):
-                commutator = sub_vectors(acted.basis_product(y, z), acted.basis_product(z, y))
-                lhs = r_alpha[x].apply(commutator)
-                rhs = sub_vectors(r_beta[y].apply(l_back.slice12(z, x)),
-                                  r_beta[z].apply(l_back.slice12(y, x)))
-                rhs = _add(rhs, beta_times[y].apply(r_on.slice12(x, z)))
-                rhs = sub_vectors(rhs, beta_times[z].apply(r_on.slice12(x, y)))
-                _record(failures, "cross-right-" + side, (x, y, z), sub_vectors(lhs, rhs))
+                commutator, zx, yx, xz, xy = commutators[y][z], lb[z][x], lb[y][x], rs[x][z], rs[x][y]
+                _record(failures, "cross-right-" + side, (x, y, z),
+                        [sum(map(mul, ra, commutator)) - sum(map(mul, ry, zx)) + sum(map(mul, rz, yx))
+                         - sum(map(mul, by, xz)) + sum(map(mul, bz, xy))
+                         for ra, ry, rz, by, bz in zip(r_alpha[x], r_beta[y], r_beta[z],
+                                                       beta_times[y], beta_times[z])], scale)
     for x in range(nx):
         for y in range(ny):
+            mixed = list(map(sub, lb[y][x], rb[y][x]))
+            difference = list(map(sub, ls[x][y], rs[x][y]))
             for z in range(ny):
-                lhs = l_alpha[x].apply(acted.basis_product(y, z))
-                mixed = sub_vectors(l_back.slice12(y, x), r_back.slice12(y, x))
-                rhs = tuple(-c for c in l_beta[z].apply(mixed))
-                rhs = _add(rhs, times_beta[z].apply(sub_vectors(l_on.slice12(x, y), r_on.slice12(x, y))))
-                rhs = _add(rhs, r_beta[y].apply(r_back.slice12(z, x)))
-                rhs = _add(rhs, beta_times[y].apply(l_on.slice12(x, z)))
-                _record(failures, "cross-left-" + side, (x, y, z), sub_vectors(lhs, rhs))
+                product, zx, xz = planes[y][z], rb[z][x], ls[x][z]
+                _record(failures, "cross-left-" + side, (x, y, z),
+                        [sum(map(mul, la, product)) + sum(map(mul, lz, mixed)) - sum(map(mul, tz, difference))
+                         - sum(map(mul, ry, zx)) - sum(map(mul, by, xz))
+                         for la, lz, tz, ry, by in zip(l_alpha[x], l_beta[z], times_beta[z],
+                                                       r_beta[y], beta_times[y])], scale)
 
 
 def validate_matched_pair_pre_lie(mp):

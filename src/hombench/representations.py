@@ -16,11 +16,18 @@ the matrix of the action at x, table.right_at(v) sends x to the action at x
 applied to v, and apply_bilinear(table, x, v) is one such value. The
 multiplication operators of an algebra at a general vector come straight from
 its own table (Tensor3.left_at, Tensor3.right_at).
+
+The validators sum each identity instance in ints, as those of algebras do: a
+matrix identity is checked one column at a time, each column a sum of operators
+applied to table slices or map columns, and only a nonzero column becomes an
+exact residual.
 """
 
+from operator import mul, sub
+
 from .errors import DimensionMismatch, InvalidInput, SingularMap
-from .foundation import (Tensor3, direct_sum_table, map_direct_sum, sub_vectors,
-                         tensor_product_map)
+from .foundation import (Tensor3, direct_sum_table, map_direct_sum, tensor_product_map,
+                         _integer_family)
 from .algebras import (HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
                        validate_hom_lie, validate_hom_pre_lie, _record)
 
@@ -98,21 +105,34 @@ class HomPreLieRep:
 def _lie_action_failures(algebra, twist, maps, space_dim, failures, prefix=""):
     """Record the two Lie-side representation identities against the given bracket table."""
     n = algebra.dim
-    table = action_table(maps, space_dim)
-    at_phi = [table.left_at(algebra.twist.column(i)) for i in range(n)]
+    m = space_dim
+    table = action_table(maps, m)
+    at_phi = [table.left_at(algebra.twist.column(i)) for i in range(n)]     # rho(phi(e_i))
+    on_beta = [table.right_at(twist.column(k)) for k in range(m)]          # x -> rho(x)beta(v_k)
+    D, (beta_rows, *ops) = _integer_family([twist] + at_phi + on_beta)
+    at_phi, on_beta = ops[:n], ops[n:]
+    d, (brackets, acts, beta_ints) = _integer_family([algebra.bracket, table, twist])
+    betas = list(zip(*beta_ints))
+    scale = D * d
     for i in range(n):
-        lhs = at_phi[i] @ twist
-        rhs = twist @ maps[i]
-        diff = lhs - rhs
-        for j in range(space_dim):
-            _record(failures, prefix + "action-twist-compatibility", (i, j), diff.column(j))
+        for j in range(m):
+            # rho(phi(e_i)) beta(v_j) - beta rho(e_i) v_j
+            moved, acted = betas[j], acts[i][j]
+            _record(failures, prefix + "action-twist-compatibility", (i, j),
+                    [sum(map(mul, pr, moved)) - sum(map(mul, br, acted))
+                     for pr, br in zip(at_phi[i], beta_rows)], scale)
+    # twice_acted[i][j][k] = rho(phi(e_i)) rho(e_j) v_k, computed once for the two
+    # instances (i, j, k) and (j, i, k) that use it
+    twice_acted = [[[[sum(map(mul, row, acts[j][k])) for row in at_phi[i]] for k in range(m)]
+                    for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = table.left_at(algebra.basis_bracket(i, j)) @ twist
-            rhs = at_phi[i] @ maps[j] - at_phi[j] @ maps[i]
-            diff = lhs - rhs
-            for k in range(space_dim):
-                _record(failures, prefix + "action-bracket-compatibility", (i, j, k), diff.column(k))
+            bracket = brackets[i][j]
+            for k in range(m):
+                # rho([e_i, e_j]) beta(v_k) - rho(phi(e_i)) rho(e_j) v_k + rho(phi(e_j)) rho(e_i) v_k
+                _record(failures, prefix + "action-bracket-compatibility", (i, j, k),
+                        [sum(map(mul, bk, bracket)) - p + q
+                         for bk, p, q in zip(on_beta[k], twice_acted[i][j][k], twice_acted[j][i][k])], scale)
 
 
 def validate_lie_rep(rep):
@@ -139,20 +159,32 @@ def validate_pre_lie_rep(rep):
     alphas = [a.twist.column(i) for i in range(n)]
     left = action_table(rep.left, m)
     right = action_table(rep.right, m)
-    mu_at_alpha = [right.left_at(x) for x in alphas]
-    rho_at_alpha = [left.left_at(x) for x in alphas]
+    mu_at_alpha = [right.left_at(x) for x in alphas]                       # mu(alpha(e_i))
+    rho_at_alpha = [left.left_at(x) for x in alphas]                       # rho(alpha(e_i))
+    mu_on_beta = [right.right_at(beta.column(k)) for k in range(m)]        # x -> mu(x)beta(v_k)
+    D, (beta_rows, *ops) = _integer_family([beta] + mu_at_alpha + rho_at_alpha + mu_on_beta)
+    mu_at_alpha, rho_at_alpha, mu_on_beta = ops[:n], ops[n:2 * n], ops[2 * n:]
+    d, (planes, rho, mu, beta_ints) = _integer_family([a.product, left, right, beta])
+    betas = list(zip(*beta_ints))
+    scale = D * d
     for i in range(n):
-        diff = beta @ rep.right[i] - mu_at_alpha[i] @ beta
         for j in range(m):
-            _record(failures, "right-twist-compatibility", (i, j), diff.column(j))
+            # beta mu(e_i) v_j - mu(alpha(e_i)) beta(v_j)
+            acted, moved = mu[i][j], betas[j]
+            _record(failures, "right-twist-compatibility", (i, j),
+                    [sum(map(mul, br, acted)) - sum(map(mul, mr, moved))
+                     for br, mr in zip(beta_rows, mu_at_alpha[i])], scale)
+    differences = [[list(map(sub, mu[i][k], rho[i][k])) for k in range(m)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            mu_at_product = right.left_at(a.basis_product(i, j))
-            lhs = mu_at_alpha[j] @ rep.right[i] - mu_at_product @ beta
-            rhs = mu_at_alpha[j] @ rep.left[i] - rho_at_alpha[i] @ rep.right[j]
-            diff = lhs - rhs
+            product = planes[i][j]
             for k in range(m):
-                _record(failures, "left-right-compatibility", (i, j, k), diff.column(k))
+                # mu(alpha(e_j)) (mu(e_i) - rho(e_i)) v_k - mu(e_i e_j) beta(v_k)
+                #   + rho(alpha(e_i)) mu(e_j) v_k
+                difference, acted = differences[i][k], mu[j][k]
+                _record(failures, "left-right-compatibility", (i, j, k),
+                        [sum(map(mul, ma, difference)) - sum(map(mul, mb, product)) + sum(map(mul, ra, acted))
+                         for ma, mb, ra in zip(mu_at_alpha[j], mu_on_beta[k], rho_at_alpha[i])], scale)
     return ValidationReport(failures)
 
 
@@ -251,14 +283,19 @@ def check_one_cocycle(g, rep, delta):
                                 % (delta.rows, delta.cols, g.dim, rep.space_dim))
     n = g.dim
     table = action_table(rep.maps, rep.space_dim)
-    at_phi = [table.left_at(g.twist.column(i)) for i in range(n)]
-    images = [delta.column(i) for i in range(n)]
+    D, (delta_rows, *at_phi) = _integer_family([delta] + [table.left_at(g.twist.column(i)) for i in range(n)])
+    d, (brackets, delta_ints) = _integer_family([g.bracket, delta])
+    images = list(zip(*delta_ints))
+    scale = D * d
+    acted = [[[sum(map(mul, row, images[j])) for row in at_phi[i]] for j in range(n)] for i in range(n)]
     failures = []
     for i in range(n):
         for j in range(n):
-            lhs = delta.apply(g.basis_bracket(i, j))
-            rhs = sub_vectors(at_phi[i].apply(images[j]), at_phi[j].apply(images[i]))
-            _record(failures, "cocycle", (i, j), sub_vectors(lhs, rhs))
+            # delta([e_i, e_j]) - rho(phi(e_i)) delta(e_j) + rho(phi(e_j)) delta(e_i)
+            bracket = brackets[i][j]
+            _record(failures, "cocycle", (i, j),
+                    [sum(map(mul, dr, bracket)) - p + q
+                     for dr, p, q in zip(delta_rows, acted[i][j], acted[j][i])], scale)
     return ValidationReport(failures)
 
 

@@ -8,10 +8,14 @@ alpha = diag(2^-i) and moved to the basis x' = P x by a P whose inverse has
 thirds, so every twist and table below holds proper fractions. Its partner is
 the zero product on the dual space with the inverse-transpose twist.
 check_equivalence_theorem carries the pre-Lie matched-pair report in its
-details. Every checker also runs on one bumped input, so that nonzero rational
-residuals are pinned as well. The expected values live in pinned_rational.json and were
-recorded from the implementation that summed every product in Fraction
-arithmetic.
+details. The hessian form is a symmetric form pulled back along P^-1, and the
+morphism is the twist itself, an endomorphism of both the algebra and its
+commutator Hom-Lie algebra. Every checker also runs on one-entry bumps of its
+form, product or map, so that nonzero rational residuals are pinned as well.
+The expected values live in pinned_rational.json. The double-side, form and
+representation cases were recorded from the implementation that summed every
+product in Fraction arithmetic; the hessian and morphism cases from the one that
+built each residual as a vector of exact scalars before testing it for zero.
 """
 
 import json
@@ -20,12 +24,13 @@ from pathlib import Path
 
 import pytest
 
-from hombench import (BilinearForm, HomPreLieAlgebra, HomPreLieRep, LinearMap,
-                      check_equivalence_theorem, coadjoint_lie_matched_pair, coadjoint_pre_lie_rep,
-                      validate_matched_pair_lie, validate_pre_lie_rep, validate_quadratic)
+from hombench import (BilinearForm, HomLieAlgebra, HomPreLieAlgebra, HomPreLieRep, LinearMap,
+                      check_equivalence_theorem, check_morphism, coadjoint_lie_matched_pair,
+                      coadjoint_pre_lie_rep, validate_hessian, validate_matched_pair_lie,
+                      validate_pre_lie_rep, validate_quadratic)
 from hombench.fixtures import zero_dual_partner
 
-from test_pinned_actions import bump_family, bump_table
+from test_pinned_actions import bump_family, bump_map, bump_table
 from test_pinned_validators import P, twisted_novikov
 
 HALF = Fraction(1, 2)
@@ -58,6 +63,42 @@ def bumped_skew_form():
     return BilinearForm(rows, "skew")
 
 
+def bumped_algebra():
+    a = algebra()
+    return HomPreLieAlgebra(bump_table(a.product, (0, 1, 2), Fraction(-2, 3)), a.twist)
+
+
+def hessian_form():
+    """A symmetric form pulled back along the inverse of P, so that it has thirds."""
+    s = LinearMap(((0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 0), (1, 1, 0, 0)))
+    p_inv = P.inverse()
+    return BilinearForm((p_inv.transpose() @ s @ p_inv).entries, "symmetric")
+
+
+def bumped_hessian_form():
+    rows = [list(row) for row in hessian_form().matrix.entries]
+    rows[1][3] += HALF
+    rows[3][1] += HALF
+    return BilinearForm(rows, "symmetric")
+
+
+def _hessian_cases():
+    return {"form": (algebra(), hessian_form()),
+            "form-bump": (algebra(), bumped_hessian_form()),
+            "product-bump": (bumped_algebra(), hessian_form())}
+
+
+def _morphism_cases():
+    a = algebra()
+    lie = HomLieAlgebra(a.commutator_tensor(), a.twist)
+    bumped_map = bump_map(a.twist, 1, 2, HALF)
+    return {"twist": (a.twist, a, a),
+            "map-bump": (bumped_map, a, a),
+            "product-bump": (a.twist, a, bumped_algebra()),
+            "lie-twist": (a.twist, lie, lie),
+            "lie-map-bump": (bumped_map, lie, lie)}
+
+
 def _pre_lie_reps():
     a = algebra()
     rep = coadjoint_pre_lie_rep(a)
@@ -78,6 +119,10 @@ def cases():
         out["validate_quadratic/" + name] = lambda w=w: validate_quadratic(algebra(), w).to_dict()
     for name, rep in _pre_lie_reps().items():
         out["validate_pre_lie_rep/" + name] = lambda rep=rep: validate_pre_lie_rep(rep).to_dict()
+    for name, (a, b) in _hessian_cases().items():
+        out["validate_hessian/" + name] = lambda a=a, b=b: validate_hessian(a, b).to_dict()
+    for name, (f, src, dst) in _morphism_cases().items():
+        out["check_morphism/" + name] = lambda f=f, src=src, dst=dst: check_morphism(f, src, dst).to_dict()
     return out
 
 
@@ -94,7 +139,7 @@ def test_every_case_is_pinned():
 
 
 def test_inputs_are_rational():
-    for m in (algebra().twist, partner().twist, skew_form().sharp().inverse()):
+    for m in (algebra().twist, partner().twist, skew_form().sharp().inverse(), hessian_form().sharp()):
         assert any(isinstance(c, Fraction) for row in m.entries for c in row)
     assert any(isinstance(c, Fraction) for _, c in algebra().product.nonzero_items())
 
