@@ -169,9 +169,6 @@ class HomPreLieAlgebra:
         p = self.product
         return Tensor3.from_slices(n, n, n, lambda i, j: sub_vectors(p.slice12(i, j), p.slice12(j, i)))
 
-    def commutator_of(self, x, y):
-        return sub_vectors(self.product_of(x, y), self.product_of(y, x))
-
     def __eq__(self, other):
         if not isinstance(other, HomPreLieAlgebra):
             return NotImplemented

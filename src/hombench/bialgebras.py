@@ -5,12 +5,21 @@ space whose twist is the inverse dual twist; validity asks that each product's
 dualization is a one-cocycle for the other side's coboundary action. A
 solution tensor (symmetric, twist-intertwining, vanishing twisted bracket
 square) induces such a dual product and always yields a valid bialgebra.
+
+The twisted bracket square of r is the sum over pairs of entries r_pq r_st of
+alpha(e_p) (x) alpha(e_s) (x) e_q e_t - alpha(e_p) (x) [e_s, e_q] (x) alpha(e_t)
+- e_p e_s (x) alpha(e_t) (x) alpha(e_q). Summing the twists into the tensor
+first gives its closed form: with R[p][q] = r_pq, A = alpha R and
+B = alpha R^T, and A_i, B_k their rows, entry (i, j, k) is
+(A_i A_j)_k - [B_k, A_i]_j - (B_k B_j)_i.
 """
+
+from operator import mul
 
 from .errors import (DimensionMismatch, InvalidInput, NotAnSMatrix, Pro1Violation,
                      TwistMismatch)
 from .foundation import (LinearMap, Tensor3, apply_bilinear, basis_vector, sub_vectors,
-                         tensor2_to_map, tensor_product_map)
+                         tensor2_to_map, tensor_product_map, _integer_family, _quotients)
 from .algebras import (HomPreLieAlgebra, ValidationReport, agreement_report, combine_reports,
                        sub_adjacent, validate_hom_pre_lie, _record)
 from .representations import (action_table, check_one_cocycle, coboundary_maps,
@@ -71,84 +80,72 @@ def dual_product_from_r(a, r):
 
 
 def hom_s_bracket(a, r):
-    """The twisted square bracket of the tensor with itself, expanded over the
-    nonzero tensor entries; vanishing is the third solution condition."""
+    """The twisted square bracket of the tensor with itself, in the closed form
+    of the module docstring; vanishing is the third solution condition. Every
+    product is read from the left multiplication operators at A_i and B_k."""
     if r.dim_left != a.dim or r.dim_right != a.dim:
         raise DimensionMismatch("tensor is %dx%d on dimension %d" % (r.dim_left, r.dim_right, a.dim))
     n = a.dim
-    e = [basis_vector(n, i) for i in range(n)]
-    alphas = [a.twist.apply(v) for v in e]
-    out = [[[0] * n for _ in range(n)] for _ in range(n)]
-
-    def accumulate(coeff, u, v, w):
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                partial = coeff * ui * vj
-                for k, wk in enumerate(w):
-                    if wk != 0:
-                        out[i][j][k] += partial * wk
-
-    items = r.nonzero_items()
-    firsts = {s for (s, _), _ in items}
-    seconds = {q for (_, q), _ in items}
-    commutators = {(s, q): a.commutator_of(e[s], e[q]) for s in firsts for q in seconds}
-    for (p, q), c1 in items:
-        for (s, t), c2 in items:
-            coeff = c1 * c2
-            accumulate(coeff, alphas[p], alphas[s], a.basis_product(q, t))
-            accumulate(-coeff, alphas[p], commutators[(s, q)], alphas[t])
-            accumulate(-coeff, a.basis_product(p, s), alphas[t], alphas[q])
-    return Tensor3.from_slices(n, n, n, lambda i, j: out[i][j])
+    entries = LinearMap(r.entries, rows=n, cols=n)
+    maps = [a.twist @ entries, a.twist @ entries.transpose()]
+    D, ops = _integer_family([a.product.left_at(x) for m in maps for x in m.entries])
+    d, (ints_a, ints_b) = _integer_family(maps)
+    at_a, at_b = ops[:n], ops[n:]
+    # aa[i][j] = A_i A_j, ab[i][k] = A_i B_k, ba[k][i] = B_k A_i, bb[k][j] = B_k B_j, times D * d
+    aa, ab, ba, bb = [[[[sum(map(mul, row, v)) for row in op] for v in vectors] for op in at]
+                      for at, vectors in ((at_a, ints_a), (at_a, ints_b), (at_b, ints_a), (at_b, ints_b))]
+    return Tensor3.from_slices(n, n, n, lambda i, j: _quotients(
+        [aa[i][j][k] - ba[k][i][j] + ab[i][k][j] - bb[k][j][i] for k in range(n)], D * d))
 
 
 def check_pro3(a, r):
     """Compare the induced dual product against the coboundary formula: for all
     dual basis pairs, the product of sharp images minus the sharp image of the
     product must equal the twisted bracket square contracted with inverse-square
-    twisted covectors."""
+    twisted covectors. Each instance is summed in ints from operators built once
+    per call."""
     if not check_pro1(a, r):
         raise Pro1Violation("tensor does not intertwine the twists")
     n = a.dim
     dual = dual_product_from_r(a, r)
     square = hom_s_bracket(a, r)
-    sharp = r_sharp(r)
-    alpha_dual = a.twist.transpose()
-    inv_sq_dual = a.twist.power(-2).transpose()
+    moved = r_sharp(r) @ a.twist.transpose()          # column i: sharp(alpha* e_i)
+    inv_sq = a.twist.power(-2)                         # row i: (alpha^-2)* e_i
+    D, (moved_rows, *ops) = _integer_family(
+        [moved] + [a.product.left_at(moved.column(i)) for i in range(n)]
+        + [square.left_at(inv_sq.entries[i]) for i in range(n)])
+    at_moved, at_square = ops[:n], ops[n:]
+    d, (moved_cols, planes, inv_sq_rows) = _integer_family([moved.transpose(), dual.product, inv_sq])
     failures = []
     for i in range(n):
         for j in range(n):
-            left_vec = sharp.apply(alpha_dual.column(i))
-            right_vec = sharp.apply(alpha_dual.column(j))
-            lhs = a.product_of(left_vec, right_vec)
-            lhs = sub_vectors(lhs, sharp.apply(alpha_dual.apply(dual.basis_product(i, j))))
-            rhs = apply_bilinear(square, inv_sq_dual.column(i), inv_sq_dual.column(j))
-            _record(failures, "s-identity", (i, j), sub_vectors(lhs, rhs))
+            product, x, y = planes[i][j], moved_cols[j], inv_sq_rows[j]
+            _record(failures, "s-identity", (i, j),
+                    [sum(map(mul, lr, x)) - sum(map(mul, mr, product)) - sum(map(mul, sr, y))
+                     for lr, mr, sr in zip(at_moved[i], moved_rows, at_square[i])], D * d)
     return ValidationReport(failures)
 
 
 def check_P_condition(a, r):
-    """The twisted left-multiplication square condition on the skew part of the tensor."""
+    """The twisted left-multiplication square condition on the skew part of the
+    tensor, each instance summed in ints."""
     if r.dim_left != a.dim or r.dim_right != a.dim:
         raise DimensionMismatch("tensor is %dx%d on dimension %d" % (r.dim_left, r.dim_right, a.dim))
     n = a.dim
     alpha = a.twist
     inv_sq = alpha.power(-2)
-    p_maps = []
-    for k in range(n):
-        left = a.product.left_at(inv_sq.column(k))
-        p_maps.append(tensor_product_map(left, alpha) + tensor_product_map(alpha, left))
-    table = action_table(p_maps, n * n)
+    lefts = [a.product.left_at(inv_sq.column(k)) for k in range(n)]
+    table = action_table([tensor_product_map(lm, alpha) + tensor_product_map(alpha, lm) for lm in lefts], n * n)
     on_skew = table.right_at(_vec(r - r.flip()))       # x -> P(x) applied to the skew part
-    at_alpha = [table.left_at(alpha.column(i)) for i in range(n)]
+    D, (skew_rows, *at_alpha) = _integer_family([on_skew] + [table.left_at(alpha.column(i)) for i in range(n)])
+    d, (planes, skew_cols) = _integer_family([a.product, on_skew.transpose()])
     failures = []
     for i in range(n):
         for j in range(n):
+            product, column = planes[i][j], skew_cols[j]
             _record(failures, "p-condition", (i, j),
-                    sub_vectors(on_skew.apply(a.basis_product(i, j)), at_alpha[i].apply(on_skew.column(j))))
+                    [sum(map(mul, sr, product)) - sum(map(mul, ar, column))
+                     for sr, ar in zip(skew_rows, at_alpha[i])], D * d)
     return ValidationReport(failures)
 
 

@@ -13,9 +13,10 @@ a rebinding of this module's globals (as the bench tracer does) reaches it.
 from collections import namedtuple
 
 from .errors import UnsupportedKind, UnknownSlug, UsageError
-from .foundation import basis_vector
+from .foundation import LinearMap
 from .algebras import (Failure, ValidationReport, agreement_report, check_morphism,
-                       combine_reports, sub_adjacent, validate_hom_lie, validate_hom_pre_lie)
+                       combine_reports, sub_adjacent, validate_hom_lie, validate_hom_pre_lie,
+                       _record)
 from .representations import (HomLieRep, check_one_cocycle, coadjoint_pre_lie_rep,
                               coboundary_rep, dual_pre_lie_rep, semidirect_pre_lie,
                               validate_lie_rep, validate_pre_lie_rep)
@@ -129,15 +130,14 @@ def _manin_standardize(mt):
         ("standard", validate_manin_triple(built.standard)),
         ("iso", check_morphism(built.iso, mt.total, built.standard.total)),
     ]
+    iso = built.iso
+    mapped = (iso.transpose() @ LinearMap(built.standard.form.matrix.entries) @ iso).entries
+    form = mt.form.matrix.entries
     failures = []
     n = mt.total.dim
     for i in range(n):
         for j in range(i + 1, n):
-            mapped = built.standard.form.apply(built.iso.apply(basis_vector(n, i)),
-                                               built.iso.apply(basis_vector(n, j)))
-            residual = mapped - mt.form.apply(basis_vector(n, i), basis_vector(n, j))
-            if residual != 0:
-                failures.append(Failure("isometry", (i, j), (residual,)))
+            _record(failures, "isometry", (i, j), (mapped[i][j] - form[i][j],))
     named.append(("form", ValidationReport(failures)))
     return combine_reports(named)
 

@@ -13,8 +13,8 @@ from operator import add, mul, sub
 
 from .errors import (AsymmetricInput, DimensionMismatch, IntertwinerViolation, InvalidInput,
                      SingularMap)
-from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vector, row_reduce,
-                         sub_vectors, _integer_family)
+from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, row_reduce, sub_vectors,
+                         _integer_family)
 from .algebras import (Failure, HomPreLieAlgebra, ValidationReport, agreement_report,
                        combine_reports, validate_hessian, validate_hom_pre_lie, _record)
 from .representations import (HomPreLieRep, action_table, coadjoint_pre_lie_rep,
@@ -323,22 +323,26 @@ def compatible_dendriform_from_invertible(o):
 
 def dendriform_from_hessian(a, b):
     """Solve the two displayed pairings against the form to split the product of
-    an algebra carrying a nondegenerate cocycle-symmetric form."""
+    an algebra carrying a nondegenerate cocycle-symmetric form. With M the form's
+    matrix and u_i = alpha^-1(e_i), slice (i, j) of each table is column j of
+    -sharp^-1 (M C_i alpha^-2)^T, where C_i is y -> [u_i, y] for the left table
+    and y -> y u_i for the right one."""
     if not validate_hessian(a, b).valid:
         raise InvalidInput("dendriform_from_hessian needs a valid hessian form")
     n = a.dim
-    sharp_inv = b.sharp().inverse()
+    sharp = b.sharp()
+    minus_inv = -sharp.inverse()
+    matrix = sharp.transpose()
+    inv_sq = a.twist.power(-2)
     alpha_inv = a.twist.inverse()
-    alpha_inv_sq = a.twist.power(-2)
-    e = [basis_vector(n, i) for i in range(n)]
-    back1 = [alpha_inv.apply(v) for v in e]
-    back2 = [alpha_inv_sq.apply(v) for v in e]
-    return HomLDendriform(
-        Tensor3.from_slices(n, n, n, lambda i, j: sharp_inv.apply(
-            tuple(-b.apply(e[j], a.commutator_of(back1[i], back2[k])) for k in range(n)))),
-        Tensor3.from_slices(n, n, n, lambda i, j: sharp_inv.apply(
-            tuple(-b.apply(e[j], a.product_of(back2[k], back1[i])) for k in range(n)))),
-        a.twist)
+    back = [alpha_inv.column(i) for i in range(n)]
+    rights = [a.product.right_at(u) for u in back]
+
+    def split(ops):
+        return action_table([minus_inv @ (matrix @ op @ inv_sq).transpose() for op in ops], n)
+
+    return HomLDendriform(split([a.product.left_at(u) - rm for u, rm in zip(back, rights)]),
+                          split(rights), a.twist)
 
 
 SemidirectSolution = namedtuple("SemidirectSolution", ["algebra", "tensor", "verdict"])

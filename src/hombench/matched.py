@@ -11,11 +11,11 @@ from collections import namedtuple
 from operator import mul, sub
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput, TwistMismatch
-from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vector,
-                         direct_sum_table, map_direct_sum, _integer_family)
-from .algebras import (BilinearForm, Failure, HomLieAlgebra, HomPreLieAlgebra,
-                       ValidationReport, agreement_report, combine_reports, validate_hom_lie,
-                       validate_hom_pre_lie, validate_quadratic, _record)
+from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, direct_sum_table,
+                         map_direct_sum, _integer_family)
+from .algebras import (BilinearForm, HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
+                       agreement_report, combine_reports, validate_hom_lie, validate_hom_pre_lie,
+                       validate_quadratic, _record)
 from .representations import (HomLieRep, HomPreLieRep, action_table, star_maps,
                               validate_lie_rep, validate_pre_lie_rep)
 
@@ -324,22 +324,20 @@ def validate_manin_triple(mt):
     named = [("total", validate_hom_pre_lie(total)), ("quadratic", validate_quadratic(total, mt.form))]
     report = combine_reports(named)
     failures = list(report.failures)
-    basis = [basis_vector(dim, i) for i in range(dim)]
+    form = mt.form.matrix.entries
     ranges = (("first", range(0, n1), range(n1, dim)),
               ("second", range(n1, dim), range(0, n1)))
     for name, inside, outside in ranges:
         for i in inside:
             for j in inside:
-                value = mt.form.apply(basis[i], basis[j])
-                if value != 0:
-                    failures.append(Failure(name + "-isotropic", (i, j), (value,)))
+                _record(failures, name + "-isotropic", (i, j), (form[i][j],))
                 leak = [total.basis_product(i, j)[k] for k in outside]
                 _record(failures, name + "-closed", (i, j), tuple(leak))
+    twist = total.twist.entries
     for i in range(dim):
         for j in range(dim):
-            same_block = (i < n1) == (j < n1)
-            if not same_block and total.twist.entries[i][j] != 0:
-                failures.append(Failure("twist-block-diagonal", (i, j), (total.twist.entries[i][j],)))
+            if (i < n1) != (j < n1):
+                _record(failures, "twist-block-diagonal", (i, j), (twist[i][j],))
     return ValidationReport(failures, report.details)
 
 
@@ -369,10 +367,9 @@ def standardize_manin_triple(mt):
     if n1 != n2:
         raise InvalidInput("a nondegenerate isotropic split needs equal slot dimensions")
     total = mt.total
-    dim = total.dim
-    basis = [basis_vector(dim, i) for i in range(dim)]
-    pairing = LinearMap(tuple(tuple(mt.form.apply(basis[n1 + j], basis[i]) for j in range(n2))
-                              for i in range(n1)), rows=n1, cols=n2)
+    form = mt.form.matrix.entries
+    pairing = LinearMap(tuple(tuple(form[n1 + j][i] for j in range(n2)) for i in range(n1)),
+                        rows=n1, cols=n2)
     pairing_inv = pairing.inverse()
 
     first_product = Tensor3.from_slices(n1, n1, n1, lambda i, j: total.basis_product(i, j)[:n1])

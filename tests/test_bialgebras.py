@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import sweeps
-from hombench import (Bialgebra, LinearMap, NotAnSMatrix, Pro1Violation,
-                      SearchSpec, Tensor2, TwistMismatch, check_P_condition,
+from hombench import (Bialgebra, HomPreLieAlgebra, LinearMap, NotAnSMatrix, Pro1Violation,
+                      SearchSpec, Tensor2, Tensor3, TwistMismatch, check_P_condition,
                       check_equivalence_theorem, check_one_cocycle, check_pro1,
                       check_pro3, coboundary_cocycle, coboundary_rep,
                       dual_product_from_r, dualize_product, hom_s_bracket,
@@ -80,6 +82,99 @@ def test_hom_s_bracket_items():
     assert dict(br.nonzero_items()) == {(0, 0, 1): Fraction(1), (1, 0, 0): Fraction(-1)}
     assert not br.is_zero()
     assert hom_s_bracket(a, fixtures.nilpotent_smatrix()).is_zero()
+
+
+ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+
+
+def _oracle_s_bracket():
+    """s_bracket of bench/oracle.py, loaded by path: the closed form from B = A r
+    and C = r A^T, in plain nested lists and with no hombench code."""
+    namespace = {"__name__": "bench_oracle"}
+    exec(compile(ORACLE.read_text(encoding="utf-8"), str(ORACLE), "exec"), namespace)
+    return namespace["s_bracket"]
+
+
+def pairwise_s_bracket(a, r):
+    """The twisted square bracket expanded over every pair of nonzero tensor
+    entries r_pq, r_st in plain Fraction arithmetic:
+    alpha(e_p) (x) alpha(e_s) (x) e_q e_t - alpha(e_p) (x) [e_s, e_q] (x) alpha(e_t)
+    - e_p e_s (x) alpha(e_t) (x) alpha(e_q)."""
+    n = a.dim
+    c = a.product.entries
+    alpha = [[Fraction(a.twist.entries[i][p]) for i in range(n)] for p in range(n)]   # alpha(e_p)
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+
+    def add(coeff, u, v, w):
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    out[i][j][k] += coeff * u[i] * v[j] * w[k]
+
+    items = [((p, q), Fraction(x)) for p, row in enumerate(r.entries) for q, x in enumerate(row) if x]
+    for (p, q), c1 in items:
+        for (s, t), c2 in items:
+            commutator = [c[s][q][k] - c[q][s][k] for k in range(n)]
+            add(c1 * c2, alpha[p], alpha[s], c[q][t])
+            add(-c1 * c2, alpha[p], commutator, alpha[t])
+            add(-c1 * c2, c[p][s], alpha[t], alpha[q])
+    return out
+
+
+def _random_inputs():
+    """Rational inputs at dims 1-5: a dense product table and a dense twist that
+    is not the identity, with a non-symmetric r, a symmetric r (neither
+    intertwines a generic twist), an intertwining r (up to dim 4) and r = 0.
+    The pairwise reference is quartic in the entries of r, so r is sparse at
+    dim 5."""
+    rng = random.Random(20191231)
+
+    def q():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+
+    def dense(n):
+        return [[q() for _ in range(n)] for _ in range(n)]
+
+    out = []
+    for n in range(1, 6):
+        for case in ("non-symmetric", "symmetric", "zero") + (("intertwining",) if n < 5 else ()):
+            product = Tensor3([[[q() for _ in range(n)] for _ in range(n)] for _ in range(n)])
+            twist = LinearMap(dense(n))
+            while not twist.is_invertible() or twist == LinearMap.identity(n):
+                twist = LinearMap(dense(n))
+            rows = dense(n) if n < 5 else [[q() if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)]
+            if case == "symmetric":
+                rows = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
+            elif case == "intertwining":
+                # twist = P diag(d) P^-1 and r = P r0 P^T with r0_ij = 0 unless d_i d_j = 1
+                scales = [rng.choice((1, -1))] + [rng.choice((1, -1, 2, Fraction(1, 2))) for _ in range(n - 1)]
+                change = twist
+                twist = change @ LinearMap.diagonal(scales) @ change.inverse()
+                r0 = [[rows[i][j] if scales[i] * scales[j] == 1 else 0 for j in range(n)] for i in range(n)]
+                r0[0][0] = 1
+                rows = (change @ LinearMap(r0) @ change.transpose()).entries
+            elif case == "zero":
+                rows = [[0] * n for _ in range(n)]
+            out.append((n, case, HomPreLieAlgebra(product, twist), Tensor2(rows)))
+    return out
+
+
+RANDOM_INPUTS = _random_inputs()
+
+
+@pytest.mark.parametrize("n, case, a, r", RANDOM_INPUTS,
+                         ids=["dim%d-%s" % (n, case) for n, case, _, _ in RANDOM_INPUTS])
+def test_hom_s_bracket_matches_both_references(n, case, a, r):
+    if case == "intertwining":
+        assert check_pro1(a, r)
+    square = hom_s_bracket(a, r)
+    assert square.dims == (n, n, n)
+    assert square.entries == tuple(tuple(tuple(vec) for vec in plane) for plane in pairwise_s_bracket(a, r))
+    oracle = _oracle_s_bracket()([[list(vec) for vec in plane] for plane in a.product.entries],
+                                 [list(row) for row in a.twist.entries], [list(row) for row in r.entries])
+    assert square.entries == tuple(tuple(tuple(vec) for vec in plane) for plane in oracle)
+    # at dim 1 every bracket vanishes: (A_0 A_0)_0 = (B_0 B_0)_0 and [B_0, A_0] = 0
+    assert square.is_zero() == (case == "zero" or n == 1)
 
 
 def test_pro3_holds_for_all_pro1_tensors():

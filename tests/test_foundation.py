@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -389,3 +391,16 @@ def test_invertibility_verdict_is_stable():
     for _ in range(2):
         with pytest.raises(DimensionMismatch):
             LinearMap(((1, 0),)).is_invertible()
+
+
+def test_integer_forms_are_read_only_inside_foundation():
+    """The cached integer forms are foundation's storage: every other module
+    reads them only through _integer_family."""
+    package = Path(__file__).resolve().parent.parent / "src" / "hombench"
+    pattern = re.compile(r"\._form\b|_integer_form\b")
+    readers = [(path.name, number, line.strip())
+               for path in sorted(package.glob("*.py")) if path.name != "foundation.py"
+               for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+               if pattern.search(line)]
+    assert len(list(package.glob("*.py"))) > 1
+    assert readers == []

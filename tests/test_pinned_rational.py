@@ -1,4 +1,5 @@
-"""Reports of the double side and of the form and representation checks on
+"""Reports of the double side, of the form, representation, s-matrix and Manin
+checks, and the tables of the Hom-s bracket and the hessian splitting, on
 rational data, pinned so that a rewrite of the scalar kernels cannot change
 them: verdicts, identity names, witnesses and residuals, in order.
 
@@ -15,7 +16,10 @@ form, product or map, so that nonzero rational residuals are pinned as well.
 The expected values live in pinned_rational.json. The double-side, form and
 representation cases were recorded from the implementation that summed every
 product in Fraction arithmetic; the hessian and morphism cases from the one that
-built each residual as a vector of exact scalars before testing it for zero.
+built each residual as a vector of exact scalars before testing it for zero; the
+s-matrix, Manin and hessian-splitting cases from the one that expanded the
+bracket over pairs of tensor entries and applied the form one basis pair at a
+time.
 """
 
 import json
@@ -25,12 +29,15 @@ from pathlib import Path
 import pytest
 
 from hombench import (BilinearForm, HomLieAlgebra, HomPreLieAlgebra, HomPreLieRep, LinearMap,
-                      check_equivalence_theorem, check_morphism, coadjoint_lie_matched_pair,
-                      coadjoint_pre_lie_rep, validate_hessian, validate_matched_pair_lie,
+                      ManinTriple, Tensor2, Tensor3, apply_bilinear, check_equivalence_theorem,
+                      check_morphism, check_P_condition, check_pro1, check_pro3,
+                      coadjoint_lie_matched_pair, coadjoint_pre_lie_rep, dendriform_from_hessian,
+                      document_for, hom_s_bracket, serialize_documents, standard_manin_triple,
+                      validate_hessian, validate_manin_triple, validate_matched_pair_lie,
                       validate_pre_lie_rep, validate_quadratic)
-from hombench.fixtures import zero_dual_partner
+from hombench.fixtures import nilpotent_algebra, nilpotent_hessian_form, zero_dual_partner
 
-from test_pinned_actions import bump_family, bump_map, bump_table
+from test_pinned_actions import bump_family, bump_map, bump_table, bump_tensor2
 from test_pinned_validators import P, twisted_novikov
 
 HALF = Fraction(1, 2)
@@ -107,6 +114,88 @@ def _pre_lie_reps():
                                                 rep.right)}
 
 
+def symmetric_tensor():
+    """A dense symmetric tensor with thirds; it intertwines no twist of algebra()."""
+    return Tensor2(((1, 0, Fraction(1, 3), 2), (0, -1, 1, 0), (Fraction(1, 3), 1, 0, HALF), (2, 0, HALF, 3)))
+
+
+def intertwining_tensor(entries):
+    """The tensor with the given {(i, j): c} entries in the Novikov basis, moved
+    to the basis x' = P x; it intertwines the lambda = -1 twist when every i + j
+    is even."""
+    r = LinearMap(Tensor2.from_entries(4, 4, entries).entries)
+    return Tensor2((P @ r @ P.transpose()).entries)
+
+
+def _s_cases():
+    """Inputs of hom_s_bracket and check_P_condition: tensors that solve nothing
+    on the rational lambda = 1/2 algebra, with one-entry bumps of the tensor,
+    the product and the twist, and intertwining non-solutions (symmetric and
+    not) of the lambda = -1 algebra in the same basis."""
+    a = algebra()
+    r = symmetric_tensor()
+    minus = twisted_novikov(-1)
+    return {"symmetric": (a, r),
+            "zero": (a, Tensor2.zero(4, 4)),
+            "tensor-bump": (a, bump_tensor2(r, 1, 3, Fraction(-2, 3))),
+            "product-bump": (bumped_algebra(), r),
+            "twist-bump": (HomPreLieAlgebra(a.product, bump_map(a.twist, 2, 0, HALF)), r),
+            "intertwining": (minus, intertwining_tensor({(0, 0): Fraction(1, 3), (1, 3): HALF,
+                                                         (3, 1): HALF, (2, 2): -1})),
+            "intertwining-skew": (minus, intertwining_tensor({(0, 2): 1, (2, 0): Fraction(-1, 3),
+                                                              (1, 1): 2}))}
+
+
+def _pro3_cases():
+    return {name: args for name, args in _s_cases().items() if check_pro1(*args)}
+
+
+def _table_lines(t):
+    return ["%d %d %d %s" % (i, j, k, c) for (i, j, k), c in t.nonzero_items()]
+
+
+def transported(a, b, q):
+    """(a, b) moved to the basis x' = Q x."""
+    n = a.dim
+    q_inv = q.inverse()
+    product = Tensor3.from_slices(n, n, n, lambda i, j: q.apply(
+        apply_bilinear(a.product, q_inv.column(i), q_inv.column(j))))
+    return (HomPreLieAlgebra(product, q @ a.twist @ q_inv),
+            BilinearForm((q_inv.transpose() @ LinearMap(b.matrix.entries) @ q_inv).entries, b.symmetry))
+
+
+def _hessian_pairs():
+    """The fixture pair, whose product is commutative, and the pair
+    e1 e1 = -e1, e1 e2 = e2 with b = ((-1, -1), (-1, 0)), whose is not, each
+    also moved to a basis with thirds and halves."""
+    q = LinearMap(((1, HALF), (Fraction(-1, 3), 2)))
+    fixture = (nilpotent_algebra(), nilpotent_hessian_form())
+    skew = (HomPreLieAlgebra(Tensor3.from_entries((2, 2, 2), {(0, 0, 0): -1, (0, 1, 1): 1}),
+                             LinearMap.identity(2)),
+            BilinearForm(((-1, -1), (-1, 0)), "symmetric"))
+    return {"fixture": fixture, "rational-basis": transported(*fixture, q),
+            "noncommutative": skew, "noncommutative-rational-basis": transported(*skew, q)}
+
+
+def _manin_triples():
+    """The standard triple of algebra() and its zero partner, with the form
+    bumped inside each isotropic slot and the twist bumped off its blocks."""
+    mt = standard_manin_triple(algebra(), partner())
+
+    def with_form(i, j, c):
+        rows = [list(row) for row in mt.form.matrix.entries]
+        rows[i][j] += c
+        rows[j][i] -= c
+        return ManinTriple(mt.total, BilinearForm(rows, "skew"), 4, 4)
+
+    total = mt.total
+    return {"standard": mt,
+            "first-form-bump": with_form(0, 2, Fraction(1, 3)),
+            "second-form-bump": with_form(5, 7, Fraction(-3, 2)),
+            "twist-bump": ManinTriple(HomPreLieAlgebra(total.product, bump_map(total.twist, 1, 6, HALF)),
+                                      mt.form, 4, 4)}
+
+
 def cases():
     """Every pinned case: name -> a thunk giving its JSON-ready output."""
     pairs = {"zero-dual": (algebra(), partner()), "second-bump": (algebra(), bumped_partner())}
@@ -123,6 +212,16 @@ def cases():
         out["validate_hessian/" + name] = lambda a=a, b=b: validate_hessian(a, b).to_dict()
     for name, (f, src, dst) in _morphism_cases().items():
         out["check_morphism/" + name] = lambda f=f, src=src, dst=dst: check_morphism(f, src, dst).to_dict()
+    for name, (a, r) in _s_cases().items():
+        out["hom_s_bracket/" + name] = lambda a=a, r=r: _table_lines(hom_s_bracket(a, r))
+        out["check_P_condition/" + name] = lambda a=a, r=r: check_P_condition(a, r).to_dict()
+    for name, (a, r) in _pro3_cases().items():
+        out["check_pro3/" + name] = lambda a=a, r=r: check_pro3(a, r).to_dict()
+    for name, (a, b) in _hessian_pairs().items():
+        out["dendriform_from_hessian/" + name] = (
+            lambda a=a, b=b: serialize_documents([document_for(dendriform_from_hessian(a, b))]))
+    for name, mt in _manin_triples().items():
+        out["validate_manin_triple/" + name] = lambda mt=mt: validate_manin_triple(mt).to_dict()
     return out
 
 
@@ -145,8 +244,8 @@ def test_inputs_are_rational():
 
 
 def test_pins_hold_nonzero_rational_residuals():
-    residuals = [Fraction(c) for value in _pinned().values() for f in value["failures"]
-                 for c in f["residual"]]
+    residuals = [Fraction(c) for value in _pinned().values() if isinstance(value, dict)
+                 for f in value["failures"] for c in f["residual"]]
     assert any(c.denominator > 1 for c in residuals)
 
 
