@@ -197,6 +197,18 @@ class OOperator:
         return "OOperator(%dx%d)" % (self.matrix.rows, self.matrix.cols)
 
 
+def _operator_actions(o):
+    """The actions at the twisted preimages T beta^-1(v_i) of the space basis:
+    the families rho(T beta^-1 v_i) and mu(T beta^-1 v_i), one matrix per v_i."""
+    rep = o.rep
+    m = rep.space_dim
+    beta_inv = rep.twist.inverse()
+    shifted = [o.matrix.apply(beta_inv.column(i)) for i in range(m)]
+    left = action_table(rep.left, m)
+    right = action_table(rep.right, m)
+    return [left.left_at(x) for x in shifted], [right.left_at(x) for x in shifted]
+
+
 def validate_o_operator(o):
     """Check the twist intertwining and the product-through-action identity.
 
@@ -207,13 +219,8 @@ def validate_o_operator(o):
     t = o.matrix
     if not rep.twist.is_invertible():
         raise SingularMap("representation space twist is singular")
-    beta_inv = rep.twist.inverse()
     m = rep.space_dim
-    shifted = [t.apply(beta_inv.column(i)) for i in range(m)]
-    left = action_table(rep.left, m)
-    right = action_table(rep.right, m)
-    rho = [left.left_at(x) for x in shifted]        # rho(T beta^-1 v_i)
-    mu = [right.left_at(x) for x in shifted]        # mu(T beta^-1 v_j)
+    rho, mu = _operator_actions(o)
     D, (t_rows, twist_rows, *images) = _integer_family(
         [t, a.twist] + [a.product.left_at(t.column(i)) for i in range(m)])      # T(v_i) . -
     d, (t_ints, beta_ints, *actions) = _integer_family([t, rep.twist] + rho + mu)
@@ -276,13 +283,8 @@ def dendriform_from_o_operator(o):
     rep = o.rep
     m = rep.space_dim
     t = o.matrix
-    beta_inv = rep.twist.inverse()
-    shifted = [t.apply(beta_inv.column(i)) for i in range(m)]
-    left = action_table(rep.left, m)
-    right = action_table(rep.right, m)
-    on_space = HomLDendriform(action_table([left.left_at(x) for x in shifted], m),
-                              -action_table([right.left_at(x) for x in shifted], m),
-                              rep.twist)
+    rho, mu = _operator_actions(o)
+    on_space = HomLDendriform(action_table(rho, m), -action_table(mu, m), rep.twist)
 
     pivots = row_reduce([list(row) for row in t.entries], t.cols)
     image_basis = LinearMap.from_columns([t.column(j) for j in pivots], rows=t.rows)

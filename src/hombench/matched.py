@@ -17,7 +17,8 @@ from .algebras import (BilinearForm, HomLieAlgebra, HomPreLieAlgebra, Validation
                        agreement_report, combine_reports, validate_hom_lie, validate_hom_pre_lie,
                        validate_quadratic, _record)
 from .representations import (HomLieRep, HomPreLieRep, action_table, star_maps,
-                              validate_lie_rep, validate_pre_lie_rep)
+                              validate_lie_rep, validate_pre_lie_rep, _action_family,
+                              _dual_actions)
 
 
 class LieMatchedPair:
@@ -27,21 +28,10 @@ class LieMatchedPair:
     __slots__ = ("first", "second", "first_action", "second_action")
 
     def __init__(self, first, second, first_action, second_action):
-        first_action = tuple(first_action)
-        second_action = tuple(second_action)
-        if len(first_action) != first.dim or len(second_action) != second.dim:
-            raise DimensionMismatch("action counts %d/%d for dims %d/%d"
-                                    % (len(first_action), len(second_action), first.dim, second.dim))
-        for m in first_action:
-            if m.rows != second.dim or m.cols != second.dim:
-                raise DimensionMismatch("first action matrix is %dx%d on dim %d" % (m.rows, m.cols, second.dim))
-        for m in second_action:
-            if m.rows != first.dim or m.cols != first.dim:
-                raise DimensionMismatch("second action matrix is %dx%d on dim %d" % (m.rows, m.cols, first.dim))
         self.first = first
         self.second = second
-        self.first_action = first_action
-        self.second_action = second_action
+        self.first_action = _action_family(first_action, first.dim, second.dim)
+        self.second_action = _action_family(second_action, second.dim, first.dim)
 
     def __eq__(self, other):
         if not isinstance(other, LieMatchedPair):
@@ -59,28 +49,12 @@ class PreLieMatchedPair:
     __slots__ = ("first", "second", "first_left", "first_right", "second_left", "second_right")
 
     def __init__(self, first, second, first_left, first_right, second_left, second_right):
-        first_left = tuple(first_left)
-        first_right = tuple(first_right)
-        second_left = tuple(second_left)
-        second_right = tuple(second_right)
-        if len(first_left) != first.dim or len(first_right) != first.dim:
-            raise DimensionMismatch("first action counts %d/%d for dim %d"
-                                    % (len(first_left), len(first_right), first.dim))
-        if len(second_left) != second.dim or len(second_right) != second.dim:
-            raise DimensionMismatch("second action counts %d/%d for dim %d"
-                                    % (len(second_left), len(second_right), second.dim))
-        for m in first_left + first_right:
-            if m.rows != second.dim or m.cols != second.dim:
-                raise DimensionMismatch("first action matrix is %dx%d on dim %d" % (m.rows, m.cols, second.dim))
-        for m in second_left + second_right:
-            if m.rows != first.dim or m.cols != first.dim:
-                raise DimensionMismatch("second action matrix is %dx%d on dim %d" % (m.rows, m.cols, first.dim))
         self.first = first
         self.second = second
-        self.first_left = first_left
-        self.first_right = first_right
-        self.second_left = second_left
-        self.second_right = second_right
+        self.first_left = _action_family(first_left, first.dim, second.dim)
+        self.first_right = _action_family(first_right, first.dim, second.dim)
+        self.second_left = _action_family(second_left, second.dim, first.dim)
+        self.second_right = _action_family(second_right, second.dim, first.dim)
 
     def __eq__(self, other):
         if not isinstance(other, PreLieMatchedPair):
@@ -251,21 +225,15 @@ def require_dual_twists(a, adual):
         raise TwistMismatch("second twist is not the inverse dual of the first")
 
 
-def _coadjoint_actions(a):
-    """The twisted duals of the commutator family and of the negated right
-    multiplication family of one algebra: its left and right actions on the
-    partner's space."""
-    left = a.product.left_maps()
-    right = a.product.right_maps()
-    return (star_maps([lm - rm for lm, rm in zip(left, right)], a.twist, a.twist),
-            tuple(-mm for mm in star_maps(right, a.twist, a.twist)))
-
-
 def coadjoint_matched_pair(a, adual):
     """The canonical candidate pair: each algebra acts on the other's dual space
-    through the twisted dual of its commutator and right multiplication families."""
+    through the twisted dual of its regular left/right action pair."""
     require_dual_twists(a, adual)
-    return PreLieMatchedPair(a, adual, *_coadjoint_actions(a), *_coadjoint_actions(adual))
+
+    def coadjoint(b):
+        return _dual_actions(b.product.left_maps(), b.product.right_maps(), b.twist, b.twist)
+
+    return PreLieMatchedPair(a, adual, *coadjoint(a), *coadjoint(adual))
 
 
 def coadjoint_lie_matched_pair(a, adual):

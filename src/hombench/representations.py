@@ -7,8 +7,10 @@ where rho is a Lie-side representation of the commutator algebra and mu
 satisfies the twisted right-action compatibilities. Actions are stored as
 one matrix per algebra basis vector and extended linearly.
 
-The action at a basis vector is its stored matrix. A family of n actions on a
-space of dimension m holds the same data as an (n, m, m) structure table, and
+The action at a basis vector is its stored matrix. _action_family(maps, n, m)
+is the one shape check of a family: n matrices, each m x m; the representation
+and matched-pair containers and action_table call it. A family of n actions on
+a space of dimension m holds the same data as an (n, m, m) structure table, and
 action_table(maps, m) is the one converter: slice (p, q) is maps[p].column(q),
 so Tensor3.left_maps() gives the family back. Every action at a general vector
 is then read through the table primitives of foundation: table.left_at(x) is
@@ -16,6 +18,13 @@ the matrix of the action at x, table.right_at(v) sends x to the action at x
 applied to v, and apply_bilinear(table, x, v) is one such value. The
 multiplication operators of an algebra at a general vector come straight from
 its own table (Tensor3.left_at, Tensor3.right_at).
+
+The twisted dual of a left/right action pair (rho, mu) on V is the pair
+(rho*, mu*) = (star(rho) - star(mu), -star(mu)) on the dual space, where
+star_maps is the twisted dual of one family. _dual_actions is its one home:
+dual_pre_lie_rep (hence the coadjoint representation), the coadjoint matched
+pair and the dual product induced by a tensor all read it. The coboundary and
+cocycle side does not, so the two sides of each equivalence keep separate code.
 
 The validators sum each identity instance in ints, as those of algebras do: a
 matrix identity is checked one column at a time, each column a sum of operators
@@ -32,12 +41,21 @@ from .algebras import (HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
                        validate_hom_lie, validate_hom_pre_lie, _record)
 
 
-def action_table(maps, size):
-    """The family of size x size action matrices as one (len(maps), size, size)
-    table whose slice (p, q) is maps[p].column(q)."""
+def _action_family(maps, count, size):
+    """The maps as a tuple, after checking that they are count size x size matrices."""
+    maps = tuple(maps)
+    if len(maps) != count:
+        raise DimensionMismatch("%d action matrices for %d basis vectors" % (len(maps), count))
     for m in maps:
         if m.rows != size or m.cols != size:
             raise DimensionMismatch("action matrix is %dx%d, expected %dx%d" % (m.rows, m.cols, size, size))
+    return maps
+
+
+def action_table(maps, size):
+    """The family of size x size action matrices as one (len(maps), size, size)
+    table whose slice (p, q) is maps[p].column(q)."""
+    maps = _action_family(maps, len(maps), size)
     return Tensor3.from_slices(len(maps), size, size, lambda p, q: maps[p].column(q))
 
 
@@ -47,18 +65,12 @@ class HomLieRep:
     __slots__ = ("algebra", "space_dim", "twist", "maps")
 
     def __init__(self, algebra, space_dim, twist, maps):
-        maps = tuple(maps)
-        if len(maps) != algebra.dim:
-            raise DimensionMismatch("%d action matrices for dimension %d" % (len(maps), algebra.dim))
         if twist.rows != space_dim or twist.cols != space_dim:
             raise DimensionMismatch("space twist is %dx%d for space dim %d" % (twist.rows, twist.cols, space_dim))
-        for m in maps:
-            if m.rows != space_dim or m.cols != space_dim:
-                raise DimensionMismatch("action matrix is %dx%d on space dim %d" % (m.rows, m.cols, space_dim))
         self.algebra = algebra
         self.space_dim = space_dim
         self.twist = twist
-        self.maps = maps
+        self.maps = _action_family(maps, algebra.dim, space_dim)
 
     def __eq__(self, other):
         if not isinstance(other, HomLieRep):
@@ -76,21 +88,13 @@ class HomPreLieRep:
     __slots__ = ("algebra", "space_dim", "twist", "left", "right")
 
     def __init__(self, algebra, space_dim, twist, left, right):
-        left = tuple(left)
-        right = tuple(right)
-        if len(left) != algebra.dim or len(right) != algebra.dim:
-            raise DimensionMismatch("%d/%d action matrices for dimension %d"
-                                    % (len(left), len(right), algebra.dim))
         if twist.rows != space_dim or twist.cols != space_dim:
             raise DimensionMismatch("space twist is %dx%d for space dim %d" % (twist.rows, twist.cols, space_dim))
-        for m in left + right:
-            if m.rows != space_dim or m.cols != space_dim:
-                raise DimensionMismatch("action matrix is %dx%d on space dim %d" % (m.rows, m.cols, space_dim))
         self.algebra = algebra
         self.space_dim = space_dim
         self.twist = twist
-        self.left = left
-        self.right = right
+        self.left = _action_family(left, algebra.dim, space_dim)
+        self.right = _action_family(right, algebra.dim, space_dim)
 
     def __eq__(self, other):
         if not isinstance(other, HomPreLieRep):
@@ -233,16 +237,21 @@ def star_maps(maps, algebra_twist, space_twist):
                  for i in range(algebra_twist.rows))
 
 
+def _dual_actions(left, right, algebra_twist, space_twist):
+    """The twisted dual (rho*, mu*) = (star(left) - star(right), -star(right)) of
+    a left/right action pair: its left and right actions on the dual space."""
+    star_left = star_maps(left, algebra_twist, space_twist)
+    star_right = star_maps(right, algebra_twist, space_twist)
+    return (tuple(sl - sr for sl, sr in zip(star_left, star_right)),
+            tuple(-sr for sr in star_right))
+
+
 def dual_pre_lie_rep(a, r):
     """The representation on the dual space induced by a pre-Lie-side representation."""
     if r.algebra != a:
         raise InvalidInput("representation does not belong to the given algebra")
-    star_left = star_maps(r.left, a.twist, r.twist)
-    star_right = star_maps(r.right, a.twist, r.twist)
-    twist = r.twist.inverse().transpose()
-    left = [star_left[i] - star_right[i] for i in range(a.dim)]
-    right = [-star_right[i] for i in range(a.dim)]
-    return HomPreLieRep(a, r.space_dim, twist, left, right)
+    return HomPreLieRep(a, r.space_dim, r.twist.inverse().transpose(),
+                        *_dual_actions(r.left, r.right, a.twist, r.twist))
 
 
 def coadjoint_pre_lie_rep(a):
@@ -274,10 +283,10 @@ def coboundary_rep(a):
     return HomLieRep(lie, a.dim * a.dim, tensor_product_map(a.twist, a.twist), coboundary_maps(a))
 
 
-def check_one_cocycle(g, rep, delta):
-    """Check delta([x,y]) = rho(phi(x)) delta(y) - rho(phi(y)) delta(x) on basis pairs."""
-    if rep.algebra.dim != g.dim:
-        raise DimensionMismatch("representation algebra dim %d, algebra dim %d" % (rep.algebra.dim, g.dim))
+def check_one_cocycle(rep, delta):
+    """Check delta([x,y]) = rho(phi(x)) delta(y) - rho(phi(y)) delta(x) on basis
+    pairs of the represented algebra."""
+    g = rep.algebra
     if delta.cols != g.dim or delta.rows != rep.space_dim:
         raise DimensionMismatch("cocycle candidate is %dx%d for dims %d -> %d"
                                 % (delta.rows, delta.cols, g.dim, rep.space_dim))

@@ -91,14 +91,15 @@ def _cocycles():
     out = {}
     bumps = {"product": ((1, 0, 5), (0, 1, 0)), "coproduct": ((0, 0, 1), (2, 0, 1))}
     for name, alg, delta in (("product", a, b.phi_star), ("coproduct", d, b.psi_star)):
-        g = sub_adjacent(alg)
         rep = coboundary_rep(alg)
+        g = rep.algebra
         action_bump, bracket_bump = bumps[name]
-        out[name] = (g, rep, delta)
-        out[name + "-delta-bump"] = (g, rep, bump_map(delta, 5, 1))
-        out[name + "-action-bump"] = (g, HomLieRep(rep.algebra, 9, rep.twist,
-                                                   bump_family(rep.maps, *action_bump, HALF)), delta)
-        out[name + "-bracket-bump"] = (HomLieAlgebra(bump_table(g.bracket, bracket_bump), g.twist), rep, delta)
+        bumped_g = HomLieAlgebra(bump_table(g.bracket, bracket_bump), g.twist)
+        out[name] = (rep, delta)
+        out[name + "-delta-bump"] = (rep, bump_map(delta, 5, 1))
+        out[name + "-action-bump"] = (HomLieRep(g, 9, rep.twist, bump_family(rep.maps, *action_bump, HALF)),
+                                      delta)
+        out[name + "-bracket-bump"] = (HomLieRep(bumped_g, 9, rep.twist, rep.maps), delta)
     return out
 
 
