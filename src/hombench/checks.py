@@ -12,7 +12,7 @@ a rebinding of this module's globals (as the bench tracer does) reaches it.
 
 from collections import namedtuple
 
-from .errors import UnsupportedKind, UnknownSlug, UsageError
+from .errors import InvalidInput, UnsupportedKind, UnknownSlug, UsageError
 from .foundation import LinearMap
 from .algebras import (Failure, ValidationReport, agreement_report, check_morphism,
                        combine_reports, sub_adjacent, validate_hom_lie, validate_hom_pre_lie,
@@ -149,7 +149,11 @@ def _manin_standardize(mt):
 def _p_condition(a, r):
     dual = dual_product_from_r(a, r)
     p_report = check_P_condition(a, r)
-    cocycle_report = check_one_cocycle(coboundary_rep(dual), dualize_product(a))
+    try:
+        rep = coboundary_rep(dual)
+    except InvalidInput:
+        raise InvalidInput("the dual product induced by r is not twisted pre-Lie") from None
+    cocycle_report = check_one_cocycle(rep, dualize_product(a))
     return _reports_agreement({"p_condition": p_report, "cocycle": cocycle_report})
 
 

@@ -199,9 +199,12 @@ class OOperator:
 
 def _operator_actions(o):
     """The actions at the twisted preimages T beta^-1(v_i) of the space basis:
-    the families rho(T beta^-1 v_i) and mu(T beta^-1 v_i), one matrix per v_i."""
+    the families rho(T beta^-1 v_i) and mu(T beta^-1 v_i), one matrix per v_i.
+    Raises SingularMap when the space twist beta is singular."""
     rep = o.rep
     m = rep.space_dim
+    if not rep.twist.is_invertible():
+        raise SingularMap("representation space twist is singular")
     beta_inv = rep.twist.inverse()
     shifted = [o.matrix.apply(beta_inv.column(i)) for i in range(m)]
     left = action_table(rep.left, m)
@@ -214,13 +217,16 @@ def validate_o_operator(o):
 
     The actions are taken as given: whether they form a representation of the
     algebra is not checked (validate_pre_lie_rep does that)."""
+    return _o_operator_report(o, *_operator_actions(o))
+
+
+def _o_operator_report(o, rho, mu):
+    """validate_o_operator's report, read from the operator's shifted actions
+    rho, mu = _operator_actions(o)."""
     rep = o.rep
     a = rep.algebra
     t = o.matrix
-    if not rep.twist.is_invertible():
-        raise SingularMap("representation space twist is singular")
     m = rep.space_dim
-    rho, mu = _operator_actions(o)
     D, (t_rows, twist_rows, *images) = _integer_family(
         [t, a.twist] + [a.product.left_at(t.column(i)) for i in range(m)])      # T(v_i) . -
     d, (t_ints, beta_ints, *actions) = _integer_family([t, rep.twist] + rho + mu)
@@ -278,12 +284,12 @@ def dendriform_from_o_operator(o):
     """Split the representation space and the operator image into dendriform
     structures: on the space via twisted-preimage actions, on the image by
     transporting products through the operator."""
-    if not validate_o_operator(o).valid:
+    rho, mu = _operator_actions(o)
+    if not _o_operator_report(o, rho, mu).valid:
         raise InvalidInput("dendriform_from_o_operator needs a valid relative operator")
     rep = o.rep
     m = rep.space_dim
     t = o.matrix
-    rho, mu = _operator_actions(o)
     on_space = HomLDendriform(action_table(rho, m), -action_table(mu, m), rep.twist)
 
     pivots = row_reduce([list(row) for row in t.entries], t.cols)

@@ -20,9 +20,14 @@ entry denominators and its entries times d. A kernel scales each input vector
 to ints once, does every multiply-add on ints, and divides each output entry
 once, giving an int when the division is exact and a Fraction otherwise.
 Integral data is the d = 1 case and is never divided. Maps that a kernel
-summed in ints keep that form, and a map remembers whether it is invertible.
-These caches are safe because every object is immutable; equality, hashing,
-repr and serialization never read them.
+summed in ints keep that form, and so do the maps derived from other maps
+(+, -, negation, transpose, tensor_product_map, map_direct_sum), which are
+combined on the operands' integer forms with no per-entry frac(). Elimination
+(row_reduce, and with it inverse and is_invertible) also runs in ints and
+divides each pivot row by its pivot once at the end. A map remembers whether
+it is invertible and, once computed, its inverse. These caches are safe
+because every object is immutable; equality, hashing, repr and serialization
+never read them.
 
 The identity validators read those forms through one entry point,
 _integer_family(items): a family of maps and tables brought to one common
@@ -134,28 +139,41 @@ def _integer_family(items):
 
 
 def row_reduce(work, cols):
-    """Gauss-Jordan elimination, in place, of a list of row lists on its first
-    cols columns; later columns are carried along. Returns the pivot columns in
-    order: row r ends with a leading one at pivots[r], and the rows after the
-    last pivot row are zero on the first cols columns."""
+    """Gauss-Jordan elimination, in place, of a list of row lists of exact
+    scalars on its first cols columns; later columns are carried along. Returns
+    the pivot columns in order: row r ends with a leading one at pivots[r].
+
+    The elimination runs in ints: each row is scaled to ints, a row r is
+    cleared at a pivot row p's column as a * row_r - b * row_p (a the pivot, b
+    row r's entry there) and divided by the gcd of its entries, and only at the
+    end is each pivot row divided by its pivot. The pivot rows are therefore the
+    reduced row echelon form, whose values are unique. The rows after the last
+    pivot row are only guaranteed to be zero on the first cols columns: they
+    stay ints, and their carried columns are known up to a nonzero factor."""
     height = len(work)
+    rows = [list(_scaled(row)[1]) for row in work]
     pivots = []
     for col in range(cols):
-        row = len(pivots)
-        if row == height:
+        top = len(pivots)
+        if top == height:
             break
-        pivot = next((r for r in range(row, height) if work[r][col] != 0), None)
+        pivot = next((r for r in range(top, height) if rows[r][col]), None)
         if pivot is None:
             continue
-        work[row], work[pivot] = work[pivot], work[row]
-        if work[row][col] != 1:
-            inv = Fraction(1) / work[row][col]
-            work[row] = [inv * x for x in work[row]]
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        lead = rows[top]
+        a = lead[col]
         for r in range(height):
-            if r != row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[row])]
+            b = rows[r][col]
+            if b and r != top:
+                new = [a * x - b * y for x, y in zip(rows[r], lead)]
+                g = gcd(*new)
+                rows[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
+    for r, col in enumerate(pivots):
+        a = rows[r][col]
+        rows[r] = list(_quotients(rows[r] if a > 0 else [-x for x in rows[r]], abs(a)))
+    work[:] = rows
     return pivots
 
 
@@ -163,11 +181,12 @@ class LinearMap:
     """A rows x cols matrix over the rationals, acting on column vectors.
 
     Explicit shape arguments are only needed when entries are empty, so that
-    zero-dimensional spaces stay representable. The integer form and the
-    invertibility verdict are caches, built on first use and never compared.
+    zero-dimensional spaces stay representable. The integer form, the
+    invertibility verdict and the inverse are caches, built on first use and
+    never compared.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_form", "_invertible")
+    __slots__ = ("rows", "cols", "entries", "_form", "_invertible", "_inverse")
 
     def __init__(self, entries, rows=None, cols=None):
         table = tuple(tuple(frac(x) for x in row) for row in entries)
@@ -193,6 +212,7 @@ class LinearMap:
         self.entries = table
         self._form = None
         self._invertible = None
+        self._inverse = None
 
     @classmethod
     def _from_integers(cls, ints, d, rows, cols):
@@ -212,6 +232,7 @@ class LinearMap:
         m.entries = ints if d == 1 else tuple([_quotients(row, d) for row in ints])
         m._form = d, ints
         m._invertible = None
+        m._inverse = None
         return m
 
     def _integer_form(self):
@@ -276,45 +297,59 @@ class LinearMap:
             out.append(acc)
         return LinearMap._from_integers(out, d1 * d2, self.rows, other.cols)
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other, summed on the two integer forms brought to their
+        common denominator."""
         if not isinstance(other, LinearMap):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("adding %dx%d and %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        return LinearMap(tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)),
-                         rows=self.rows, cols=self.cols)
+        d1, left = self._form or self._integer_form()
+        d2, right = other._form or other._integer_form()
+        d = lcm(d1, d2)
+        f1, f2 = d // d1, sign * (d // d2)
+        out = [[f1 * a + f2 * b for a, b in zip(r1, r2)] for r1, r2 in zip(left, right)]
+        return LinearMap._from_integers(out, d, self.rows, self.cols)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return LinearMap(tuple(tuple(-a for a in row) for row in self.entries), rows=self.rows, cols=self.cols)
+        d, rows = self._form or self._integer_form()
+        return LinearMap._from_integers([[-a for a in row] for row in rows], d, self.rows, self.cols)
 
     def scale(self, c):
         c = frac(c)
         return LinearMap(tuple(tuple(c * a for a in row) for row in self.entries), rows=self.rows, cols=self.cols)
 
     def transpose(self):
-        return LinearMap(tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-                         rows=self.cols, cols=self.rows)
+        d, rows = self._form or self._integer_form()
+        return LinearMap._from_integers(list(zip(*rows)) if self.rows else [()] * self.cols, d,
+                                        self.cols, self.rows)
 
     def is_square(self):
         return self.rows == self.cols
 
     def inverse(self):
-        """Gauss-Jordan inverse; raises SingularMap when rank is deficient."""
+        """Gauss-Jordan inverse, computed on the first call and remembered;
+        raises SingularMap when rank is deficient."""
+        if self._inverse is not None:
+            return self._inverse
         if not self.is_square():
             raise DimensionMismatch("inverting a %dx%d map" % (self.rows, self.cols))
         n = self.rows
         work = [list(row) + list(basis_vector(n, i)) for i, row in enumerate(self.entries)]
         pivots = row_reduce(work, n)
         if len(pivots) < n:
+            self._invertible = False
             col = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
             raise SingularMap("matrix has no rank-%d minor at column %d" % (n, col))
-        return LinearMap(tuple(tuple(row[n:]) for row in work), rows=n, cols=n)
+        self._invertible = True
+        self._inverse = LinearMap(tuple(tuple(row[n:]) for row in work), rows=n, cols=n)
+        return self._inverse
 
     def power(self, k):
         """Integer power; negative exponents invert first."""
@@ -602,21 +637,19 @@ class Tensor3:
 
 
 def tensor_product_map(f, g):
-    """Kronecker product acting on lexicographically ordered tensor coordinates."""
-    rows = f.rows * g.rows
-    cols = f.cols * g.cols
+    """Kronecker product acting on lexicographically ordered tensor coordinates,
+    multiplied out on the two integer forms."""
+    d1, left = f._form or f._integer_form()
+    d2, right = g._form or g._integer_form()
+    blank = [0] * g.cols
     table = []
-    for i in range(f.rows):
-        for k in range(g.rows):
+    for frow in left:
+        for grow in right:
             row = []
-            for j in range(f.cols):
-                fij = f.entries[i][j]
-                if fij == 0:
-                    row.extend([ZERO] * g.cols)
-                else:
-                    row.extend(fij * g.entries[k][l] for l in range(g.cols))
-            table.append(tuple(row))
-    return LinearMap(tuple(table), rows=rows, cols=cols)
+            for c in frow:
+                row.extend([c * x for x in grow] if c else blank)
+            table.append(row)
+    return LinearMap._from_integers(table, d1 * d2, f.rows * g.rows, f.cols * g.cols)
 
 
 def apply_bilinear(c, x, y):
@@ -668,12 +701,12 @@ def direct_sum_table(dim, tables, actions):
 
 
 def map_direct_sum(f, g):
-    """Block diagonal sum of two maps."""
-    rows = f.rows + g.rows
-    cols = f.cols + g.cols
-    table = []
-    for i in range(f.rows):
-        table.append(tuple(f.entries[i]) + zero_vector(g.cols))
-    for i in range(g.rows):
-        table.append(zero_vector(f.cols) + tuple(g.entries[i]))
-    return LinearMap(tuple(table), rows=rows, cols=cols)
+    """Block diagonal sum of two maps, placed on their integer forms brought to
+    a common denominator."""
+    d1, top = f._form or f._integer_form()
+    d2, bottom = g._form or g._integer_form()
+    d = lcm(d1, d2)
+    f1, f2 = d // d1, d // d2
+    table = [[f1 * x for x in row] + [0] * g.cols for row in top]
+    table += [[0] * f.cols + [f2 * x for x in row] for row in bottom]
+    return LinearMap._from_integers(table, d, f.rows + g.rows, f.cols + g.cols)

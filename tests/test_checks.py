@@ -138,6 +138,11 @@ def test_s_identity_requires_twist_compatibility():
                          [DOCS["scaling_algebra"], tensor_doc({(1, 1): 1})])
 
 
+def test_p_condition_names_an_induced_dual_product_that_is_not_pre_lie():
+    with pytest.raises(InvalidInput, match="^the dual product induced by r is not twisted pre-Lie$"):
+        checks.run_check("p-condition", [DOCS["invalid_product_candidate"], DOCS["nilpotent_smatrix"]])
+
+
 def test_triangular_check_requires_a_solution():
     from hombench import NotAnSMatrix
     with pytest.raises(NotAnSMatrix):

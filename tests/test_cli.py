@@ -54,6 +54,13 @@ def test_json_residuals_are_strings(tmp_path, capsys):
     assert all(isinstance(c, str) for c in residuals)
 
 
+def test_p_condition_on_an_invalid_induced_dual_product_exits_3(capsys):
+    assert main(["check", "p-condition", fx("invalid_product_candidate"), fx("nilpotent_smatrix")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the dual product induced by r is not twisted pre-Lie\n"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("kind: tensor2\ndim_left: 2\ndim_right: 2\nentries:\n0 0 2/4\n")

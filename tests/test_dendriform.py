@@ -4,7 +4,7 @@ import pytest
 
 import sweeps
 from hombench import (HomLDendriform, HomPreLieRep, IntertwinerViolation,
-                      InvalidInput, LinearMap, OOperator, Tensor3,
+                      InvalidInput, LinearMap, OOperator, SingularMap, Tensor3,
                       canonical_smatrix, compatible_dendriform_from_invertible,
                       dendriform_from_hessian, dendriform_from_o_operator,
                       dendriform_rep_check, hom_s_bracket, horizontal,
@@ -70,6 +70,32 @@ def test_o_operator_verdicts():
     report = validate_o_operator(OOperator(regular_rep(v), LinearMap.identity(2)))
     assert not report.valid
     assert report.failures[0].identity == "operator-product"
+
+
+def test_induced_dendriform_builds_the_operator_actions_once(monkeypatch):
+    """dendriform_from_o_operator validates the operator on the same shifted
+    actions it splits with, so _operator_actions runs once per call."""
+    from hombench import dendriform
+    built = []
+    real = dendriform._operator_actions
+    monkeypatch.setattr(dendriform, "_operator_actions", lambda o: built.append(o) or real(o))
+    d = fixtures.nilpotent_dendriform()
+    operator = fixtures.mixed_action_operator(d)
+    assert dendriform_from_o_operator(operator).on_space == d
+    assert built == [operator]
+    built.clear()
+    assert validate_o_operator(operator).valid and len(built) == 1
+
+
+def test_induced_dendriform_rejects_invalid_and_singular_operators():
+    d = fixtures.nilpotent_dendriform()
+    v = vertical(d)
+    with pytest.raises(InvalidInput, match="needs a valid relative operator"):
+        dendriform_from_o_operator(OOperator(regular_rep(v), LinearMap.identity(2)))
+    singular = HomPreLieRep(v, 2, LinearMap(((1, 1), (1, 1))), d.left.left_maps(), [LinearMap.zero(2, 2)] * 2)
+    for build in (validate_o_operator, dendriform_from_o_operator):
+        with pytest.raises(SingularMap, match="^representation space twist is singular$"):
+            build(OOperator(singular, LinearMap.identity(2)))
 
 
 def test_induced_dendriform_recovers_fixture():

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -308,6 +309,109 @@ def test_matmul_is_exact_and_keeps_an_exact_integer_form(data):
     _assert_exact(product.apply(u), [_total(zip(row, u)) for row in product.entries])
 
 
+@given(st.data())
+def test_derived_maps_are_exact_and_keep_an_exact_integer_form(data):
+    """+, -, negation, transpose, the Kronecker product and the block sum are
+    built from integer forms; each agrees with a Fraction reference entry by
+    entry, with integral entries as ints, and applies like its entries."""
+    rows, cols = data.draw(sizes), data.draw(sizes)
+    a, b = data.draw(_maps(rows, cols)), data.draw(_maps(rows, cols))
+    c = data.draw(_maps())
+    cases = [
+        (a + b, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.entries, b.entries)]),
+        (a - b, [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a.entries, b.entries)]),
+        (-a, [[-x for x in row] for row in a.entries]),
+        (a.transpose(), [[a.entries[i][j] for i in range(rows)] for j in range(cols)]),
+        (tensor_product_map(a, c), [[a.entries[i][j] * c.entries[k][m] for j in range(cols) for m in range(c.cols)]
+                                    for i in range(rows) for k in range(c.rows)]),
+        (map_direct_sum(a, c), [list(row) + [0] * c.cols for row in a.entries]
+                               + [[0] * cols + list(row) for row in c.entries]),
+    ]
+    for got, want in cases:
+        assert len(got.entries) == got.rows == len(want)
+        for row, ref in zip(got.entries, want):
+            _assert_exact(row, [Fraction(x) for x in ref])
+        assert got == LinearMap(got.entries, rows=got.rows, cols=got.cols)
+        u = data.draw(_vectors(got.cols))
+        _assert_exact(got.apply(u), [_total(zip(row, u)) for row in got.entries])
+
+
+def _reference_row_reduce(work, cols):
+    """Plain Fraction Gauss-Jordan: normalize each pivot row, then clear its
+    column in every other row."""
+    work[:] = [[Fraction(x) for x in row] for row in work]
+    pivots = []
+    for col in range(cols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[top], work[pivot] = work[pivot], work[top]
+        work[top] = [x / work[top][col] for x in work[top]]
+        for r in range(len(work)):
+            if r != top:
+                work[r] = [x - work[r][col] * y for x, y in zip(work[r], work[top])]
+        pivots.append(col)
+    return pivots
+
+
+def _random_matrix(rng, rows, cols, shape):
+    """A seeded rational matrix: mostly small signed fractions and zeros, with a
+    negative leading entry, a duplicated (singular) last row, or zero rows
+    according to shape."""
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7 else 0
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if shape == "negative" and rows and cols:
+        m[0][0] = -Fraction(rng.randint(1, 9), rng.randint(1, 4))
+    elif shape == "singular" and rows > 1:
+        k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        m[-1] = [k * x + y for x, y in zip(m[0], m[rows // 2])]
+    elif shape == "zero-rows":
+        for r in range(0, rows, 2):
+            m[r] = [0] * cols
+    return m
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_row_reduce_matches_a_fraction_gauss_jordan(n):
+    """The integer elimination gives the reference's pivots and, in every pivot
+    row, the same values (the reduced row echelon form is unique); rows after
+    them are zero on the eliminated columns. Square matrices also invert to the
+    reference's inverse."""
+    rng = random.Random(1000 + n)
+    shapes = [(n, n), (n, n + 3), (n + 2, n), (max(n - 2, 0), n)]
+    checked = {"invertible": 0, "singular": 0}
+    for rows, width in shapes:
+        for shape in ("plain", "negative", "singular", "zero-rows"):
+            for _ in range(3):
+                matrix = _random_matrix(rng, rows, width, shape)
+                cols = min(n, width)
+                work = [list(row) for row in matrix]
+                ref = [list(row) for row in matrix]
+                pivots = row_reduce(work, cols)
+                assert pivots == _reference_row_reduce(ref, cols)
+                assert len(work) == rows
+                for row, want in zip(work, ref[:len(pivots)]):
+                    _assert_exact(row, want)
+                assert all(x == 0 for row in work[len(pivots):] for x in row[:cols])
+                if rows != width:
+                    continue
+                m = LinearMap(matrix, rows=n, cols=n)
+                if len(pivots) < n:
+                    checked["singular"] += 1
+                    with pytest.raises(SingularMap):
+                        m.inverse()
+                    continue
+                checked["invertible"] += 1
+                augmented = [list(row) + list(basis_vector(n, i)) for i, row in enumerate(matrix)]
+                _reference_row_reduce(augmented, n)
+                assert m.inverse() == LinearMap([row[n:] for row in augmented], rows=n, cols=n)
+                assert m @ m.inverse() == LinearMap.identity(n)
+    assert checked["invertible"] > 0
+    assert checked["singular"] > 0 or n == 0
+
+
 @given(_tables(), st.data())
 def test_multiplication_by_a_vector_is_exact(t, data):
     d1, d2, d3 = t.dims
@@ -341,20 +445,34 @@ def test_kernels_give_plain_ints_for_integral_fraction_inputs():
     assert apply_bilinear(t, (Fraction(4, 2),), (Fraction(4, 1),)) == (4, 6)
     assert all(type(c) is int for c in apply_bilinear(t, (Fraction(4, 2),), (Fraction(4, 1),)))
     assert type(Tensor2(((Fraction(1, 2),),)).pair((Fraction(2, 1),), (1,))) is int
+    half = LinearMap(((Fraction(1, 2), Fraction(3, 2)), (0, Fraction(-1, 2))))
+    for derived in (half + half, half - LinearMap(((Fraction(-1, 2), Fraction(1, 2)), (1, Fraction(1, 2)))),
+                    -(half + half), (half + half).transpose(), tensor_product_map(half, LinearMap.diagonal([2, 4])),
+                    map_direct_sum(half + half, LinearMap.diagonal([1])), LinearMap.diagonal([Fraction(1, 3)]).inverse(),
+                    LinearMap.diagonal([Fraction(1, 2), Fraction(-1, 5)]).inverse()):
+        assert all(type(c) is int for row in derived.entries for c in row), derived
 
 
 def _fresh_and_used():
     """Pairs of equal objects: the first built from entries, the second used by
     every kernel (so its integer form and invertibility verdict are built) or
-    made by a kernel that hands its integer form over."""
+    made by a kernel that hands its integer form over. A used map has also been
+    inverted (or has failed to invert), transposed, negated, added to and
+    tensored; the results of those paths are paired with fresh copies too."""
     rows = ((Fraction(1, 2), Fraction(-2, 3), 0), (3, Fraction(5, 4), -1), (0, 1, Fraction(6, 2)))
     singular = ((1, Fraction(1, 2), 0), (2, 1, 0), (0, 0, Fraction(1, 3)))
     t_items = {(0, 1, 2): Fraction(1, 2), (1, 1, 0): -3, (2, 0, 1): Fraction(2, 3)}
     used_map, used_singular = LinearMap(rows), LinearMap(singular)
+    derived = []
     for m in (used_map, used_singular):
         m.apply((1, Fraction(1, 3), 2))
         m.is_invertible()
         m @ m
+        try:
+            derived.append(m.inverse())
+        except SingularMap:
+            pass
+        derived += [m.transpose(), -m, m + used_map, m - used_map, tensor_product_map(m, used_map)]
     used_table = Tensor3.from_entries((3, 3, 3), t_items)
     used_table.left_at((1, 2, Fraction(1, 2)))
     apply_bilinear(used_table, (1, 0, 1), (0, Fraction(1, 5), 1))
@@ -364,6 +482,7 @@ def _fresh_and_used():
     operator = Tensor3.from_entries((3, 3, 3), t_items).left_at((Fraction(2, 3), 0, 3))
     return [(LinearMap(rows), used_map), (LinearMap(singular), used_singular),
             (LinearMap(product.entries), product), (LinearMap(operator.entries), operator),
+            *[(LinearMap(m.entries, rows=m.rows, cols=m.cols), m) for m in derived],
             (Tensor3.from_entries((3, 3, 3), t_items), used_table),
             (Tensor2.from_entries(3, 3, {(0, 1): Fraction(1, 2), (2, 2): 3}), used_form)]
 
@@ -374,7 +493,7 @@ def test_cached_state_is_invisible():
         assert fresh == used and used == fresh
         assert hash(fresh) == hash(used)
         assert repr(fresh) == repr(used)
-    (m, used_m), _, (p, used_p), _, (t, used_t), (r, used_r) = pairs
+    (m, used_m), _, (p, used_p), _, *_, (t, used_t), (r, used_r) = pairs
     for fresh, used in ((HomPreLieAlgebra(t, m), HomPreLieAlgebra(used_t, used_m)),
                         (HomPreLieAlgebra(t, p), HomPreLieAlgebra(used_t, used_p)), (r, used_r)):
         assert serialize_document(document_for(fresh)) == serialize_document(document_for(used))
@@ -385,9 +504,17 @@ def test_invertibility_verdict_is_stable():
     singular = LinearMap(((Fraction(1, 2), 1), (1, 2)))
     assert [invertible.is_invertible() for _ in range(3)] == [True] * 3
     assert [singular.is_invertible() for _ in range(3)] == [False] * 3
-    with pytest.raises(SingularMap):
-        singular.inverse()
+    messages = []
+    for _ in range(3):
+        with pytest.raises(SingularMap) as caught:
+            singular.inverse()
+        messages.append(str(caught.value))
+    assert messages == ["matrix has no rank-2 minor at column 1"] * 3
     assert singular.is_invertible() is False
+    assert LinearMap(singular.entries).is_invertible() is False
+    inverses = [invertible.inverse() for _ in range(3)]
+    assert inverses == [LinearMap(((2, 3), (0, Fraction(-3, 2))))] * 3
+    assert invertible @ inverses[-1] == LinearMap.identity(2)
     for _ in range(2):
         with pytest.raises(DimensionMismatch):
             LinearMap(((1, 0),)).is_invertible()
