@@ -140,9 +140,11 @@ class HomLieAlgebra:
 
 
 class HomPreLieAlgebra:
-    """A candidate twisted pre-Lie algebra: product structure tensor plus twist map."""
+    """A candidate twisted pre-Lie algebra: product structure tensor plus twist map.
+    The report of validate_hom_pre_lie is a cache, built on the first call and
+    never compared."""
 
-    __slots__ = ("dim", "product", "twist")
+    __slots__ = ("dim", "product", "twist", "_report")
 
     def __init__(self, product, twist):
         d1, d2, d3 = product.dims
@@ -153,6 +155,7 @@ class HomPreLieAlgebra:
         self.dim = d1
         self.product = product
         self.twist = twist
+        self._report = None
 
     def operation(self):
         return self.product
@@ -267,7 +270,10 @@ def validate_hom_pre_lie(cand):
     """Check twist invertibility, multiplicativity, and twisted-associator symmetry.
 
     Every product with a twisted basis vector alpha(e_i) is read from its left
-    or right multiplication operator, built once per call."""
+    or right multiplication operator, built once per call. The algebra remembers
+    its report, so validating it again returns the same report."""
+    if cand._report is not None:
+        return cand._report
     n = cand.dim
     alpha = cand.twist
     failures = []
@@ -295,7 +301,8 @@ def validate_hom_pre_lie(cand):
                 _record(failures, "twisted-associator-symmetry", (i, j, k),
                         [sum(map(mul, rk, commutator)) - sum(map(mul, li, u)) + sum(map(mul, lj, w))
                          for rk, li, lj in zip(right[k], left[i], left[j])], scale)
-    return ValidationReport(failures)
+    cand._report = ValidationReport(failures)
+    return cand._report
 
 
 def sub_adjacent(a):

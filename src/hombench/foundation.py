@@ -7,11 +7,13 @@ vectors are tuples, matrices act on column vectors, and composite indices are
 lexicographic with the left factor major. No floats anywhere.
 
 A structure table is a Tensor3 whose (i, j) output vector is the product of
-the basis pair. Other modules reach its storage only through five
+the basis pair. Other modules reach its storage only through six
 primitives: Tensor3.left_maps() and Tensor3.right_maps() give the
 multiplication operators by each basis vector, Tensor3.left_at(x) and
-Tensor3.right_at(y) give multiplication by one vector, and
-Tensor3.from_slices() builds a table one output vector at a time.
+Tensor3.right_at(y) give multiplication by one vector,
+Tensor3.from_slices() builds a table one output vector at a time, and
+Tensor3.from_left_maps() builds it from a family of maps, the inverse of
+left_maps().
 
 The contractions (LinearMap.apply and @, Tensor3.left_at and right_at,
 apply_bilinear and Tensor2.pair) run in integers. Each LinearMap, Tensor2 and
@@ -22,12 +24,15 @@ once, giving an int when the division is exact and a Fraction otherwise.
 Integral data is the d = 1 case and is never divided. Maps that a kernel
 summed in ints keep that form, and so do the maps derived from other maps
 (+, -, negation, transpose, tensor_product_map, map_direct_sum), which are
-combined on the operands' integer forms with no per-entry frac(). Elimination
-(row_reduce, and with it inverse and is_invertible) also runs in ints and
-divides each pivot row by its pivot once at the end. A map remembers whether
-it is invertible and, once computed, its inverse. These caches are safe
-because every object is immutable; equality, hashing, repr and serialization
-never read them.
+combined on the operands' integer forms with no per-entry frac(). Such a map
+stores only its integer form and makes its Fraction entries when they are
+first read. Tables built from maps (Tensor3.from_left_maps, direct_sum_table)
+are placed on the maps' and tables' integer forms brought to one denominator.
+Elimination (row_reduce, and with it inverse and is_invertible) also runs in
+ints and divides each pivot row by its pivot once at the end. A map remembers
+whether it is invertible and, once computed, its inverse. These caches are
+safe because every object is immutable; equality, hashing, repr and
+serialization read only the entries.
 
 The identity validators read those forms through one entry point,
 _integer_family(items): a family of maps and tables brought to one common
@@ -183,10 +188,11 @@ class LinearMap:
     Explicit shape arguments are only needed when entries are empty, so that
     zero-dimensional spaces stay representable. The integer form, the
     invertibility verdict and the inverse are caches, built on first use and
-    never compared.
+    never compared. A map made by a kernel holds its integer form instead, and
+    its entries are the cache.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_form", "_invertible", "_inverse")
+    __slots__ = ("rows", "cols", "_entries", "_form", "_invertible", "_inverse")
 
     def __init__(self, entries, rows=None, cols=None):
         table = tuple(tuple(frac(x) for x in row) for row in entries)
@@ -209,7 +215,7 @@ class LinearMap:
             raise DimensionMismatch("declared %d cols, got %d" % (cols, self_cols))
         self.rows = self_rows
         self.cols = self_cols
-        self.entries = table
+        self._entries = table
         self._form = None
         self._invertible = None
         self._inverse = None
@@ -219,7 +225,8 @@ class LinearMap:
         """The rows x cols map with entries ints[i][j] / d, for int row lists and
         a positive int d, built without __init__'s per-entry coercion and shape
         checks. It keeps the integer form it was summed in, reduced so that d is
-        the lcm of its entry denominators."""
+        the lcm of its entry denominators, and divides it into entries only
+        when they are first read."""
         ints = tuple(map(tuple, ints))
         if d > 1:
             g = gcd(d, *[x for row in ints for x in row])
@@ -229,11 +236,19 @@ class LinearMap:
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.entries = ints if d == 1 else tuple([_quotients(row, d) for row in ints])
+        m._entries = ints if d == 1 else None
         m._form = d, ints
         m._invertible = None
         m._inverse = None
         return m
+
+    @property
+    def entries(self):
+        """The exact scalar entries as row tuples: ints where integral."""
+        if self._entries is None:
+            d, ints = self._form
+            self._entries = tuple([_quotients(row, d) for row in ints])
+        return self._entries
 
     def _integer_form(self):
         """(d, rows): the lcm d of the entry denominators and the entries times d
@@ -362,11 +377,12 @@ class LinearMap:
         return result
 
     def is_invertible(self):
-        """Full rank, found by row-reducing a copy of the matrix on the first call."""
+        """Full rank, found by row-reducing a copy of the integer form on the first call."""
         if not self.is_square():
             raise DimensionMismatch("inverting a %dx%d map" % (self.rows, self.cols))
         if self._invertible is None:
-            self._invertible = len(row_reduce([list(row) for row in self.entries], self.cols)) == self.rows
+            _, rows = self._form or self._integer_form()
+            self._invertible = len(row_reduce([list(row) for row in rows], self.cols)) == self.rows
         return self._invertible
 
     def __eq__(self, other):
@@ -536,6 +552,37 @@ class Tensor3:
         """The table whose output vector at the basis pair (i, j) is vec_of(i, j)."""
         return cls(tuple(tuple(vec_of(i, j) for j in range(d2)) for i in range(d1)), dims=(d1, d2, d3))
 
+    @classmethod
+    def from_left_maps(cls, maps, d2, d3):
+        """The (len(maps), d2, d3) table whose output vector at (i, j) is column j
+        of the d3 x d2 map maps[i]: the inverse of left_maps(), built on the maps'
+        integer forms at one common denominator."""
+        maps = tuple(maps)
+        for m in maps:
+            if m.rows != d3 or m.cols != d2:
+                raise DimensionMismatch("left map is %dx%d, expected %dx%d" % (m.rows, m.cols, d3, d2))
+        d, forms = _integer_family(maps)
+        planes = [tuple(zip(*rows)) if d3 else ((),) * d2 for rows in forms]
+        return cls._from_integers(planes, d, (len(forms), d2, d3))
+
+    @classmethod
+    def _from_integers(cls, planes, d, dims):
+        """The table with entries planes[i][j][k] / d, for int planes of the given
+        dims and a positive int d, built without __init__'s per-entry coercion and
+        shape checks. It keeps its integer form, reduced so that d is the lcm of
+        its entry denominators, like LinearMap._from_integers."""
+        planes = tuple([tuple(map(tuple, plane)) for plane in planes])
+        if d > 1:
+            g = gcd(d, *[x for plane in planes for vec in plane for x in vec])
+            if g > 1:
+                d //= g
+                planes = tuple([tuple([tuple([x // g for x in vec]) for vec in plane]) for plane in planes])
+        t = object.__new__(cls)
+        t.dims = tuple(dims)
+        t.entries = planes if d == 1 else tuple([tuple([_quotients(vec, d) for vec in plane]) for plane in planes])
+        t._form = d, planes
+        return t
+
     def _integer_form(self):
         """(d, planes): the lcm d of the entry denominators and the table times d,
         with int output vectors."""
@@ -685,19 +732,27 @@ def direct_sum_table(dim, tables, actions):
     swap, negate) rows: entry (k, j) of maps[i], the action of basis vector i
     of the summand at offset acting on basis vector j of the summand at offset
     acted, lands at (acting + i, acted + j, acted + k), or at (acted + j,
-    acting + i, acted + k) when swap is set, negated when negate is set."""
-    items = {}
-    for offset, table in tables:
-        for (i, j, k), c in table.nonzero_items():
-            items[(offset + i, offset + j, offset + k)] = c
+    acting + i, acted + k) when swap is set, negated when negate is set. Only
+    nonzero entries are placed, later ones over earlier ones, on the integer
+    forms of every block brought to one common denominator."""
+    d, forms = _integer_family([table for _, table in tables] + [m for row in actions for m in row[0]])
+    forms = iter(forms)
+    planes = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for offset, _ in tables:
+        for i, plane in enumerate(next(forms)):
+            for j, vec in enumerate(plane):
+                out = planes[offset + i][offset + j]
+                for k, c in enumerate(vec):
+                    if c:
+                        out[offset + k] = c
     for maps, acting, acted, swap, negate in actions:
-        for i, m in enumerate(maps):
-            for j, column in enumerate(zip(*m.entries)):
-                x, y = (acted + j, acting + i) if swap else (acting + i, acted + j)
+        for i in range(len(maps)):
+            for j, column in enumerate(zip(*next(forms))):
+                out = planes[acted + j][acting + i] if swap else planes[acting + i][acted + j]
                 for k, c in enumerate(column):
-                    if c != 0:
-                        items[(x, y, acted + k)] = -c if negate else c
-    return Tensor3.from_entries((dim, dim, dim), items)
+                    if c:
+                        out[acted + k] = -c if negate else c
+    return Tensor3._from_integers(planes, d, (dim, dim, dim))
 
 
 def map_direct_sum(f, g):

@@ -12,7 +12,8 @@ is the one shape check of a family: n matrices, each m x m; the representation
 and matched-pair containers and action_table call it. A family of n actions on
 a space of dimension m holds the same data as an (n, m, m) structure table, and
 action_table(maps, m) is the one converter: slice (p, q) is maps[p].column(q),
-so Tensor3.left_maps() gives the family back. Every action at a general vector
+placed from the maps' integer forms by Tensor3.from_left_maps, so
+Tensor3.left_maps() gives the family back. Every action at a general vector
 is then read through the table primitives of foundation: table.left_at(x) is
 the matrix of the action at x, table.right_at(v) sends x to the action at x
 applied to v, and apply_bilinear(table, x, v) is one such value. The
@@ -54,9 +55,9 @@ def _action_family(maps, count, size):
 
 def action_table(maps, size):
     """The family of size x size action matrices as one (len(maps), size, size)
-    table whose slice (p, q) is maps[p].column(q)."""
-    maps = _action_family(maps, len(maps), size)
-    return Tensor3.from_slices(len(maps), size, size, lambda p, q: maps[p].column(q))
+    table whose slice (p, q) is maps[p].column(q), built from the maps' integer
+    forms by Tensor3.from_left_maps."""
+    return Tensor3.from_left_maps(_action_family(maps, len(maps), size), size, size)
 
 
 class HomLieRep:

@@ -38,6 +38,19 @@ def test_singular_twist_rejected():
     assert any(f.identity == "twist-invertible" for f in report.failures)
 
 
+def test_report_is_remembered_by_the_algebra():
+    """A second validation of one algebra returns the report of the first,
+    equal to the report of an equal algebra that was never validated."""
+    for make in (fixtures.invalid_product_candidate, fixtures.scaled_nilpotent_algebra):
+        a = make()
+        first = validate_hom_pre_lie(a)
+        assert validate_hom_pre_lie(a) is first
+        again = make()
+        assert again == a and hash(again) == hash(a) and repr(again) == repr(a)
+        assert validate_hom_pre_lie(again).to_dict() == first.to_dict()
+        assert validate_hom_pre_lie(again).failures == first.failures
+
+
 def test_sub_adjacent_oracle():
     g = sub_adjacent(fixtures.scaling_algebra())
     assert g.basis_bracket(0, 1) == (0, 1)

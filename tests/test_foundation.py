@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hombench import (DimensionMismatch, HomPreLieAlgebra, LinearMap, SingularMap, Tensor2,
                       Tensor3, apply_bilinear, basis_vector, document_for, map_direct_sum,
-                      serialize_document, tensor2_to_map, tensor_product_map)
-from hombench.foundation import frac, row_reduce
+                      serialize_document, tensor2_to_map, tensor_product_map, validate_hom_pre_lie)
+from hombench.foundation import direct_sum_table, frac, row_reduce
 from hombench.representations import action_table
 
 scalars = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -453,50 +453,190 @@ def test_kernels_give_plain_ints_for_integral_fraction_inputs():
         assert all(type(c) is int for row in derived.entries for c in row), derived
 
 
+# Action tables and direct sums are placed on integer forms. The references
+# below build the same tables one Fraction entry at a time.
+
+def _random_family(rng, count, rows, cols):
+    """count seeded rows x cols maps: rational ones built from entries, rational
+    ones made by a kernel (which store only their integer form), and integral ones."""
+    maps = []
+    for p in range(count):
+        m = LinearMap(_random_matrix(rng, rows, cols, "plain"), rows=rows, cols=cols)
+        if p % 3 == 1:
+            m = -(-m)
+        elif p % 3 == 2:
+            m = LinearMap([[int(6 * x) for x in row] for row in m.entries], rows=rows, cols=cols)
+        maps.append(m)
+    return maps
+
+
+def _assert_exact_table(got, want):
+    assert got == want and got.dims == want.dims
+    for plane, ref in zip(got.entries, want.entries):
+        for vec, ref_vec in zip(plane, ref):
+            _assert_exact(vec, [Fraction(x) for x in ref_vec])
+    assert got._integer_form() == Tensor3(want.entries, dims=want.dims)._integer_form()
+
+
+@pytest.mark.parametrize("count, d2, d3", [(0, 2, 2), (0, 0, 0), (2, 0, 0), (3, 2, 0), (2, 0, 3), (1, 1, 1),
+                                           (3, 2, 4), (4, 3, 3), (5, 5, 5)])
+def test_table_from_left_maps_matches_a_column_reference(count, d2, d3):
+    rng = random.Random(100 * count + 10 * d2 + d3)
+    maps = _random_family(rng, count, d3, d2)
+    want = Tensor3.from_slices(count, d2, d3, lambda p, q: maps[p].column(q))
+    got = Tensor3.from_left_maps(maps, d2, d3)
+    _assert_exact_table(got, want)
+    assert Tensor3.from_left_maps(iter(maps), d2, d3) == want
+    assert got.left_maps() == tuple(maps)
+    for back, m in zip(got.left_maps(), maps):
+        for row, ref in zip(back.entries, m.entries):
+            _assert_exact(row, [Fraction(x) for x in ref])
+    if d2 == d3:
+        _assert_exact_table(action_table(maps, d2), want)
+
+
+def test_table_from_left_maps_rejects_maps_of_another_shape():
+    with pytest.raises(DimensionMismatch):
+        Tensor3.from_left_maps([LinearMap.identity(2), LinearMap.zero(3, 2)], 2, 2)
+    with pytest.raises(DimensionMismatch):
+        Tensor3.from_left_maps([LinearMap.zero(2, 3)], 2, 3)
+
+
+def _reference_direct_sum(dim, tables, actions):
+    """direct_sum_table's layout as a dict of Fraction items, one entry at a time."""
+    items = {}
+    for offset, table in tables:
+        for (i, j, k), c in table.nonzero_items():
+            items[(offset + i, offset + j, offset + k)] = Fraction(c)
+    for maps, acting, acted, swap, negate in actions:
+        for i, m in enumerate(maps):
+            for j in range(m.cols):
+                for k in range(m.rows):
+                    c = Fraction(m.entries[k][j])
+                    if c:
+                        x, y = (acted + j, acting + i) if swap else (acting + i, acted + j)
+                        items[(x, y, acted + k)] = -c if negate else c
+    return Tensor3.from_entries((dim, dim, dim), items)
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (0, 2), (2, 0), (1, 1), (2, 3), (3, 2), (3, 3)])
+def test_direct_sum_table_matches_an_item_reference(n, m):
+    rng = random.Random(10 * n + m)
+
+    def table(k):
+        return Tensor3.from_slices(k, k, k, lambda i, j: [rng.choice((0, 1, Fraction(rng.randint(-9, 9), 6)))
+                                                          for _ in range(k)])
+
+    first, second = table(n), table(m)
+    on_second = [_random_family(rng, n, m, m) for _ in range(2)]
+    on_first = [_random_family(rng, m, n, n) for _ in range(2)]
+    layouts = [
+        ([(0, first), (n, second)], [(on_second[0], 0, n, False, False), (on_second[0], 0, n, True, True),
+                                     (on_first[0], n, 0, False, False), (on_first[0], n, 0, True, True)]),
+        ([(0, first), (n, second)], [(on_second[0], 0, n, False, False), (on_second[1], 0, n, True, False),
+                                     (on_first[0], n, 0, False, False), (on_first[1], n, 0, True, False)]),
+        ([(0, first)], [(on_second[0], 0, n, False, False), (on_second[1], 0, n, True, False)]),
+        ([(0, first), (0, table(n))], [(on_second[1], 0, n, True, True), (on_second[0], 0, n, True, False)]),
+        ([], []),
+    ]
+    for tables, actions in layouts:
+        _assert_exact_table(direct_sum_table(n + m, tables, actions), _reference_direct_sum(n + m, tables, actions))
+
+
+ROWS = ((Fraction(1, 2), Fraction(-2, 3), 0), (3, Fraction(5, 4), -1), (0, 1, Fraction(6, 2)))
+SINGULAR = ((1, Fraction(1, 2), 0), (2, 1, 0), (0, 0, Fraction(1, 3)))
+T_ITEMS = {(0, 1, 2): Fraction(1, 2), (1, 1, 0): -3, (2, 0, 1): Fraction(2, 3)}
+
+
+def _used_map(entries):
+    """A map that every kernel has used, so its integer form, invertibility
+    verdict and (when it has one) inverse are built."""
+    m = LinearMap(entries)
+    m.apply((1, Fraction(1, 3), 2))
+    m.is_invertible()
+    m @ m
+    try:
+        m.inverse()
+    except SingularMap:
+        pass
+    return m
+
+
+def _used_table():
+    table = Tensor3.from_entries((3, 3, 3), T_ITEMS)
+    table.left_at((1, 2, Fraction(1, 2)))
+    apply_bilinear(table, (1, 0, 1), (0, Fraction(1, 5), 1))
+    return table
+
+
+def _kernel_built():
+    """Maps, tables and algebras made from used operands by the paths that hand
+    their integer form over: no map among them has had its entries read, and
+    each algebra has been validated, so it remembers its report."""
+    m, s = _used_map(ROWS), _used_map(SINGULAR)
+    table = _used_table()
+    maps = [m @ s, table.left_at((Fraction(2, 3), 0, 3)), table.right_at((0, Fraction(1, 7), 1)), m.inverse(),
+            m.transpose(), -s, m + s, m - s, tensor_product_map(s, m), map_direct_sum(m, s)]
+    tables = [action_table([m, s, m @ s], 3), Tensor3.from_left_maps([s @ m, -m, s], 3, 3),
+              direct_sum_table(6, [(0, table), (3, table)], [((m, s, m @ s), 0, 3, False, False),
+                                                             ((s, m @ s, m), 0, 3, True, True)])]
+    algebras = [HomPreLieAlgebra(table, m), HomPreLieAlgebra(tables[2], map_direct_sum(m, m.inverse())),
+                HomPreLieAlgebra(tables[0], m @ s)]
+    for a in algebras:
+        validate_hom_pre_lie(a)
+    return maps + tables + algebras
+
+
+def _fresh_copy(value):
+    """An equal value built from entries, with no cached state."""
+    if isinstance(value, LinearMap):
+        return LinearMap(value.entries, rows=value.rows, cols=value.cols)
+    if isinstance(value, Tensor3):
+        return Tensor3(value.entries, dims=value.dims)
+    if isinstance(value, Tensor2):
+        return Tensor2(value.entries, value.dim_left, value.dim_right)
+    return HomPreLieAlgebra(_fresh_copy(value.product), _fresh_copy(value.twist))
+
+
 def _fresh_and_used():
     """Pairs of equal objects: the first built from entries, the second used by
     every kernel (so its integer form and invertibility verdict are built) or
-    made by a kernel that hands its integer form over. A used map has also been
-    inverted (or has failed to invert), transposed, negated, added to and
-    tensored; the results of those paths are paired with fresh copies too."""
-    rows = ((Fraction(1, 2), Fraction(-2, 3), 0), (3, Fraction(5, 4), -1), (0, 1, Fraction(6, 2)))
-    singular = ((1, Fraction(1, 2), 0), (2, 1, 0), (0, 0, Fraction(1, 3)))
-    t_items = {(0, 1, 2): Fraction(1, 2), (1, 1, 0): -3, (2, 0, 1): Fraction(2, 3)}
-    used_map, used_singular = LinearMap(rows), LinearMap(singular)
-    derived = []
-    for m in (used_map, used_singular):
-        m.apply((1, Fraction(1, 3), 2))
-        m.is_invertible()
-        m @ m
-        try:
-            derived.append(m.inverse())
-        except SingularMap:
-            pass
-        derived += [m.transpose(), -m, m + used_map, m - used_map, tensor_product_map(m, used_map)]
-    used_table = Tensor3.from_entries((3, 3, 3), t_items)
-    used_table.left_at((1, 2, Fraction(1, 2)))
-    apply_bilinear(used_table, (1, 0, 1), (0, Fraction(1, 5), 1))
+    made by a kernel that hands its integer form over. Each kernel-made object
+    is paired with a copy of another build, so its own entries stay unread."""
     used_form = Tensor2.from_entries(3, 3, {(0, 1): Fraction(1, 2), (2, 2): 3})
     used_form.pair((1, 2, 3), (Fraction(1, 2), 1, 0))
-    product = LinearMap(rows) @ LinearMap(singular)
-    operator = Tensor3.from_entries((3, 3, 3), t_items).left_at((Fraction(2, 3), 0, 3))
-    return [(LinearMap(rows), used_map), (LinearMap(singular), used_singular),
-            (LinearMap(product.entries), product), (LinearMap(operator.entries), operator),
-            *[(LinearMap(m.entries, rows=m.rows, cols=m.cols), m) for m in derived],
-            (Tensor3.from_entries((3, 3, 3), t_items), used_table),
-            (Tensor2.from_entries(3, 3, {(0, 1): Fraction(1, 2), (2, 2): 3}), used_form)]
+    return [(LinearMap(ROWS), _used_map(ROWS)), (LinearMap(SINGULAR), _used_map(SINGULAR)),
+            (Tensor3.from_entries((3, 3, 3), T_ITEMS), _used_table()),
+            (Tensor2.from_entries(3, 3, {(0, 1): Fraction(1, 2), (2, 2): 3}), used_form),
+            *zip(map(_fresh_copy, _kernel_built()), _kernel_built())]
+
+
+def _serialized(value):
+    if isinstance(value, Tensor3):
+        value = HomPreLieAlgebra(value, LinearMap.identity(value.dims[0]))
+    return serialize_document(document_for(value))
+
+
+CACHE_CHECKS = {
+    "eq": lambda fresh, used: fresh == used,
+    "reversed-eq": lambda fresh, used: used == fresh,
+    "hash": lambda fresh, used: hash(fresh) == hash(used),
+    "repr": lambda fresh, used: repr(fresh) == repr(used),
+    "serialized": lambda fresh, used: _serialized(fresh) == _serialized(used),
+}
 
 
 def test_cached_state_is_invisible():
-    pairs = _fresh_and_used()
-    for fresh, used in pairs:
-        assert fresh == used and used == fresh
-        assert hash(fresh) == hash(used)
-        assert repr(fresh) == repr(used)
-    (m, used_m), _, (p, used_p), _, *_, (t, used_t), (r, used_r) = pairs
-    for fresh, used in ((HomPreLieAlgebra(t, m), HomPreLieAlgebra(used_t, used_m)),
-                        (HomPreLieAlgebra(t, p), HomPreLieAlgebra(used_t, used_p)), (r, used_r)):
-        assert serialize_document(document_for(fresh)) == serialize_document(document_for(used))
+    """Each check runs on newly built pairs, so it meets kernel-made maps whose
+    entries are still unread (the first read makes them), and algebras that
+    remember their report."""
+    for name, check in CACHE_CHECKS.items():
+        pairs = _fresh_and_used()
+        unread = [used for _, used in pairs if isinstance(used, LinearMap) and used._entries is None]
+        assert len(unread) >= 5
+        for fresh, used in pairs:
+            assert check(fresh, used), (name, fresh, used)
+        assert all(used._entries is not None for used in unread)
 
 
 def test_invertibility_verdict_is_stable():
@@ -522,9 +662,10 @@ def test_invertibility_verdict_is_stable():
 
 def test_integer_forms_are_read_only_inside_foundation():
     """The cached integer forms are foundation's storage: every other module
-    reads them only through _integer_family."""
+    reads them only through _integer_family, and builds from ints only through
+    foundation's public builders."""
     package = Path(__file__).resolve().parent.parent / "src" / "hombench"
-    pattern = re.compile(r"\._form\b|_integer_form\b")
+    pattern = re.compile(r"\._form\b|_integer_form\b|_from_integers\b")
     readers = [(path.name, number, line.strip())
                for path in sorted(package.glob("*.py")) if path.name != "foundation.py"
                for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
