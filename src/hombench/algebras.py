@@ -12,13 +12,20 @@ come from foundation._integer_family at one common denominator D, and the
 vectors they apply to (table slices and map columns) at another, d. An
 instance is then a list of int dot products, sum(map(mul, row, v)), tested for
 zero; only a failing one is divided by D * d into its exact residual (_record).
+
+validate_hom_pre_lie keeps its sums in a core, _hom_pre_lie_failures, that
+needs no objects: it takes the table's int planes and the twist's int rows and
+columns, sums the operators at the twisted basis vectors itself, and yields each
+failing instance as ints. The validator turns those into Failures, and search
+runs the same core on candidates it never builds (dendriform's
+validate_l_dendriform is split the same way).
 """
 
 from operator import add, mul, sub
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput
 from .foundation import (Tensor2, Tensor3, apply_bilinear, sub_vectors, tensor2_to_map,
-                         _integer_family, _quotients)
+                         _core_operands, _integer_family, _left_sums, _quotients, _right_sums)
 
 
 class Failure:
@@ -266,42 +273,58 @@ def validate_hom_lie(cand):
     return ValidationReport(failures)
 
 
-def validate_hom_pre_lie(cand):
-    """Check twist invertibility, multiplicativity, and twisted-associator symmetry.
+def _hom_pre_lie_failures(planes, d, alpha_rows, alpha_cols, e):
+    """Yield (identity, witness, totals, scale) for each failing multiplicativity
+    and twisted-associator instance, in report order, of the product table with
+    int planes / d under the twist with int rows alpha_rows and columns
+    alpha_cols / e. totals are ints whose quotients by scale are the residual.
 
-    Every product with a twisted basis vector alpha(e_i) is read from its left
-    or right multiplication operator, built once per call. The algebra remembers
-    its report, so validating it again returns the same report."""
-    if cand._report is not None:
-        return cand._report
-    n = cand.dim
-    alpha = cand.twist
-    failures = []
-    if not alpha.is_invertible():
-        failures.append(Failure("twist-invertible", (), ()))
-    twisted = [alpha.column(i) for i in range(n)]
-    D, (alpha_rows, *ops) = _integer_family([alpha] + [cand.product.left_at(a) for a in twisted]
-                                            + [cand.product.right_at(a) for a in twisted])
-    left, right = ops[:n], ops[n:]
-    d, (planes, twist_rows) = _integer_family([cand.product, alpha])
-    alphas = list(zip(*twist_rows))
-    scale = D * d
+    The products with alpha(e_i) are summed straight from the ints, as the
+    operators alpha(e_i) . - and - . alpha(e_k), and everything they meet is
+    brought to one scale by foundation._core_operands. Twist invertibility is
+    not checked."""
+    n = len(planes)
+    left = [_left_sums(planes, a, n, n) for a in alpha_cols]       # alpha(e_i) . -
+    rows, (scaled,), alphas, scale = _core_operands([planes], d, alpha_rows, alpha_cols, e)
     for i in range(n):
         for j in range(n):
-            product, aj = planes[i][j], alphas[j]
-            _record(failures, "twist-product-morphism", (i, j),
-                    [sum(map(mul, ar, product)) - sum(map(mul, lr, aj))
-                     for ar, lr in zip(alpha_rows, left[i])], scale)
+            product, aj = scaled[i][j], alphas[j]
+            totals = [sum(map(mul, ar, product)) - sum(map(mul, lr, aj)) for ar, lr in zip(rows, left[i])]
+            if any(totals):
+                yield "twist-product-morphism", (i, j), totals, scale
+    right = [_right_sums(planes, a, n, n) for a in alpha_cols]     # - . alpha(e_k)
     for i in range(n):
         for j in range(i + 1, n):
             # (xy)a(z) - a(x)(yz) - (yx)a(z) + a(y)(xz) = [x, y]a(z) - a(x)(yz) + a(y)(xz)
-            commutator = list(map(sub, planes[i][j], planes[j][i]))
+            commutator = list(map(sub, scaled[i][j], scaled[j][i]))
             for k in range(n):
-                u, w = planes[j][k], planes[i][k]
-                _record(failures, "twisted-associator-symmetry", (i, j, k),
-                        [sum(map(mul, rk, commutator)) - sum(map(mul, li, u)) + sum(map(mul, lj, w))
-                         for rk, li, lj in zip(right[k], left[i], left[j])], scale)
-    cand._report = ValidationReport(failures)
+                u, w = scaled[j][k], scaled[i][k]
+                totals = [sum(map(mul, rk, commutator)) - sum(map(mul, li, u)) + sum(map(mul, lj, w))
+                          for rk, li, lj in zip(right[k], left[i], left[j])]
+                if any(totals):
+                    yield "twisted-associator-symmetry", (i, j, k), totals, scale
+
+
+def _core_report(tables, twist, core):
+    """The report of an identity core run on the integer forms of the tables and
+    the twist: twist-invertible first, when it fails, then a Failure for each
+    failing instance the core yields, its totals divided into the residual."""
+    failures = [] if twist.is_invertible() else [Failure("twist-invertible", (), ())]
+    d, planes = _integer_family(tables)
+    e, (rows,) = _integer_family([twist])
+    failures += [Failure(identity, witness, _quotients(totals, scale))
+                 for identity, witness, totals, scale in core(*planes, d, rows, list(zip(*rows)), e)]
+    return ValidationReport(failures)
+
+
+def validate_hom_pre_lie(cand):
+    """Check twist invertibility, multiplicativity, and twisted-associator symmetry.
+
+    The identity instances are summed by _hom_pre_lie_failures, the core that
+    search runs on its candidates. The algebra remembers its report, so
+    validating it again returns the same report."""
+    if cand._report is None:
+        cand._report = _core_report([cand.product], cand.twist, _hom_pre_lie_failures)
     return cand._report
 
 

@@ -19,7 +19,7 @@ from operator import add, mul
 from .errors import (DimensionMismatch, InvalidInput, NotAnSMatrix, Pro1Violation,
                      TwistMismatch)
 from .foundation import (LinearMap, Tensor3, apply_bilinear, basis_vector, tensor2_to_map,
-                         tensor_product_map, _integer_family, _quotients)
+                         _integer_family, _quotients)
 from .algebras import (HomPreLieAlgebra, ValidationReport, agreement_report, combine_reports,
                        validate_hom_pre_lie, _record)
 from .representations import (action_table, check_one_cocycle, coboundary_maps,
@@ -131,25 +131,42 @@ def check_pro3(a, r):
 
 
 def check_P_condition(a, r):
-    """The twisted left-multiplication square condition on the skew part of the
-    tensor, each instance summed in ints."""
+    """The twisted left-multiplication square condition on the skew part S of the
+    tensor, each instance summed in ints.
+
+    P(x) is L (x) alpha + alpha (x) L for L the left multiplication by
+    alpha^-2(x), acting on S flattened in tensor_product_map's lexicographic
+    order. There (A (x) B) vec(S) = vec(A S B^T), so P(x) vec(S) is
+    vec(L S alpha^T + alpha S L^T), made of n x n products. As S is skew, the
+    second term is minus the transpose of the first, and the result is skew
+    again. Instance (i, j) is P(e_i e_j) vec(S) - P(alpha(e_i)) P(e_j) vec(S),
+    and P(alpha(e_i)) takes its L at alpha^-1(e_i)."""
     if r.dim_left != a.dim or r.dim_right != a.dim:
         raise DimensionMismatch("tensor is %dx%d on dimension %d" % (r.dim_left, r.dim_right, a.dim))
     n = a.dim
     alpha = a.twist
     inv_sq = alpha.power(-2)
-    lefts = [a.product.left_at(inv_sq.column(k)) for k in range(n)]
-    table = action_table([tensor_product_map(lm, alpha) + tensor_product_map(alpha, lm) for lm in lefts], n * n)
-    on_skew = table.right_at(_vec(r - r.flip()))       # x -> P(x) applied to the skew part
-    D, (skew_rows, *at_alpha) = _integer_family([on_skew] + [table.left_at(alpha.column(i)) for i in range(n)])
-    d, (planes, skew_cols) = _integer_family([a.product, on_skew.transpose()])
+    inv = alpha.inverse()
+    alpha_t = alpha.transpose()
+    skew = LinearMap((r - r.flip()).entries, rows=n, cols=n)
+
+    def p_on(lm, s):
+        m = lm @ s @ alpha_t
+        return m - m.transpose()
+
+    on_skew = [p_on(a.product.left_at(inv_sq.column(j)), skew) for j in range(n)]     # P(e_j) vec(S)
+    twice = [p_on(a.product.left_at(inv.column(i)), q) for i in range(n) for q in on_skew]
+    D, forms = _integer_family(on_skew + twice)
+    d, (planes,) = _integer_family([a.product])
+    flat = [[x for row in form for x in row] for form in forms]
+    coordinates = list(zip(*flat[:n]))          # coordinate t of P(e_m) vec(S), for each m
     failures = []
     for i in range(n):
         for j in range(n):
-            product, column = planes[i][j], skew_cols[j]
+            product = planes[i][j]
             _record(failures, "p-condition", (i, j),
-                    [sum(map(mul, sr, product)) - sum(map(mul, ar, column))
-                     for sr, ar in zip(skew_rows, at_alpha[i])], D * d)
+                    [sum(map(mul, product, at)) - d * x for at, x in zip(coordinates, flat[n + i * n + j])],
+                    D * d)
     return ValidationReport(failures)
 
 

@@ -14,9 +14,9 @@ from operator import add, mul, sub
 from .errors import (AsymmetricInput, DimensionMismatch, IntertwinerViolation, InvalidInput,
                      SingularMap)
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, row_reduce, sub_vectors,
-                         _integer_family)
-from .algebras import (Failure, HomPreLieAlgebra, ValidationReport, agreement_report,
-                       combine_reports, validate_hessian, validate_hom_pre_lie, _record)
+                         _core_operands, _integer_family, _left_sums, _right_sums)
+from .algebras import (HomPreLieAlgebra, ValidationReport, agreement_report, combine_reports,
+                       validate_hessian, validate_hom_pre_lie, _core_report, _record)
 from .representations import (HomPreLieRep, action_table, coadjoint_pre_lie_rep,
                               dual_pre_lie_rep, semidirect_product_raw, star_maps,
                               validate_pre_lie_rep)
@@ -64,61 +64,61 @@ class HomLDendriform:
         return "HomLDendriform(dim=%d)" % self.dim
 
 
-def validate_l_dendriform(cand):
-    """Check twist invertibility, multiplicativity for both products, and the two
-    splitting axioms.
-
-    Every product with a twisted basis vector alpha(e_i) is read from its left
-    or right multiplication operator for |> or <|, built once per call, and each
-    instance is summed in ints as in the validators of algebras."""
-    n = cand.dim
-    alpha = cand.twist
-    failures = []
-    if not alpha.is_invertible():
-        failures.append(Failure("twist-invertible", (), ()))
-    twisted = [alpha.column(i) for i in range(n)]
-    D, (alpha_rows, *ops) = _integer_family([alpha]
-                                            + [cand.left.left_at(a) for a in twisted]     # alpha(e_i) |> -
-                                            + [cand.left.right_at(a) for a in twisted]    # - |> alpha(e_k)
-                                            + [cand.right.left_at(a) for a in twisted]    # alpha(e_i) <| -
-                                            + [cand.right.right_at(a) for a in twisted])  # - <| alpha(e_k)
-    left_l, left_r, right_l, right_r = (ops[s * n:(s + 1) * n] for s in range(4))
-    d, (lt, rt, twist_ints) = _integer_family([cand.left, cand.right, alpha])
-    alphas = list(zip(*twist_ints))
-    scale = D * d
+def _l_dendriform_failures(lt, rt, d, alpha_rows, alpha_cols, e):
+    """Yield (identity, witness, totals, scale) for each failing multiplicativity
+    and splitting-axiom instance, in report order, of the products |> and <| with
+    int planes lt / d and rt / d under the twist with int rows alpha_rows and
+    columns alpha_cols / e, summed as in algebras._hom_pre_lie_failures.
+    Twist invertibility is not checked."""
+    n = len(lt)
+    left_l = [_left_sums(lt, a, n, n) for a in alpha_cols]      # alpha(e_i) |> -
+    right_l = [_left_sums(rt, a, n, n) for a in alpha_cols]     # alpha(e_i) <| -
+    rows, (sl, sr), alphas, scale = _core_operands([lt, rt], d, alpha_rows, alpha_cols, e)
     for i in range(n):
         for j in range(n):
             aj = alphas[j]
-            _record(failures, "twist-left-morphism", (i, j),
-                    [sum(map(mul, ar, lt[i][j])) - sum(map(mul, lr, aj))
-                     for ar, lr in zip(alpha_rows, left_l[i])], scale)
-            _record(failures, "twist-right-morphism", (i, j),
-                    [sum(map(mul, ar, rt[i][j])) - sum(map(mul, rr, aj))
-                     for ar, rr in zip(alpha_rows, right_l[i])], scale)
+            totals = [sum(map(mul, ar, sl[i][j])) - sum(map(mul, lr, aj)) for ar, lr in zip(rows, left_l[i])]
+            if any(totals):
+                yield "twist-left-morphism", (i, j), totals, scale
+            totals = [sum(map(mul, ar, sr[i][j])) - sum(map(mul, rr, aj)) for ar, rr in zip(rows, right_l[i])]
+            if any(totals):
+                yield "twist-right-morphism", (i, j), totals, scale
+    left_r = [_right_sums(lt, a, n, n) for a in alpha_cols]     # - |> alpha(e_k)
+    right_r = [_right_sums(rt, a, n, n) for a in alpha_cols]    # - <| alpha(e_k)
 
     # Products are linear in each slot, so terms that share an operator are
     # applied once to the sum x |> y + x <| y or to the difference x |> y - y <| x.
-    both = [[list(map(add, lt[i][j], rt[i][j])) for j in range(n)] for i in range(n)]
+    both = [[list(map(add, sl[i][j], sr[i][j])) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             # half(x, y, z) = (x|>y)|>a(z) + (x<|y)|>a(z) + a(y)|>(x|>z), for x=e_i, y=e_j, z=e_k;
             # the axiom is half(x, y, z) - half(y, x, z)
             swapped = list(map(sub, both[i][j], both[j][i]))
             for k in range(n):
-                u, w = lt[i][k], lt[j][k]
-                _record(failures, "left-axiom", (i, j, k),
-                        [sum(map(mul, rk, swapped)) + sum(map(mul, lj, u)) - sum(map(mul, li, w))
-                         for rk, lj, li in zip(left_r[k], left_l[j], left_l[i])], scale)
+                u, w = sl[i][k], sl[j][k]
+                totals = [sum(map(mul, rk, swapped)) + sum(map(mul, lj, u)) - sum(map(mul, li, w))
+                          for rk, lj, li in zip(left_r[k], left_l[j], left_l[i])]
+                if any(totals):
+                    yield "left-axiom", (i, j, k), totals, scale
     for i in range(n):
         for j in range(n):
             # (x|>y)<|a(z) - (y<|x)<|a(z) + a(y)<|(x|>z + x<|z) - a(x)|>(y<|z)
-            difference = list(map(sub, lt[i][j], rt[j][i]))
+            difference = list(map(sub, sl[i][j], sr[j][i]))
             for k in range(n):
-                u, w = both[i][k], rt[j][k]
-                _record(failures, "right-axiom", (i, j, k),
-                        [sum(map(mul, rk, difference)) + sum(map(mul, rj, u)) - sum(map(mul, li, w))
-                         for rk, rj, li in zip(right_r[k], right_l[j], left_l[i])], scale)
-    return ValidationReport(failures)
+                u, w = both[i][k], sr[j][k]
+                totals = [sum(map(mul, rk, difference)) + sum(map(mul, rj, u)) - sum(map(mul, li, w))
+                          for rk, rj, li in zip(right_r[k], right_l[j], left_l[i])]
+                if any(totals):
+                    yield "right-axiom", (i, j, k), totals, scale
+
+
+def validate_l_dendriform(cand):
+    """Check twist invertibility, multiplicativity for both products, and the two
+    splitting axioms.
+
+    The identity instances are summed by _l_dendriform_failures, the core that
+    search runs on its candidates."""
+    return _core_report([cand.left, cand.right], cand.twist, _l_dendriform_failures)
 
 
 def horizontal(d):

@@ -7,13 +7,14 @@ vectors are tuples, matrices act on column vectors, and composite indices are
 lexicographic with the left factor major. No floats anywhere.
 
 A structure table is a Tensor3 whose (i, j) output vector is the product of
-the basis pair. Other modules reach its storage only through six
+the basis pair. Other modules reach its storage only through seven
 primitives: Tensor3.left_maps() and Tensor3.right_maps() give the
 multiplication operators by each basis vector, Tensor3.left_at(x) and
 Tensor3.right_at(y) give multiplication by one vector,
-Tensor3.from_slices() builds a table one output vector at a time, and
+Tensor3.from_slices() builds a table one output vector at a time,
 Tensor3.from_left_maps() builds it from a family of maps, the inverse of
-left_maps().
+left_maps(), and Tensor3.from_integers() builds it from int planes at one
+denominator.
 
 The contractions (LinearMap.apply and @, Tensor3.left_at and right_at,
 apply_bilinear and Tensor2.pair) run in integers. Each LinearMap, Tensor2 and
@@ -43,7 +44,9 @@ list of int dot products sum(map(mul, row, v)) equal to D * d times the
 residual. The rule is: no Fraction for a passing instance. The list is tested
 with any(), and only a failing instance is divided, by _quotients(totals, D * d),
 into the exact residual it reports. Outside this module the forms are read
-only through _integer_family.
+only through _integer_family. A validator core that works on int planes it was
+handed, without the objects, sums its operators with _left_sums and
+_right_sums, the int kernels of Tensor3.left_at and right_at.
 """
 
 from fractions import Fraction
@@ -126,21 +129,65 @@ def _quotients(totals, d):
 
 def _integer_family(items):
     """(D, forms): the lcm D of the entry denominators of a sequence of LinearMaps
-    and Tensor3s, and each item times D in int form: a map as a tuple of int rows,
-    a table as a tuple of planes of int output vectors. Each item's cached integer
-    form is reused, and scaled up only when its own lcm is less than D."""
+    and Tensor3s, and each item times D in int form: a map as a sequence of int
+    rows, a table as a sequence of planes of int output vectors. Each item's
+    cached integer form is reused, and scaled up only when its own lcm is less
+    than D."""
     cached = [item._form or item._integer_form() for item in items]
     scale = lcm(*[d for d, _ in cached])
     forms = []
     for item, (d, ints) in zip(items, cached):
         if d != scale:
             f = scale // d
-            if isinstance(item, Tensor3):
-                ints = tuple(tuple([tuple([x * f for x in vec]) for vec in plane]) for plane in ints)
-            else:
-                ints = tuple([tuple([x * f for x in row]) for row in ints])
+            ints = [_times_each(plane, f) for plane in ints] if isinstance(item, Tensor3) else _times_each(ints, f)
         forms.append(ints)
     return scale, forms
+
+
+def _left_sums(planes, xs, d2, d3):
+    """Left multiplication by the int vector xs on the int planes of a (len(xs),
+    d2, d3) table: the d3 int rows of length d2 whose entry (k, j) is the sum of
+    xs[i] * planes[i][j][k], with zero terms skipped."""
+    out = [[0] * d2 for _ in range(d3)]
+    for xi, plane in zip(xs, planes):
+        if xi:
+            for j, vec in enumerate(plane):
+                for k, c in enumerate(vec):
+                    if c:
+                        out[k][j] += xi * c
+    return out
+
+
+def _right_sums(planes, ys, d1, d3):
+    """Right multiplication by the int vector ys on the int planes of a (d1,
+    len(ys), d3) table: the d3 int rows of length d1 whose entry (k, i) is the
+    sum of ys[j] * planes[i][j][k], with zero terms skipped."""
+    out = [[0] * d1 for _ in range(d3)]
+    for i, plane in enumerate(planes):
+        for yj, vec in zip(ys, plane):
+            if yj:
+                for k, c in enumerate(vec):
+                    if c:
+                        out[k][i] += yj * c
+    return out
+
+
+def _times_each(vectors, f):
+    """Each int vector of a sequence times the int f, as lists; the sequence
+    itself when f is 1."""
+    return vectors if f == 1 else [[x * f for x in v] for v in vectors]
+
+
+def _core_operands(tables, d, rows, cols, e):
+    """(rows, tables, cols, scale): the operands of a validator core brought to
+    one scale. The operators it sums from int planes / d at the twist's int
+    columns / e have denominator d * e, and so do the returned twist rows; the
+    returned table planes and twist columns have the common denominator
+    f = lcm(d, e), and every product of an operator row with one of them is
+    scale = d * e * f times its value."""
+    f = lcm(d, e)
+    tables = [planes if f == d else [_times_each(plane, f // d) for plane in planes] for planes in tables]
+    return _times_each(rows, d), tables, _times_each(cols, f // e), d * e * f
 
 
 def row_reduce(work, cols):
@@ -563,14 +610,15 @@ class Tensor3:
                 raise DimensionMismatch("left map is %dx%d, expected %dx%d" % (m.rows, m.cols, d3, d2))
         d, forms = _integer_family(maps)
         planes = [tuple(zip(*rows)) if d3 else ((),) * d2 for rows in forms]
-        return cls._from_integers(planes, d, (len(forms), d2, d3))
+        return cls.from_integers(planes, d, (len(forms), d2, d3))
 
     @classmethod
-    def _from_integers(cls, planes, d, dims):
+    def from_integers(cls, planes, d, dims):
         """The table with entries planes[i][j][k] / d, for int planes of the given
         dims and a positive int d, built without __init__'s per-entry coercion and
-        shape checks. It keeps its integer form, reduced so that d is the lcm of
-        its entry denominators, like LinearMap._from_integers."""
+        shape checks, so the caller vouches for both. It keeps its integer form,
+        reduced so that d is the lcm of its entry denominators, like
+        LinearMap._from_integers."""
         planes = tuple([tuple(map(tuple, plane)) for plane in planes])
         if d > 1:
             g = gcd(d, *[x for plane in planes for vec in plane for x in vec])
@@ -618,14 +666,7 @@ class Tensor3:
             raise DimensionMismatch("left multiplication of a %r tensor by length %d" % (self.dims, len(x)))
         d, planes = self._form or self._integer_form()
         e, xs = _scaled(x)
-        out = [[0] * d2 for _ in range(d3)]
-        for xi, plane in zip(xs, planes):
-            if xi:
-                for j, vec in enumerate(plane):
-                    for k, c in enumerate(vec):
-                        if c:
-                            out[k][j] += xi * c
-        return LinearMap._from_integers(out, d * e, d3, d2)
+        return LinearMap._from_integers(_left_sums(planes, xs, d2, d3), d * e, d3, d2)
 
     def right_at(self, y):
         """Right multiplication by the vector y: the d3 x d1 matrix sending x to
@@ -635,14 +676,7 @@ class Tensor3:
             raise DimensionMismatch("right multiplication of a %r tensor by length %d" % (self.dims, len(y)))
         d, planes = self._form or self._integer_form()
         e, ys = _scaled(y)
-        out = [[0] * d1 for _ in range(d3)]
-        for i, plane in enumerate(planes):
-            for yj, vec in zip(ys, plane):
-                if yj:
-                    for k, c in enumerate(vec):
-                        if c:
-                            out[k][i] += yj * c
-        return LinearMap._from_integers(out, d * e, d3, d1)
+        return LinearMap._from_integers(_right_sums(planes, ys, d1, d3), d * e, d3, d1)
 
     def nonzero_items(self):
         return [((i, j, k), c)
@@ -752,7 +786,7 @@ def direct_sum_table(dim, tables, actions):
                 for k, c in enumerate(column):
                     if c:
                         out[acted + k] = -c if negate else c
-    return Tensor3._from_integers(planes, d, (dim, dim, dim))
+    return Tensor3.from_integers(planes, d, (dim, dim, dim))
 
 
 def map_direct_sum(f, g):

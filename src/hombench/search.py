@@ -1,19 +1,29 @@
 """Deterministic example search over small coefficient lattices.
 
 Candidates are indexed by an ordinal. In exhaustive mode the ordinal walks the
-lexicographic enumeration of all coefficient assignments; in seeded mode each
-ordinal gets its own generator stream derived from the seed. Candidates are
-evaluated in ordinal order and duplicates are dropped by canonical text, so the
-output depends only on the search specification.
+lexicographic enumeration of all coefficient assignments (an odometer over the
+free slots); in seeded mode each ordinal gets its own generator stream derived
+from the seed. Candidates are evaluated in ordinal order and duplicates are
+dropped by canonical text, so the output depends only on the search
+specification. The budget bounds the number of candidates evaluated.
+
+The hom_pre_lie and dendriform targets test a candidate on integer planes: the
+coefficients are scaled to ints once per search, each assignment is sliced into
+the planes of its table(s), and the validator core (the same sums that
+validate_hom_pre_lie and validate_l_dendriform report from) runs until its
+first failing instance. Only an accepted candidate becomes a Tensor3, an
+algebra or dendriform, and a document.
 """
 
+from itertools import product
+
 from .errors import BudgetExceeded, InvalidInput
-from .foundation import LinearMap, Tensor2, Tensor3, frac
+from .foundation import LinearMap, Tensor2, Tensor3, frac, _integer_family, _scaled
 from .algebras import (BilinearForm, HomPreLieAlgebra, validate_hessian,
-                       validate_hom_pre_lie)
+                       validate_hom_pre_lie, _hom_pre_lie_failures)
 from .representations import HomPreLieRep
 from .bialgebras import solves_s_equation
-from .dendriform import HomLDendriform, OOperator, validate_l_dendriform, validate_o_operator
+from .dendriform import HomLDendriform, OOperator, validate_o_operator, _l_dendriform_failures
 from .documents import document_for, serialize_document
 
 TARGETS = ("hom_pre_lie", "s_matrix", "hessian", "dendriform", "o_operator")
@@ -83,9 +93,10 @@ def _require_base(spec, cls, label):
     return spec.base
 
 
-def _table(n, assign):
-    """The n x n x n table whose coefficients, in lexicographic (i, j, k) order, are assign."""
-    return Tensor3.from_slices(n, n, n, lambda i, j: assign[(i * n + j) * n:(i * n + j + 1) * n])
+def _planes(n, assign):
+    """The n planes of n int output vectors whose coefficients, in lexicographic
+    (i, j, k) order, are assign."""
+    return [[assign[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
 
 
 def _triangle_slots(n):
@@ -93,27 +104,40 @@ def _triangle_slots(n):
 
 
 def _build_target(spec):
-    """Return (free_slot_count, build) where build maps a coefficient assignment
-    to an accepted value or None."""
+    """Return (free_slot_count, values, build): the assignments draw their free
+    slots from values, and build maps an assignment to an accepted value or None.
+
+    The hom_pre_lie and dendriform targets draw from the coefficients scaled to
+    ints, test each assignment's int planes with the validator core and stop at
+    its first failure; only an accepted candidate becomes a table and an object.
+    The twist's int form is found once per search."""
     n = spec.dim
-    if spec.target == "hom_pre_lie":
-        identity = LinearMap.identity(n)
-
-        def build(assign):
-            candidate = HomPreLieAlgebra(_table(n, assign), identity)
-            return candidate if validate_hom_pre_lie(candidate).valid else None
-
-        return n ** 3, build
-
-    if spec.target == "dendriform":
-        identity = LinearMap.identity(n)
+    if spec.target in ("hom_pre_lie", "dendriform"):
+        twist = LinearMap.identity(n)
+        e, (twist_rows,) = _integer_family([twist])
+        twist_cols = list(zip(*twist_rows))
+        p, values = _scaled(spec.coefficients)     # the coefficients times their lcm denominator p
         cube = n ** 3
+        dims = (n, n, n)
 
-        def build(assign):
-            candidate = HomLDendriform(_table(n, assign[:cube]), _table(n, assign[cube:]), identity)
-            return candidate if validate_l_dendriform(candidate).valid else None
+        def hom_pre_lie(assign):
+            planes = _planes(n, assign)
+            if next(_hom_pre_lie_failures(planes, p, twist_rows, twist_cols, e), None) is not None:
+                return None
+            return HomPreLieAlgebra(Tensor3.from_integers(planes, p, dims), twist)
 
-        return 2 * cube, build
+        def dendriform(assign):
+            left, right = _planes(n, assign[:cube]), _planes(n, assign[cube:])
+            if next(_l_dendriform_failures(left, right, p, twist_rows, twist_cols, e), None) is not None:
+                return None
+            return HomLDendriform(Tensor3.from_integers(left, p, dims),
+                                  Tensor3.from_integers(right, p, dims), twist)
+
+        # The twist is the identity, so twist invertibility, the first record of
+        # the validators' reports, holds for every candidate.
+        if spec.target == "hom_pre_lie":
+            return cube, values, hom_pre_lie
+        return 2 * cube, values, dendriform
 
     if spec.target == "s_matrix":
         base = _require_base(spec, HomPreLieAlgebra, "twisted pre-Lie algebra")
@@ -131,7 +155,7 @@ def _build_target(spec):
             candidate = Tensor2.from_entries(n, n, items)      # symmetric by construction
             return candidate if solves_s_equation(base, candidate) else None
 
-        return len(slots), build
+        return len(slots), spec.coefficients, build
 
     if spec.target == "hessian":
         base = _require_base(spec, HomPreLieAlgebra, "twisted pre-Lie algebra")
@@ -147,7 +171,7 @@ def _build_target(spec):
             candidate = BilinearForm(tuple(tuple(row) for row in entries), "symmetric")
             return candidate if validate_hessian(base, candidate).valid else None
 
-        return len(slots), build
+        return len(slots), spec.coefficients, build
 
     base = _require_base(spec, HomPreLieRep, "representation")
     if base.algebra.dim != n:
@@ -159,26 +183,24 @@ def _build_target(spec):
         candidate = OOperator(base, LinearMap(rows))
         return candidate if validate_o_operator(candidate).valid else None
 
-    return n * m, build
+    return n * m, spec.coefficients, build
 
 
-def _assignment(spec, free, ordinal):
+def _assignments(spec, values, free, total):
+    """The total coefficient assignments of the free slots, in ordinal order: the
+    lexicographic enumeration in exhaustive mode, and one draw from each
+    ordinal's own stream in seeded mode."""
     if spec.mode == "exhaustive":
-        coeffs = spec.coefficients
-        width = len(coeffs)
-        digits = []
-        value = ordinal
-        for _ in range(free):
-            digits.append(coeffs[value % width])
-            value //= width
-        return tuple(reversed(digits))
-    stream = substream(spec.seed, ordinal)
-    return tuple(stream.pick(spec.coefficients) for _ in range(free))
+        yield from product(values, repeat=free)
+        return
+    for ordinal in range(total):
+        stream = substream(spec.seed, ordinal)
+        yield tuple(stream.pick(values) for _ in range(free))
 
 
 def run_search(spec):
     """Enumerate or sample candidates and return the accepted ones as documents."""
-    free, build = _build_target(spec)
+    free, values, build = _build_target(spec)
     if spec.mode == "exhaustive":
         total = len(spec.coefficients) ** free
         if total > spec.budget:
@@ -195,8 +217,8 @@ def run_search(spec):
 
     seen = set()
     documents = []
-    for ordinal in range(total):
-        value = build(_assignment(spec, free, ordinal))
+    for assign in _assignments(spec, values, free, total):
+        value = build(assign)
         if value is None:
             continue
         doc = document_for(value)

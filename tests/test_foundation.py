@@ -495,6 +495,14 @@ def test_table_from_left_maps_matches_a_column_reference(count, d2, d3):
         _assert_exact_table(action_table(maps, d2), want)
 
 
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_table_from_integers_matches_the_coerced_table(d):
+    rng = random.Random(d)
+    planes = [[[rng.randint(-4, 4) * (d // 2 or 1) for _ in range(3)] for _ in range(2)] for _ in range(2)]
+    want = Tensor3([[[Fraction(x, d) for x in vec] for vec in plane] for plane in planes])
+    _assert_exact_table(Tensor3.from_integers(planes, d, (2, 2, 3)), want)
+
+
 def test_table_from_left_maps_rejects_maps_of_another_shape():
     with pytest.raises(DimensionMismatch):
         Tensor3.from_left_maps([LinearMap.identity(2), LinearMap.zero(3, 2)], 2, 2)

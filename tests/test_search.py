@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,43 @@ from hombench import (BudgetExceeded, InvalidInput, LinearMap, SearchSpec,
 from hombench import fixtures
 
 COEFFS = (Fraction(-1), Fraction(0), Fraction(1))
+HALVES = (Fraction(-1, 2), Fraction(0), Fraction(1, 2))
+
+# sha256 of serialize_documents(run_search(spec)), recorded before the
+# hom_pre_lie and dendriform targets moved onto integer planes. The seed-7
+# dendriform run accepts nothing, so the {0, 1} runs pin accepted dendriform
+# bytes; the {-1/2, 0, 3/2} run pins a coefficient set with unequal
+# denominators.
+PINNED_SEARCHES = {
+    "hom_pre_lie-exhaustive": (
+        dict(target="hom_pre_lie", dim=2, coefficients=COEFFS, limit=300, budget=7000),
+        "9db4eac24d4c03b5c6fde94fb406650053078d3d006570be298264ca68969676"),
+    "hom_pre_lie-exhaustive-halves": (
+        dict(target="hom_pre_lie", dim=2, coefficients=HALVES, limit=300, budget=7000),
+        "6b5f0023f246b98f5c35a14ad6161e411ca80d8080d29972a295586914eb5b35"),
+    "hom_pre_lie-limit40": (
+        dict(target="hom_pre_lie", dim=2, coefficients=COEFFS, limit=40, budget=7000),
+        "ac5728f9ae1a59184c457dc59b2f8aef5d6f48d976909b211ff89c83219f2bcf"),
+    "hom_pre_lie-seeded-mixed": (
+        dict(target="hom_pre_lie", dim=2, coefficients=("-1/2", 0, "3/2"), mode="seeded", seed=9,
+             attempts=3000, limit=300, budget=3000),
+        "43499358437f89b9466a2fa5a51a02d0072098587d6ad9d7d0051f6702db2711"),
+    "dendriform-seeded": (
+        dict(target="dendriform", dim=2, coefficients=COEFFS, mode="seeded", seed=7,
+             attempts=400, limit=300, budget=400),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dendriform-seeded-01": (
+        dict(target="dendriform", dim=2, coefficients=(0, 1), mode="seeded", seed=3,
+             attempts=1000, limit=300, budget=1000),
+        "3f0d5185dd97df3eeaa1b2d46bd2c2e442428009cbcee31cdf5937e3889c6522"),
+    "dendriform-exhaustive-dim1": (
+        dict(target="dendriform", dim=1, coefficients=COEFFS, limit=300),
+        "ee6684f6eb053bab2c3ff7b18343b2881e916a2d2e14e4c6fa9ad33c5d3edad9"),
+}
+
+
+def _search_text(**spec):
+    return serialize_documents(run_search(SearchSpec(**spec)))
 
 
 def test_stream_is_deterministic_and_bounded():
@@ -119,3 +157,15 @@ def test_invalid_smatrix_base_is_rejected_after_budget_and_limit():
     with pytest.raises(BudgetExceeded):
         run_search(SearchSpec(target="s_matrix", dim=2, coefficients=COEFFS,
                               mode="exhaustive", limit=5, budget=2, base=bad))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
+def test_search_output_bytes_are_pinned(name):
+    spec, digest = PINNED_SEARCHES[name]
+    assert hashlib.sha256(_search_text(**spec).encode("utf-8")).hexdigest() == digest
+
+
+def test_limit_output_is_a_prefix_of_a_longer_run():
+    short = _search_text(**PINNED_SEARCHES["hom_pre_lie-limit40"][0])
+    full = _search_text(**PINNED_SEARCHES["hom_pre_lie-exhaustive"][0])
+    assert short and full.startswith(short) and len(full) > len(short)
