@@ -117,7 +117,7 @@ def check_pro3(a, r):
     inv_sq = a.twist.power(-2)                         # row i: (alpha^-2)* e_i
     D, (moved_rows, *ops) = _integer_family(
         [moved] + [a.product.left_at(moved.column(i)) for i in range(n)]
-        + [square.left_at(inv_sq.entries[i]) for i in range(n)])
+        + [square.left_at(row) for row in inv_sq.entries])
     at_moved, at_square = ops[:n], ops[n:]
     d, (moved_cols, planes, inv_sq_rows) = _integer_family([moved.transpose(), dual.product, inv_sq])
     failures = []

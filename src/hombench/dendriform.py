@@ -383,9 +383,8 @@ def semidirect_smatrix(a, rep, t, variant="dual"):
     n = a.dim
     m = rep.space_dim
     items = {}
-    for i in range(n):
-        for j in range(m):
-            c = t.entries[i][j]
+    for i, row in enumerate(t.entries):
+        for j, c in enumerate(row):
             if c != 0:
                 items[(i, n + j)] = c
                 items[(n + j, i)] = c

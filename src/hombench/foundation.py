@@ -18,22 +18,21 @@ denominator.
 
 The contractions (LinearMap.apply and @, Tensor3.left_at and right_at,
 apply_bilinear and Tensor2.pair) run in integers. Each LinearMap, Tensor2 and
-Tensor3 keeps a private integer form, built on first use: the lcm d of its
-entry denominators and its entries times d. A kernel scales each input vector
-to ints once, does every multiply-add on ints, and divides each output entry
-once, giving an int when the division is exact and a Fraction otherwise.
-Integral data is the d = 1 case and is never divided. Maps that a kernel
-summed in ints keep that form, and so do the maps derived from other maps
-(+, -, negation, transpose, tensor_product_map, map_direct_sum), which are
-combined on the operands' integer forms with no per-entry frac(). Such a map
-stores only its integer form and makes its Fraction entries when they are
-first read. Tables built from maps (Tensor3.from_left_maps, direct_sum_table)
-are placed on the maps' and tables' integer forms brought to one denominator.
-Elimination (row_reduce, and with it inverse and is_invertible) also runs in
-ints and divides each pivot row by its pivot once at the end. A map remembers
-whether it is invertible and, once computed, its inverse. These caches are
-safe because every object is immutable; equality, hashing, repr and
-serialization read only the entries.
+Tensor3 stores only its integer form: the lcm d of its entry denominators and
+its entries times d as ints, which is canonical, so equality and hashing
+compare it. Every builder makes the form in one pass, and the readers (entries,
+column, slice12, nonzero_items) divide what they return out of it on each
+read, never for integral data (d = 1). A kernel scales each input vector to
+ints once, does every multiply-add on ints, and divides each output entry
+once, giving an int when the division is exact and a Fraction otherwise. Maps
+and tables derived from others (+, -, negation, scale, transpose, flip,
+left_maps, tensor_product_map, map_direct_sum, Tensor3.from_left_maps,
+direct_sum_table) are combined on the operands' forms brought to one
+denominator, with no per-entry frac(). Elimination (row_reduce, and with it
+inverse and is_invertible) also runs in ints and divides each pivot row by its
+pivot once at the end. A map remembers whether it is invertible and, once
+computed, its inverse; these caches are safe because every object is
+immutable.
 
 The identity validators read those forms through one entry point,
 _integer_family(items): a family of maps and tables brought to one common
@@ -105,14 +104,46 @@ def _scaled(values):
     return 1, values
 
 
-def _integer_rows(rows):
-    """(d, ints): the lcm d of the denominators in a tuple of rows of exact
-    scalars, and each row times d. Rows of ints are their own scaled form."""
-    dens = [c.denominator for row in rows for c in row if type(c) is not int]
-    if not dens:
-        return 1, rows
-    d = lcm(*dens)
-    return d, tuple([_times(row, d) for row in rows])
+def _exact_rows(rows, what):
+    """(d, ints): rows of ints, strings or Fractions coerced by frac(), times the
+    lcm d of their denominators, as int tuples, so gcd(d, *ints) is 1. Rows of
+    unequal lengths raise DimensionMismatch, naming them as what."""
+    table = [[frac(x) for x in row] for row in rows]
+    if any(len(row) != len(table[0]) for row in table):
+        raise DimensionMismatch("ragged " + what)
+    d = lcm(*[c.denominator for row in table for c in row if type(c) is not int])
+    return d, tuple(map(tuple, table)) if d == 1 else tuple([_times(row, d) for row in table])
+
+
+def _reduced(ints, d):
+    """(d, rows): int rows over a positive int d as row tuples, divided by the gcd
+    of d and every entry, so that d is the lcm of the entry denominators."""
+    rows = tuple(map(tuple, ints))
+    if d > 1:
+        g = gcd(d, *[x for row in rows for x in row])
+        if g > 1:
+            return d // g, tuple([tuple([x // g for x in row]) for row in rows])
+    return d, rows
+
+
+def _planes(vectors, d1, d2):
+    """d1 consecutive runs of d2 vectors: the planes of a (d1, d2, d3) table."""
+    return tuple([vectors[i * d2:(i + 1) * d2] for i in range(d1)])
+
+
+def _transposed(rows, width):
+    """The transpose of a sequence of int rows of the given width: width empty
+    rows when there are no rows."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def _combined(a, b, sign):
+    """(d, rows): a + sign * b for two integer forms with rows of one shape,
+    summed at their common denominator d."""
+    (d1, left), (d2, right) = a, b
+    d = lcm(d1, d2)
+    f1, f2 = d // d1, sign * (d // d2)
+    return d, [[f1 * x + f2 * y for x, y in zip(r1, r2)] for r1, r2 in zip(left, right)]
 
 
 def _quotients(totals, d):
@@ -131,12 +162,12 @@ def _integer_family(items):
     """(D, forms): the lcm D of the entry denominators of a sequence of LinearMaps
     and Tensor3s, and each item times D in int form: a map as a sequence of int
     rows, a table as a sequence of planes of int output vectors. Each item's
-    cached integer form is reused, and scaled up only when its own lcm is less
+    stored integer form is reused, and scaled up only when its own lcm is less
     than D."""
-    cached = [item._form or item._integer_form() for item in items]
-    scale = lcm(*[d for d, _ in cached])
+    stored = [item._form for item in items]
+    scale = lcm(*[d for d, _ in stored])
     forms = []
-    for item, (d, ints) in zip(items, cached):
+    for item, (d, ints) in zip(items, stored):
         if d != scale:
             f = scale // d
             ints = [_times_each(plane, f) for plane in ints] if isinstance(item, Tensor3) else _times_each(ints, f)
@@ -233,27 +264,23 @@ class LinearMap:
     """A rows x cols matrix over the rationals, acting on column vectors.
 
     Explicit shape arguments are only needed when entries are empty, so that
-    zero-dimensional spaces stay representable. The integer form, the
-    invertibility verdict and the inverse are caches, built on first use and
-    never compared. A map made by a kernel holds its integer form instead, and
-    its entries are the cache.
+    zero-dimensional spaces stay representable. The map stores only its
+    integer form, int row tuples over the lcm d of the entry denominators, and
+    compares it. The invertibility verdict and the inverse are caches, built on
+    first use and never compared.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_form", "_invertible", "_inverse")
+    __slots__ = ("rows", "cols", "_form", "_invertible", "_inverse")
 
     def __init__(self, entries, rows=None, cols=None):
-        table = tuple(tuple(frac(x) for x in row) for row in entries)
+        d, table = _exact_rows(entries, "matrix rows")
         if table:
-            width = len(table[0])
-            for row in table:
-                if len(row) != width:
-                    raise DimensionMismatch("ragged matrix rows")
             self_rows = len(table)
-            self_cols = width
+            self_cols = len(table[0])
         else:
             self_rows = 0 if rows is None else rows
             self_cols = 0 if cols is None else cols
-            table = tuple(() for _ in range(self_rows))
+            table = ((),) * self_rows
             if self_rows and self_cols:
                 raise DimensionMismatch("missing entries for nonempty matrix")
         if rows is not None and rows != self_rows:
@@ -262,8 +289,7 @@ class LinearMap:
             raise DimensionMismatch("declared %d cols, got %d" % (cols, self_cols))
         self.rows = self_rows
         self.cols = self_cols
-        self._entries = table
-        self._form = None
+        self._form = d, table
         self._invertible = None
         self._inverse = None
 
@@ -271,38 +297,21 @@ class LinearMap:
     def _from_integers(cls, ints, d, rows, cols):
         """The rows x cols map with entries ints[i][j] / d, for int row lists and
         a positive int d, built without __init__'s per-entry coercion and shape
-        checks. It keeps the integer form it was summed in, reduced so that d is
-        the lcm of its entry denominators, and divides it into entries only
-        when they are first read."""
-        ints = tuple(map(tuple, ints))
-        if d > 1:
-            g = gcd(d, *[x for row in ints for x in row])
-            if g > 1:
-                d //= g
-                ints = tuple([tuple([x // g for x in row]) for row in ints])
+        checks."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m._entries = ints if d == 1 else None
-        m._form = d, ints
+        m._form = _reduced(ints, d)
         m._invertible = None
         m._inverse = None
         return m
 
     @property
     def entries(self):
-        """The exact scalar entries as row tuples: ints where integral."""
-        if self._entries is None:
-            d, ints = self._form
-            self._entries = tuple([_quotients(row, d) for row in ints])
-        return self._entries
-
-    def _integer_form(self):
-        """(d, rows): the lcm d of the entry denominators and the entries times d
-        as int row tuples."""
-        if self._form is None:
-            self._form = _integer_rows(self.entries)
-        return self._form
+        """The exact scalar entries as row tuples, divided out of the integer form
+        on each read: ints where integral."""
+        d, ints = self._form
+        return ints if d == 1 else tuple([_quotients(row, d) for row in ints])
 
     @classmethod
     def identity(cls, n):
@@ -320,24 +329,21 @@ class LinearMap:
 
     @classmethod
     def from_columns(cls, columns, rows=None):
-        cols = [vector(c) for c in columns]
+        d, cols = _exact_rows(columns, "matrix columns")
         if not cols:
             return cls((), rows=0 if rows is None else rows, cols=0)
-        height = len(cols[0])
-        for c in cols:
-            if len(c) != height:
-                raise DimensionMismatch("ragged matrix columns")
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(height)), rows=height, cols=len(cols))
+        return cls._from_integers(zip(*cols), d, len(cols[0]), len(cols))
 
     def column(self, j):
         if not 0 <= j < self.cols:
             raise DimensionMismatch("column %d of a %dx%d map" % (j, self.rows, self.cols))
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        d, rows = self._form
+        return _quotients([row[j] for row in rows], d)
 
     def apply(self, u):
         if len(u) != self.cols:
             raise DimensionMismatch("applying %dx%d map to length-%d vector" % (self.rows, self.cols, len(u)))
-        d, rows = self._form or self._integer_form()
+        d, rows = self._form
         e, v = _scaled(u)
         return _quotients([sum(map(mul, row, v)) for row in rows], d * e)
 
@@ -346,8 +352,8 @@ class LinearMap:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch("composing %dx%d with %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        d1, left = self._form or self._integer_form()
-        d2, right = other._form or other._integer_form()
+        d1, left = self._form
+        d2, right = other._form
         out = []
         for row in left:
             acc = [0] * other.cols
@@ -360,17 +366,12 @@ class LinearMap:
         return LinearMap._from_integers(out, d1 * d2, self.rows, other.cols)
 
     def _combine(self, other, sign):
-        """self + sign * other, summed on the two integer forms brought to their
-        common denominator."""
+        """self + sign * other, summed on the two integer forms."""
         if not isinstance(other, LinearMap):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("adding %dx%d and %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        d1, left = self._form or self._integer_form()
-        d2, right = other._form or other._integer_form()
-        d = lcm(d1, d2)
-        f1, f2 = d // d1, sign * (d // d2)
-        out = [[f1 * a + f2 * b for a, b in zip(r1, r2)] for r1, r2 in zip(left, right)]
+        d, out = _combined(self._form, other._form, sign)
         return LinearMap._from_integers(out, d, self.rows, self.cols)
 
     def __add__(self, other):
@@ -380,30 +381,33 @@ class LinearMap:
         return self._combine(other, -1)
 
     def __neg__(self):
-        d, rows = self._form or self._integer_form()
+        d, rows = self._form
         return LinearMap._from_integers([[-a for a in row] for row in rows], d, self.rows, self.cols)
 
     def scale(self, c):
         c = frac(c)
-        return LinearMap(tuple(tuple(c * a for a in row) for row in self.entries), rows=self.rows, cols=self.cols)
+        d, rows = self._form
+        return LinearMap._from_integers([[c.numerator * a for a in row] for row in rows], d * c.denominator,
+                                        self.rows, self.cols)
 
     def transpose(self):
-        d, rows = self._form or self._integer_form()
-        return LinearMap._from_integers(list(zip(*rows)) if self.rows else [()] * self.cols, d,
-                                        self.cols, self.rows)
+        d, rows = self._form
+        return LinearMap._from_integers(_transposed(rows, self.cols), d, self.cols, self.rows)
 
     def is_square(self):
         return self.rows == self.cols
 
     def inverse(self):
         """Gauss-Jordan inverse, computed on the first call and remembered;
-        raises SingularMap when rank is deficient."""
+        raises SingularMap when rank is deficient. For the form (d, ints),
+        reducing [ints | d * I] leaves [I | inverse]."""
         if self._inverse is not None:
             return self._inverse
         if not self.is_square():
             raise DimensionMismatch("inverting a %dx%d map" % (self.rows, self.cols))
         n = self.rows
-        work = [list(row) + list(basis_vector(n, i)) for i, row in enumerate(self.entries)]
+        d, ints = self._form
+        work = [list(row) + [d if k == i else 0 for k in range(n)] for i, row in enumerate(ints)]
         pivots = row_reduce(work, n)
         if len(pivots) < n:
             self._invertible = False
@@ -428,17 +432,17 @@ class LinearMap:
         if not self.is_square():
             raise DimensionMismatch("inverting a %dx%d map" % (self.rows, self.cols))
         if self._invertible is None:
-            _, rows = self._form or self._integer_form()
+            _, rows = self._form
             self._invertible = len(row_reduce([list(row) for row in rows], self.cols)) == self.rows
         return self._invertible
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self._form) == (other.rows, other.cols, other._form)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self._form))
 
     def __repr__(self):
         return "LinearMap(%r)" % (self.entries,)
@@ -446,36 +450,38 @@ class LinearMap:
 
 class Tensor2:
     """An element of V (x) W in fixed bases: entries[i][j] is the e_i (x) f_j
-    coefficient. The integer form is a cache, built on first use and never compared."""
+    coefficient. Like a LinearMap, it stores only its reduced integer form, as
+    int row tuples over the lcm d of the entry denominators, and compares it."""
 
-    __slots__ = ("dim_left", "dim_right", "entries", "_form")
+    __slots__ = ("dim_left", "dim_right", "_form")
 
     def __init__(self, entries, dim_left=None, dim_right=None):
-        table = tuple(tuple(frac(x) for x in row) for row in entries)
+        d, table = _exact_rows(entries, "tensor rows")
         if table:
-            width = len(table[0])
-            for row in table:
-                if len(row) != width:
-                    raise DimensionMismatch("ragged tensor rows")
             self.dim_left = len(table)
-            self.dim_right = width
+            self.dim_right = len(table[0])
         else:
             self.dim_left = 0 if dim_left is None else dim_left
             self.dim_right = 0 if dim_right is None else dim_right
-            table = tuple(() for _ in range(self.dim_left))
+            table = ((),) * self.dim_left
+            if self.dim_left and self.dim_right:
+                raise DimensionMismatch("missing entries for nonempty tensor")
         if dim_left is not None and dim_left != self.dim_left:
             raise DimensionMismatch("declared left dim %d, got %d" % (dim_left, self.dim_left))
         if dim_right is not None and table and table[0] and dim_right != self.dim_right:
             raise DimensionMismatch("declared right dim %d, got %d" % (dim_right, self.dim_right))
-        self.entries = table
-        self._form = None
+        self._form = d, table
 
-    def _integer_form(self):
-        """(d, rows): the lcm d of the entry denominators and the entries times d
-        as int row tuples."""
-        if self._form is None:
-            self._form = _integer_rows(self.entries)
-        return self._form
+    @classmethod
+    def _from_integers(cls, ints, d, dim_left, dim_right):
+        """The tensor with entries ints[i][j] / d, built like LinearMap._from_integers."""
+        t = object.__new__(cls)
+        t.dim_left = dim_left
+        t.dim_right = dim_right
+        t._form = _reduced(ints, d)
+        return t
+
+    entries = LinearMap.entries        # the same division of the same row form
 
     @classmethod
     def zero(cls, dim_left, dim_right):
@@ -483,102 +489,108 @@ class Tensor2:
 
     @classmethod
     def from_entries(cls, dim_left, dim_right, items):
-        table = [[ZERO] * dim_right for _ in range(dim_left)]
-        for (i, j), c in items.items():
-            table[i][j] = frac(c)
-        return cls(tuple(tuple(row) for row in table), dim_left, dim_right)
+        """The tensor with the given {(i, j): c} entries, zeros elsewhere."""
+        d, ints = _scaled([frac(c) for c in items.values()])
+        table = [[0] * dim_right for _ in range(dim_left)]
+        for (i, j), c in zip(items, ints):
+            table[i][j] = c
+        return cls._from_integers(table, d, dim_left, dim_right)
 
     def flip(self):
         """Swap tensor factors; only defined when both dimensions agree."""
         if self.dim_left != self.dim_right:
             raise DimensionMismatch("flipping a %dx%d tensor" % (self.dim_left, self.dim_right))
-        n = self.dim_left
-        return Tensor2(tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)), n, n)
+        d, rows = self._form
+        return Tensor2._from_integers(zip(*rows), d, self.dim_left, self.dim_left)
 
     def is_symmetric(self):
         return self.dim_left == self.dim_right and self == self.flip()
 
     def is_skew(self):
-        if self.dim_left != self.dim_right:
-            return False
-        n = self.dim_left
-        return all(self.entries[i][j] == -self.entries[j][i] for i in range(n) for j in range(n))
+        return self.dim_left == self.dim_right and self == -self.flip()
 
     def pair(self, u, v):
         """Evaluate as a bilinear pairing: sum entries[i][j] u_i v_j."""
         if len(u) != self.dim_left or len(v) != self.dim_right:
             raise DimensionMismatch("pairing %dx%d tensor with lengths %d, %d"
                                     % (self.dim_left, self.dim_right, len(u), len(v)))
-        d, rows = self._form or self._integer_form()
+        d, rows = self._form
         eu, us = _scaled(u)
         ev, vs = _scaled(v)
         total = sum([ui * sum(map(mul, row, vs)) for ui, row in zip(us, rows) if ui])
         return _quotients((total,), d * eu * ev)[0]
 
     def nonzero_items(self):
-        return [((i, j), c) for i, row in enumerate(self.entries) for j, c in enumerate(row) if c != 0]
+        d, rows = self._form
+        return [((i, j), _quotients((c,), d)[0]) for i, row in enumerate(rows) for j, c in enumerate(row) if c]
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other, summed on the two integer forms."""
         if not isinstance(other, Tensor2):
             return NotImplemented
         if (self.dim_left, self.dim_right) != (other.dim_left, other.dim_right):
             raise DimensionMismatch("adding tensors of different shapes")
-        return Tensor2(tuple(tuple(a + b for a, b in zip(r1, r2))
-                             for r1, r2 in zip(self.entries, other.entries)),
-                       self.dim_left, self.dim_right)
+        d, out = _combined(self._form, other._form, sign)
+        return Tensor2._from_integers(out, d, self.dim_left, self.dim_right)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, Tensor2):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Tensor2(tuple(tuple(-a for a in row) for row in self.entries), self.dim_left, self.dim_right)
+        d, rows = self._form
+        return Tensor2._from_integers([[-a for a in row] for row in rows], d, self.dim_left, self.dim_right)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor2):
             return NotImplemented
-        return (self.dim_left, self.dim_right, self.entries) == (other.dim_left, other.dim_right, other.entries)
+        return (self.dim_left, self.dim_right, self._form) == (other.dim_left, other.dim_right, other._form)
 
     def __hash__(self):
-        return hash((self.dim_left, self.dim_right, self.entries))
+        return hash((self.dim_left, self.dim_right, self._form))
 
     def __repr__(self):
         return "Tensor2(%r)" % (self.entries,)
 
 
 class Tensor3:
-    """A three-index array: entries[i][j][k], shapes may differ per slot. The
-    integer form is a cache, built on first use and never compared."""
+    """A three-index array: entries[i][j][k], shapes may differ per slot. It
+    stores only its reduced integer form, planes of int output vectors over the
+    lcm d of the entry denominators, and compares it."""
 
-    __slots__ = ("dims", "entries", "_form")
+    __slots__ = ("dims", "_form")
 
     def __init__(self, entries, dims=None):
         """Empty entries stand for the zero table of the declared dims; any other
         table must be rectangular."""
-        table = tuple(tuple(tuple(frac(x) for x in vec) for vec in plane) for plane in entries)
-        if table:
-            d1 = len(table)
-            d2 = len(table[0])
-            d3 = len(table[0][0]) if d2 else (0 if dims is None else dims[2])
-            for plane in table:
-                if len(plane) != d2:
-                    raise DimensionMismatch("ragged tensor planes")
-                for vec in plane:
-                    if len(vec) != d3:
-                        raise DimensionMismatch("ragged tensor fibers")
+        planes = [tuple(plane) for plane in entries]
+        d, vectors = _exact_rows([vec for plane in planes for vec in plane], "tensor fibers")
+        if planes:
+            d1 = len(planes)
+            d2 = len(planes[0])
+            d3 = len(vectors[0]) if d2 else (0 if dims is None else dims[2])
+            if any(len(plane) != d2 for plane in planes):
+                raise DimensionMismatch("ragged tensor planes")
             if dims is None and not (d2 and d3):
                 raise DimensionMismatch("empty tensor needs explicit dims")
         else:
             if dims is None:
                 raise DimensionMismatch("empty tensor needs explicit dims")
             d1, d2, d3 = dims
-            table = tuple(tuple(zero_vector(d3) for _ in range(d2)) for _ in range(d1))
+            vectors = (zero_vector(d3),) * (d1 * d2)
         if dims is not None and tuple(dims) != (d1, d2, d3):
             raise DimensionMismatch("declared dims %r, got %r" % (tuple(dims), (d1, d2, d3)))
         self.dims = (d1, d2, d3)
-        self.entries = table
-        self._form = None
+        self._form = d, _planes(vectors, d1, d2)
+
+    @property
+    def entries(self):
+        """The exact scalar entries as planes of output vectors, divided out of the
+        integer form on each read: ints where integral."""
+        d, planes = self._form
+        return planes if d == 1 else tuple([tuple([_quotients(vec, d) for vec in plane]) for plane in planes])
 
     @classmethod
     def zero(cls, d1, d2, d3):
@@ -586,13 +598,13 @@ class Tensor3:
 
     @classmethod
     def from_entries(cls, dims, items):
+        """The table with the given {(i, j, k): c} entries, zeros elsewhere."""
         d1, d2, d3 = dims
-        table = [[[ZERO] * d3 for _ in range(d2)] for _ in range(d1)]
-        for (i, j, k), c in items.items():
-            table[i][j][k] = frac(c)
-        if 0 in dims:
-            return cls((), dims=dims)
-        return cls(tuple(tuple(tuple(vec) for vec in plane) for plane in table), dims=dims)
+        d, ints = _scaled([frac(c) for c in items.values()])
+        table = [[[0] * d3 for _ in range(d2)] for _ in range(d1)]
+        for (i, j, k), c in zip(items, ints):
+            table[i][j][k] = c
+        return cls.from_integers(table, d, dims)
 
     @classmethod
     def from_slices(cls, d1, d2, d3, vec_of):
@@ -609,53 +621,37 @@ class Tensor3:
             if m.rows != d3 or m.cols != d2:
                 raise DimensionMismatch("left map is %dx%d, expected %dx%d" % (m.rows, m.cols, d3, d2))
         d, forms = _integer_family(maps)
-        planes = [tuple(zip(*rows)) if d3 else ((),) * d2 for rows in forms]
-        return cls.from_integers(planes, d, (len(forms), d2, d3))
+        return cls.from_integers([_transposed(rows, d2) for rows in forms], d, (len(forms), d2, d3))
 
     @classmethod
     def from_integers(cls, planes, d, dims):
         """The table with entries planes[i][j][k] / d, for int planes of the given
         dims and a positive int d, built without __init__'s per-entry coercion and
-        shape checks, so the caller vouches for both. It keeps its integer form,
-        reduced so that d is the lcm of its entry denominators, like
-        LinearMap._from_integers."""
-        planes = tuple([tuple(map(tuple, plane)) for plane in planes])
-        if d > 1:
-            g = gcd(d, *[x for plane in planes for vec in plane for x in vec])
-            if g > 1:
-                d //= g
-                planes = tuple([tuple([tuple([x // g for x in vec]) for vec in plane]) for plane in planes])
+        shape checks, so the caller vouches for both. Its integer form is reduced
+        like LinearMap._from_integers'."""
+        d1, d2, _ = dims
+        d, vectors = _reduced([vec for plane in planes for vec in plane], d)
         t = object.__new__(cls)
         t.dims = tuple(dims)
-        t.entries = planes if d == 1 else tuple([tuple([_quotients(vec, d) for vec in plane]) for plane in planes])
-        t._form = d, planes
+        t._form = d, _planes(vectors, d1, d2)
         return t
-
-    def _integer_form(self):
-        """(d, planes): the lcm d of the entry denominators and the table times d,
-        with int output vectors."""
-        if self._form is None:
-            dens = [c.denominator for plane in self.entries for vec in plane for c in vec if type(c) is not int]
-            if not dens:
-                self._form = 1, self.entries
-            else:
-                d = lcm(*dens)
-                self._form = d, tuple(tuple([_times(vec, d) for vec in plane]) for plane in self.entries)
-        return self._form
 
     def slice12(self, i, j):
         """The output vector attached to the basis pair (i, j)."""
-        return self.entries[i][j]
+        d, planes = self._form
+        return _quotients(planes[i][j], d)
 
     def left_maps(self):
         """Left multiplication by each basis vector: map i sends e_j to slice12(i, j)."""
         _, d2, d3 = self.dims
-        return tuple(LinearMap(tuple(zip(*plane)), rows=d3, cols=d2) for plane in self.entries)
+        d, planes = self._form
+        return tuple(LinearMap._from_integers(_transposed(plane, d3), d, d3, d2) for plane in planes)
 
     def right_maps(self):
         """Right multiplication by each basis vector: map j sends e_i to slice12(i, j)."""
         d1, d2, d3 = self.dims
-        return tuple(LinearMap(tuple(zip(*(plane[j] for plane in self.entries))), rows=d3, cols=d1)
+        d, planes = self._form
+        return tuple(LinearMap._from_integers(_transposed([plane[j] for plane in planes], d3), d, d3, d1)
                      for j in range(d2))
 
     def left_at(self, x):
@@ -664,7 +660,7 @@ class Tensor3:
         d1, d2, d3 = self.dims
         if len(x) != d1:
             raise DimensionMismatch("left multiplication of a %r tensor by length %d" % (self.dims, len(x)))
-        d, planes = self._form or self._integer_form()
+        d, planes = self._form
         e, xs = _scaled(x)
         return LinearMap._from_integers(_left_sums(planes, xs, d2, d3), d * e, d3, d2)
 
@@ -674,44 +670,47 @@ class Tensor3:
         d1, d2, d3 = self.dims
         if len(y) != d2:
             raise DimensionMismatch("right multiplication of a %r tensor by length %d" % (self.dims, len(y)))
-        d, planes = self._form or self._integer_form()
+        d, planes = self._form
         e, ys = _scaled(y)
         return LinearMap._from_integers(_right_sums(planes, ys, d1, d3), d * e, d3, d1)
 
     def nonzero_items(self):
-        return [((i, j, k), c)
-                for i, plane in enumerate(self.entries)
+        d, planes = self._form
+        return [((i, j, k), _quotients((c,), d)[0])
+                for i, plane in enumerate(planes)
                 for j, vec in enumerate(plane)
-                for k, c in enumerate(vec) if c != 0]
+                for k, c in enumerate(vec) if c]
 
     def is_zero(self):
-        return not self.nonzero_items()
+        return not any(any(vec) for plane in self._form[1] for vec in plane)
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other, summed on the two integer forms."""
         if not isinstance(other, Tensor3):
             return NotImplemented
         if self.dims != other.dims:
             raise DimensionMismatch("adding tensors of different shapes")
-        return Tensor3(tuple(tuple(tuple(a + b for a, b in zip(v1, v2))
-                                   for v1, v2 in zip(p1, p2))
-                             for p1, p2 in zip(self.entries, other.entries)), dims=self.dims)
+        (d1, left), (d2, right) = self._form, other._form
+        planes = [_combined((d1, p1), (d2, p2), sign)[1] for p1, p2 in zip(left, right)]
+        return Tensor3.from_integers(planes, lcm(d1, d2), self.dims)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Tensor3(tuple(tuple(tuple(-a for a in vec) for vec in plane) for plane in self.entries),
-                       dims=self.dims)
+        d, planes = self._form
+        return Tensor3.from_integers([[[-a for a in vec] for vec in plane] for plane in planes], d, self.dims)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
             return NotImplemented
-        return self.dims == other.dims and self.entries == other.entries
+        return self.dims == other.dims and self._form == other._form
 
     def __hash__(self):
-        return hash((self.dims, self.entries))
+        return hash((self.dims, self._form))
 
     def __repr__(self):
         return "Tensor3(%r)" % (self.entries,)
@@ -720,8 +719,8 @@ class Tensor3:
 def tensor_product_map(f, g):
     """Kronecker product acting on lexicographically ordered tensor coordinates,
     multiplied out on the two integer forms."""
-    d1, left = f._form or f._integer_form()
-    d2, right = g._form or g._integer_form()
+    d1, left = f._form
+    d2, right = g._form
     blank = [0] * g.cols
     table = []
     for frow in left:
@@ -738,7 +737,7 @@ def apply_bilinear(c, x, y):
     d1, d2, d3 = c.dims
     if len(x) != d1 or len(y) != d2:
         raise DimensionMismatch("contracting %r tensor with lengths %d, %d" % (c.dims, len(x), len(y)))
-    d, planes = c._form or c._integer_form()
+    d, planes = c._form
     ex, xs = _scaled(x)
     ey, ys = _scaled(y)
     out = [0] * d3
@@ -755,8 +754,8 @@ def apply_bilinear(c, x, y):
 
 def tensor2_to_map(r):
     """View an element of A (x) A as a map A* -> A: the matrix transpose of the entry table."""
-    return LinearMap(tuple(tuple(r.entries[j][i] for j in range(r.dim_left)) for i in range(r.dim_right)),
-                     rows=r.dim_right, cols=r.dim_left)
+    d, rows = r._form
+    return LinearMap._from_integers(_transposed(rows, r.dim_right), d, r.dim_right, r.dim_left)
 
 
 def direct_sum_table(dim, tables, actions):
@@ -792,8 +791,8 @@ def direct_sum_table(dim, tables, actions):
 def map_direct_sum(f, g):
     """Block diagonal sum of two maps, placed on their integer forms brought to
     a common denominator."""
-    d1, top = f._form or f._integer_form()
-    d2, bottom = g._form or g._integer_form()
+    d1, top = f._form
+    d2, bottom = g._form
     d = lcm(d1, d2)
     f1, f2 = d // d1, d // d2
     table = [[f1 * x for x in row] + [0] * g.cols for row in top]

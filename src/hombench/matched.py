@@ -341,16 +341,15 @@ def standardize_manin_triple(mt):
     pairing_inv = pairing.inverse()
 
     first_product = Tensor3.from_slices(n1, n1, n1, lambda i, j: total.basis_product(i, j)[:n1])
-    first_twist = LinearMap(tuple(tuple(total.twist.entries[i][j] for j in range(n1)) for i in range(n1)),
-                            rows=n1, cols=n1)
+    twist = total.twist.entries
+    first_twist = LinearMap(tuple(row[:n1] for row in twist[:n1]), rows=n1, cols=n1)
     first = HomPreLieAlgebra(first_product, first_twist)
 
     second_block = Tensor3.from_slices(n2, n2, n2, lambda i, j: total.basis_product(n1 + i, n1 + j)[n1:])
     dual_product = Tensor3.from_slices(n2, n2, n2, lambda i, j: pairing.apply(
         apply_bilinear(second_block, pairing_inv.column(i), pairing_inv.column(j))))
     expected_twist = first_twist.inverse().transpose()
-    second_twist = LinearMap(tuple(tuple(total.twist.entries[n1 + i][n1 + j] for j in range(n2))
-                                   for i in range(n2)), rows=n2, cols=n2)
+    second_twist = LinearMap(tuple(row[n1:] for row in twist[n1:]), rows=n2, cols=n2)
     if pairing @ second_twist @ pairing_inv != expected_twist:
         raise InvalidInput("the second slot's twist does not transport to the inverse dual twist")
     dual = HomPreLieAlgebra(dual_product, expected_twist)

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,15 @@ def test_ragged_table_is_rejected():
         Tensor3(((), ((1,),)), dims=(2, 0, 1))
     with pytest.raises(DimensionMismatch):
         Tensor3((((),),))
+
+
+def test_empty_entries_need_an_empty_dim():
+    """Like a map, a tensor with no entries must have a zero dim; otherwise its
+    declared right dim would disagree with its empty rows."""
+    with pytest.raises(DimensionMismatch):
+        Tensor2((), 2, 3)
+    assert tensor2_to_map(Tensor2((), 0, 3)) == LinearMap((), rows=3, cols=0)
+    assert tensor2_to_map(Tensor2((), 2, 0)) == LinearMap((), rows=0, cols=2)
 
 
 def test_action_table_rejects_maps_that_are_not_square():
@@ -336,6 +346,94 @@ def test_derived_maps_are_exact_and_keep_an_exact_integer_form(data):
         _assert_exact(got.apply(u), [_total(zip(row, u)) for row in got.entries])
 
 
+def _assert_exact_rows(got, want):
+    """Row tuples equal to a grid of exact scalars, with every integral entry a plain int."""
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        _assert_exact(row, [Fraction(x) for x in ref])
+
+
+def _denominator(grid):
+    return lcm(*[Fraction(x).denominator for row in grid for x in row])
+
+
+@given(st.data())
+def test_readers_and_tensor_arithmetic_are_exact_on_the_integer_form(data):
+    """Tensor2/Tensor3 +, - and negation, flip, the symmetry tests, scale, the
+    readers and both from_entries work on the integer form; each agrees with a
+    Fraction reference built from the drawn grids, with integral entries as
+    ints, on rational data with unequal dims. A value built from Fractions
+    equals, and hashes equal to, the same value built from non-reduced ints."""
+    n, m = data.draw(sizes), data.draw(sizes)
+    g, h = data.draw(_grids(n, m)), data.draw(_grids(n, m))
+    r, s = Tensor2(g, n, m), Tensor2(h, n, m)
+    for got, want in [(r + s, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(g, h)]),
+                      (r - s, [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(g, h)]),
+                      (-r, [[-x for x in row] for row in g])]:
+        assert (got.dim_left, got.dim_right) == (n, m)
+        _assert_exact_rows(got.entries, want)
+    items = {(i, j): c for i, row in enumerate(g) for j, c in enumerate(row) if c}
+    assert r.nonzero_items() == list(items.items())
+    _assert_exact([c for _, c in r.nonzero_items()], [Fraction(c) for c in items.values()])
+    parsed = Tensor2.from_entries(n, m, items)
+    assert parsed == r and hash(parsed) == hash(r)
+    _assert_exact_rows(parsed.entries, g)
+    sharp = tensor2_to_map(r)
+    assert (sharp.rows, sharp.cols) == (m, n)
+    _assert_exact_rows(sharp.entries, [[g[i][j] for i in range(n)] for j in range(m)])
+    if n != m:
+        assert not r.is_symmetric() and not r.is_skew()
+
+    a = LinearMap(g, rows=n, cols=m)
+    for j in range(m):
+        _assert_exact(a.column(j), [Fraction(row[j]) for row in g])
+    c = data.draw(mixed_scalars)
+    _assert_exact_rows(a.scale(c).entries, [[c * x for x in row] for row in g])
+    e = _denominator(g)
+    doubled = LinearMap._from_integers([[int(2 * e * Fraction(x)) for x in row] for row in g], 2 * e, n, m)
+    assert doubled == a and hash(doubled) == hash(a) and doubled._form == a._form
+
+    k = data.draw(sizes)
+    q = data.draw(_grids(k, k))
+    t = Tensor2(q, k, k)
+    _assert_exact_rows(t.flip().entries, [[q[j][i] for j in range(k)] for i in range(k)])
+    assert t.is_symmetric() == all(Fraction(q[i][j]) == q[j][i] for i in range(k) for j in range(k))
+    assert t.is_skew() == all(Fraction(q[i][j]) == -q[j][i] for i in range(k) for j in range(k))
+    assert (t + t.flip()).is_symmetric() and (t - t.flip()).is_skew()
+
+    dims = d1, d2, d3 = data.draw(sizes), data.draw(sizes), data.draw(sizes)
+    vecs, other = [data.draw(st.lists(_grids(d2, d3), min_size=d1, max_size=d1)) for _ in range(2)]
+    table = Tensor3.from_slices(d1, d2, d3, lambda i, j: vecs[i][j])
+    right = Tensor3.from_slices(d1, d2, d3, lambda i, j: other[i][j])
+    pairs = [list(zip(p, o)) for p, o in zip(vecs, other)]
+    for got, want in [(table + right, [[[x + y for x, y in zip(v, w)] for v, w in p] for p in pairs]),
+                      (table - right, [[[x - y for x, y in zip(v, w)] for v, w in p] for p in pairs]),
+                      (-table, [[[-x for x in v] for v in p] for p in vecs])]:
+        assert got.dims == dims
+        for plane, ref in zip(got.entries, want):
+            _assert_exact_rows(plane, ref)
+    for i in range(d1):
+        for j in range(d2):
+            _assert_exact(table.slice12(i, j), [Fraction(x) for x in vecs[i][j]])
+    left_maps, right_maps = table.left_maps(), table.right_maps()
+    assert [(lm.rows, lm.cols) for lm in left_maps] == [(d3, d2)] * d1
+    assert [(rm.rows, rm.cols) for rm in right_maps] == [(d3, d1)] * d2
+    for i, lm in enumerate(left_maps):
+        _assert_exact_rows(lm.entries, [[vecs[i][j][k] for j in range(d2)] for k in range(d3)])
+    for j, rm in enumerate(right_maps):
+        _assert_exact_rows(rm.entries, [[vecs[i][j][k] for i in range(d1)] for k in range(d3)])
+    items = {(i, j, k): x for i, p in enumerate(vecs) for j, v in enumerate(p) for k, x in enumerate(v) if x}
+    assert table.nonzero_items() == list(items.items())
+    _assert_exact([x for _, x in table.nonzero_items()], [Fraction(x) for x in items.values()])
+    assert table.is_zero() == (not items) and (table - table).is_zero()
+    assert not any(Tensor3.from_entries(dims, {key: x}).is_zero() for key, x in items.items())
+    parsed = Tensor3.from_entries(dims, items)
+    assert parsed == table and hash(parsed) == hash(table)
+    e = lcm(*[_denominator(p) for p in vecs])
+    doubled = Tensor3.from_integers([[[int(2 * e * Fraction(x)) for x in v] for v in p] for p in vecs], 2 * e, dims)
+    assert doubled == table and hash(doubled) == hash(table) and doubled._form == table._form
+
+
 def _reference_row_reduce(work, cols):
     """Plain Fraction Gauss-Jordan: normalize each pivot row, then clear its
     column in every other row."""
@@ -458,7 +556,7 @@ def test_kernels_give_plain_ints_for_integral_fraction_inputs():
 
 def _random_family(rng, count, rows, cols):
     """count seeded rows x cols maps: rational ones built from entries, rational
-    ones made by a kernel (which store only their integer form), and integral ones."""
+    ones made by a kernel (whose integer form is summed, not coerced), and integral ones."""
     maps = []
     for p in range(count):
         m = LinearMap(_random_matrix(rng, rows, cols, "plain"), rows=rows, cols=cols)
@@ -475,7 +573,7 @@ def _assert_exact_table(got, want):
     for plane, ref in zip(got.entries, want.entries):
         for vec, ref_vec in zip(plane, ref):
             _assert_exact(vec, [Fraction(x) for x in ref_vec])
-    assert got._integer_form() == Tensor3(want.entries, dims=want.dims)._integer_form()
+    assert got._form == Tensor3(want.entries, dims=want.dims)._form
 
 
 @pytest.mark.parametrize("count, d2, d3", [(0, 2, 2), (0, 0, 0), (2, 0, 0), (3, 2, 0), (2, 0, 3), (1, 1, 1),
@@ -578,9 +676,9 @@ def _used_table():
 
 
 def _kernel_built():
-    """Maps, tables and algebras made from used operands by the paths that hand
-    their integer form over: no map among them has had its entries read, and
-    each algebra has been validated, so it remembers its report."""
+    """Maps, tables and algebras made from used operands by the paths that build
+    their integer form from other integer forms, without __init__; each algebra
+    has been validated, so it remembers its report."""
     m, s = _used_map(ROWS), _used_map(SINGULAR)
     table = _used_table()
     maps = [m @ s, table.left_at((Fraction(2, 3), 0, 3)), table.right_at((0, Fraction(1, 7), 1)), m.inverse(),
@@ -608,9 +706,9 @@ def _fresh_copy(value):
 
 def _fresh_and_used():
     """Pairs of equal objects: the first built from entries, the second used by
-    every kernel (so its integer form and invertibility verdict are built) or
-    made by a kernel that hands its integer form over. Each kernel-made object
-    is paired with a copy of another build, so its own entries stay unread."""
+    every kernel (so its invertibility verdict and inverse are built) or made by
+    a kernel from integer forms. Each kernel-made object is paired with a copy
+    of a second, equal build, so nothing reads it before the check does."""
     used_form = Tensor2.from_entries(3, 3, {(0, 1): Fraction(1, 2), (2, 2): 3})
     used_form.pair((1, 2, 3), (Fraction(1, 2), 1, 0))
     return [(LinearMap(ROWS), _used_map(ROWS)), (LinearMap(SINGULAR), _used_map(SINGULAR)),
@@ -635,16 +733,13 @@ CACHE_CHECKS = {
 
 
 def test_cached_state_is_invisible():
-    """Each check runs on newly built pairs, so it meets kernel-made maps whose
-    entries are still unread (the first read makes them), and algebras that
-    remember their report."""
+    """Each check runs on newly built pairs, so it meets maps that remember
+    their invertibility and inverse, kernel-made objects whose integer form
+    was summed rather than coerced, and algebras that remember their report."""
     for name, check in CACHE_CHECKS.items():
         pairs = _fresh_and_used()
-        unread = [used for _, used in pairs if isinstance(used, LinearMap) and used._entries is None]
-        assert len(unread) >= 5
         for fresh, used in pairs:
             assert check(fresh, used), (name, fresh, used)
-        assert all(used._entries is not None for used in unread)
 
 
 def test_invertibility_verdict_is_stable():
