@@ -5,7 +5,7 @@ from .errors import (AsymmetricInput, BudgetExceeded, DimensionMismatch,
                      Pro1Violation, SingularMap, TwistMismatch, UnknownSlug,
                      UnsupportedKind, UsageError, WorkbenchError)
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, basis_vector,
-                         frac, map_direct_sum, tensor2_to_map, tensor_product_map,
+                         frac, map_direct_sum, tensor_product_map,
                          zero_vector)
 from .algebras import (BilinearForm, Failure, HomLieAlgebra, HomPreLieAlgebra,
                        ValidationReport, check_morphism, combine_reports,

@@ -24,8 +24,8 @@ validate_l_dendriform is split the same way).
 from operator import add, mul, sub
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput
-from .foundation import (Tensor2, Tensor3, apply_bilinear, sub_vectors, tensor2_to_map,
-                         _core_operands, _integer_family, _left_sums, _quotients, _right_sums)
+from .foundation import (Tensor2, Tensor3, apply_bilinear, sub_vectors, _core_operands,
+                         _integer_family, _left_sums, _quotients, _right_sums)
 
 
 class Failure:
@@ -218,10 +218,12 @@ class BilinearForm:
 
     def sharp(self):
         """The induced map x -> B(x, .) into coordinate covectors."""
-        return tensor2_to_map(self.matrix)
+        return self.matrix.transpose()
 
     def is_nondegenerate(self):
-        return self.sharp().is_invertible()
+        """M and its transpose have one rank, so the verdict is read, and
+        cached, on the stored matrix."""
+        return self.matrix.is_invertible()
 
     def __eq__(self, other):
         if not isinstance(other, BilinearForm):

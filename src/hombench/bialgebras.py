@@ -18,8 +18,8 @@ from operator import add, mul
 
 from .errors import (DimensionMismatch, InvalidInput, NotAnSMatrix, Pro1Violation,
                      TwistMismatch)
-from .foundation import (LinearMap, Tensor3, apply_bilinear, basis_vector, tensor2_to_map,
-                         _integer_family, _quotients)
+from .foundation import (LinearMap, Tensor3, apply_bilinear, basis_vector, _integer_family,
+                         _quotients)
 from .algebras import (HomPreLieAlgebra, ValidationReport, agreement_report, combine_reports,
                        validate_hom_pre_lie, _record)
 from .representations import (action_table, check_one_cocycle, coboundary_maps,
@@ -29,16 +29,22 @@ from .matched import (coadjoint_matched_pair, require_dual_twists, standard_mani
 
 
 def r_sharp(r):
-    """View an element of A (x) A as a map from covectors to vectors."""
+    """View an element of A (x) A as a map from covectors to vectors: the
+    transpose of its matrix, a plain LinearMap."""
     if r.dim_left != r.dim_right:
         raise DimensionMismatch("tensor is %dx%d" % (r.dim_left, r.dim_right))
-    return tensor2_to_map(r)
+    return r.transpose()
+
+
+def _tensor_on(a, r):
+    """Check that the tensor lies in A (x) A for the algebra a."""
+    if r.dim_left != a.dim or r.dim_right != a.dim:
+        raise DimensionMismatch("tensor is %dx%d on dimension %d" % (r.dim_left, r.dim_right, a.dim))
 
 
 def check_pro1(a, r):
     """Does the tensor intertwine the inverse dual twist with the twist?"""
-    if r.dim_left != a.dim or r.dim_right != a.dim:
-        raise DimensionMismatch("tensor is %dx%d on dimension %d" % (r.dim_left, r.dim_right, a.dim))
+    _tensor_on(a, r)
     sharp = r_sharp(r)
     inv_dual = a.twist.inverse().transpose()
     return sharp @ inv_dual == a.twist @ sharp
@@ -52,8 +58,7 @@ def _vec(r):
 def coboundary_cocycle(a, r):
     """The candidate cocycle x -> (coboundary action of x) applied to the tensor,
     one flattened tensor-square column per basis vector."""
-    if r.dim_left != a.dim or r.dim_right != a.dim:
-        raise DimensionMismatch("tensor is %dx%d on dimension %d" % (r.dim_left, r.dim_right, a.dim))
+    _tensor_on(a, r)
     maps = coboundary_maps(a)
     flat = _vec(r)
     return LinearMap.from_columns([m.apply(flat) for m in maps], rows=a.dim * a.dim)
@@ -67,13 +72,12 @@ def dual_product_from_r(a, r):
     rho, mu = (action_table(maps, n) for maps in
                _dual_actions(a.product.left_maps(), a.product.right_maps(), a.twist, a.twist))
     sharp = r_sharp(r)
-    flip_sharp = r_sharp(r.flip())
     e = [basis_vector(n, i) for i in range(n)]
 
     def product(i, j):
-        # rho*(r# e_i) e_j + mu*(r#^T e_j) e_i
+        # rho*(r# e_i) e_j + mu*(r#^T e_j) e_i, and r#^T is r itself
         return tuple(map(add, apply_bilinear(rho, sharp.column(i), e[j]),
-                         apply_bilinear(mu, flip_sharp.column(j), e[i])))
+                         apply_bilinear(mu, r.column(j), e[i])))
 
     return HomPreLieAlgebra(Tensor3.from_slices(n, n, n, product), a.twist.inverse().transpose())
 
@@ -82,11 +86,9 @@ def hom_s_bracket(a, r):
     """The twisted square bracket of the tensor with itself, in the closed form
     of the module docstring; vanishing is the third solution condition. Every
     product is read from the left multiplication operators at A_i and B_k."""
-    if r.dim_left != a.dim or r.dim_right != a.dim:
-        raise DimensionMismatch("tensor is %dx%d on dimension %d" % (r.dim_left, r.dim_right, a.dim))
+    _tensor_on(a, r)
     n = a.dim
-    entries = LinearMap(r.entries, rows=n, cols=n)
-    maps = [a.twist @ entries, a.twist @ entries.transpose()]
+    maps = [a.twist @ r, a.twist @ r.transpose()]
     D, ops = _integer_family([a.product.left_at(x) for m in maps for x in m.entries])
     d, (ints_a, ints_b) = _integer_family(maps)
     at_a, at_b = ops[:n], ops[n:]
@@ -141,14 +143,13 @@ def check_P_condition(a, r):
     second term is minus the transpose of the first, and the result is skew
     again. Instance (i, j) is P(e_i e_j) vec(S) - P(alpha(e_i)) P(e_j) vec(S),
     and P(alpha(e_i)) takes its L at alpha^-1(e_i)."""
-    if r.dim_left != a.dim or r.dim_right != a.dim:
-        raise DimensionMismatch("tensor is %dx%d on dimension %d" % (r.dim_left, r.dim_right, a.dim))
+    _tensor_on(a, r)
     n = a.dim
     alpha = a.twist
     inv_sq = alpha.power(-2)
     inv = alpha.inverse()
     alpha_t = alpha.transpose()
-    skew = LinearMap((r - r.flip()).entries, rows=n, cols=n)
+    skew = r - r.flip()
 
     def p_on(lm, s):
         m = lm @ s @ alpha_t
@@ -180,8 +181,7 @@ def is_hom_s_matrix(a, r):
     """Symmetric, twist-intertwining, and vanishing twisted bracket square."""
     if not validate_hom_pre_lie(a).valid:
         raise InvalidInput("is_hom_s_matrix needs a valid twisted pre-Lie algebra")
-    if r.dim_left != a.dim or r.dim_right != a.dim:
-        raise DimensionMismatch("tensor is %dx%d on dimension %d" % (r.dim_left, r.dim_right, a.dim))
+    _tensor_on(a, r)
     return r.is_symmetric() and solves_s_equation(a, r)
 
 

@@ -13,7 +13,6 @@ a rebinding of this module's globals (as the bench tracer does) reaches it.
 from collections import namedtuple
 
 from .errors import InvalidInput, UnsupportedKind, UnknownSlug, UsageError
-from .foundation import LinearMap
 from .algebras import (Failure, ValidationReport, agreement_report, check_morphism,
                        combine_reports, sub_adjacent, validate_hom_lie, validate_hom_pre_lie,
                        _record)
@@ -135,7 +134,7 @@ def _manin_standardize(mt):
     # pair (the pairing across the slots, 0 within a slot by isotropy). It is
     # kept because the report's bytes are part of the pinned --json output.
     iso = built.iso
-    mapped = (iso.transpose() @ LinearMap(built.standard.form.matrix.entries) @ iso).entries
+    mapped = (iso.transpose() @ built.standard.form.matrix @ iso).entries
     form = mt.form.matrix.entries
     failures = []
     n = mt.total.dim

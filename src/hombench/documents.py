@@ -367,7 +367,7 @@ def _emit_rows(lines, matrix):
 def document_for(value):
     """Wrap a structured value in a Document with the kind inferred from its type."""
     for row in SCHEMA:
-        if isinstance(value, row.cls):
+        if type(value) is row.cls:
             return Document(row.kind, value)
     raise ParseError("no document kind for %r" % type(value).__name__)
 
@@ -375,7 +375,7 @@ def document_for(value):
 def serialize_document(doc):
     rows = [row for row in SCHEMA if row.kind == doc.kind]
     # a value of the wrong type fails on the first attribute it lacks
-    row = next((r for r in rows if isinstance(doc.value, r.cls)), rows[-1])
+    row = next((r for r in rows if type(doc.value) is r.cls), rows[-1])
     lines = ["kind: %s" % doc.kind]
     if row.base is not None:
         lines.append("base: %s" % row.base)

@@ -16,23 +16,27 @@ Tensor3.from_left_maps() builds it from a family of maps, the inverse of
 left_maps(), and Tensor3.from_integers() builds it from int planes at one
 denominator.
 
+A Tensor2, an element of V (x) W, is a LinearMap read with tensor names: one
+row store, one constructor and one arithmetic serve both. Its transpose() is
+the plain map r#: V* -> W, so a tensor and its map share one matrix.
+
 The contractions (LinearMap.apply and @, Tensor3.left_at and right_at,
-apply_bilinear and Tensor2.pair) run in integers. Each LinearMap, Tensor2 and
-Tensor3 stores only its integer form: the lcm d of its entry denominators and
-its entries times d as ints, which is canonical, so equality and hashing
-compare it. Every builder makes the form in one pass, and the readers (entries,
-column, slice12, nonzero_items) divide what they return out of it on each
-read, never for integral data (d = 1). A kernel scales each input vector to
-ints once, does every multiply-add on ints, and divides each output entry
-once, giving an int when the division is exact and a Fraction otherwise. Maps
-and tables derived from others (+, -, negation, scale, transpose, flip,
-left_maps, tensor_product_map, map_direct_sum, Tensor3.from_left_maps,
-direct_sum_table) are combined on the operands' forms brought to one
-denominator, with no per-entry frac(). Elimination (row_reduce, and with it
-inverse and is_invertible) also runs in ints and divides each pivot row by its
-pivot once at the end. A map remembers whether it is invertible and, once
-computed, its inverse; these caches are safe because every object is
-immutable.
+apply_bilinear and Tensor2.pair) run in integers. Each LinearMap and Tensor3
+stores only its integer form: the lcm d of its entry denominators and its
+entries times d as ints, which is canonical, so equality and hashing compare it
+(with the type, so a Tensor2 never equals a plain map). Every builder makes the
+form in one pass, and the readers (entries, column, slice12, nonzero_items)
+divide what they return out of it on each read, never for integral data
+(d = 1). A kernel scales each input vector to ints once, does every
+multiply-add on ints, and divides each output entry once, giving an int when
+the division is exact and a Fraction otherwise. Maps and tables derived from
+others (+, -, negation, scale, transpose, flip, left_maps, tensor_product_map,
+map_direct_sum, Tensor3.from_left_maps, direct_sum_table) are combined on the
+operands' forms brought to one denominator, with no per-entry frac().
+Elimination (row_reduce, and with it inverse and is_invertible) also runs in
+ints and divides each pivot row by its pivot once at the end. A map remembers
+whether it is invertible and, once computed, its inverse; these caches are safe
+because every object is immutable.
 
 The identity validators read those forms through one entry point,
 _integer_family(items): a family of maps and tables brought to one common
@@ -266,8 +270,9 @@ class LinearMap:
     Explicit shape arguments are only needed when entries are empty, so that
     zero-dimensional spaces stay representable. The map stores only its
     integer form, int row tuples over the lcm d of the entry denominators, and
-    compares it. The invertibility verdict and the inverse are caches, built on
-    first use and never compared.
+    compares it. Equality, + and - take operands of one type, which + and -
+    and negation keep. The invertibility verdict and the inverse are caches,
+    built on first use and never compared.
     """
 
     __slots__ = ("rows", "cols", "_form", "_invertible", "_inverse")
@@ -366,13 +371,13 @@ class LinearMap:
         return LinearMap._from_integers(out, d1 * d2, self.rows, other.cols)
 
     def _combine(self, other, sign):
-        """self + sign * other, summed on the two integer forms."""
-        if not isinstance(other, LinearMap):
+        """self + sign * other, summed on the two integer forms, of one type."""
+        if type(other) is not type(self):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("adding %dx%d and %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         d, out = _combined(self._form, other._form, sign)
-        return LinearMap._from_integers(out, d, self.rows, self.cols)
+        return self._from_integers(out, d, self.rows, self.cols)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -382,7 +387,7 @@ class LinearMap:
 
     def __neg__(self):
         d, rows = self._form
-        return LinearMap._from_integers([[-a for a in row] for row in rows], d, self.rows, self.cols)
+        return self._from_integers([[-a for a in row] for row in rows], d, self.rows, self.cols)
 
     def scale(self, c):
         c = frac(c)
@@ -437,7 +442,7 @@ class LinearMap:
         return self._invertible
 
     def __eq__(self, other):
-        if not isinstance(other, LinearMap):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.rows, self.cols, self._form) == (other.rows, other.cols, other._form)
 
@@ -445,47 +450,20 @@ class LinearMap:
         return hash((self.rows, self.cols, self._form))
 
     def __repr__(self):
-        return "LinearMap(%r)" % (self.entries,)
+        return "%s(%r)" % (type(self).__name__, self.entries)
 
 
-class Tensor2:
-    """An element of V (x) W in fixed bases: entries[i][j] is the e_i (x) f_j
-    coefficient. Like a LinearMap, it stores only its reduced integer form, as
-    int row tuples over the lcm d of the entry denominators, and compares it."""
+class Tensor2(LinearMap):
+    """An element of V (x) W in fixed bases: a LinearMap whose entry (i, j) is
+    the e_i (x) f_j coefficient, read with tensor names (dim_left is its rows,
+    dim_right its cols). It is built, stored, added and compared as a map, but
+    never equals or adds to a plain one. Its transpose is the plain map
+    r#: V* -> W that pairs a covector against the first leg."""
 
-    __slots__ = ("dim_left", "dim_right", "_form")
+    __slots__ = ()
 
-    def __init__(self, entries, dim_left=None, dim_right=None):
-        d, table = _exact_rows(entries, "tensor rows")
-        if table:
-            self.dim_left = len(table)
-            self.dim_right = len(table[0])
-        else:
-            self.dim_left = 0 if dim_left is None else dim_left
-            self.dim_right = 0 if dim_right is None else dim_right
-            table = ((),) * self.dim_left
-            if self.dim_left and self.dim_right:
-                raise DimensionMismatch("missing entries for nonempty tensor")
-        if dim_left is not None and dim_left != self.dim_left:
-            raise DimensionMismatch("declared left dim %d, got %d" % (dim_left, self.dim_left))
-        if dim_right is not None and table and table[0] and dim_right != self.dim_right:
-            raise DimensionMismatch("declared right dim %d, got %d" % (dim_right, self.dim_right))
-        self._form = d, table
-
-    @classmethod
-    def _from_integers(cls, ints, d, dim_left, dim_right):
-        """The tensor with entries ints[i][j] / d, built like LinearMap._from_integers."""
-        t = object.__new__(cls)
-        t.dim_left = dim_left
-        t.dim_right = dim_right
-        t._form = _reduced(ints, d)
-        return t
-
-    entries = LinearMap.entries        # the same division of the same row form
-
-    @classmethod
-    def zero(cls, dim_left, dim_right):
-        return cls(tuple(zero_vector(dim_right) for _ in range(dim_left)), dim_left, dim_right)
+    dim_left = property(lambda self: self.rows)
+    dim_right = property(lambda self: self.cols)
 
     @classmethod
     def from_entries(cls, dim_left, dim_right, items):
@@ -498,22 +476,22 @@ class Tensor2:
 
     def flip(self):
         """Swap tensor factors; only defined when both dimensions agree."""
-        if self.dim_left != self.dim_right:
-            raise DimensionMismatch("flipping a %dx%d tensor" % (self.dim_left, self.dim_right))
+        if self.rows != self.cols:
+            raise DimensionMismatch("flipping a %dx%d tensor" % (self.rows, self.cols))
         d, rows = self._form
-        return Tensor2._from_integers(zip(*rows), d, self.dim_left, self.dim_left)
+        return Tensor2._from_integers(zip(*rows), d, self.rows, self.rows)
 
     def is_symmetric(self):
-        return self.dim_left == self.dim_right and self == self.flip()
+        return self.rows == self.cols and self == self.flip()
 
     def is_skew(self):
-        return self.dim_left == self.dim_right and self == -self.flip()
+        return self.rows == self.cols and self == -self.flip()
 
     def pair(self, u, v):
         """Evaluate as a bilinear pairing: sum entries[i][j] u_i v_j."""
-        if len(u) != self.dim_left or len(v) != self.dim_right:
+        if len(u) != self.rows or len(v) != self.cols:
             raise DimensionMismatch("pairing %dx%d tensor with lengths %d, %d"
-                                    % (self.dim_left, self.dim_right, len(u), len(v)))
+                                    % (self.rows, self.cols, len(u), len(v)))
         d, rows = self._form
         eu, us = _scaled(u)
         ev, vs = _scaled(v)
@@ -523,36 +501,6 @@ class Tensor2:
     def nonzero_items(self):
         d, rows = self._form
         return [((i, j), _quotients((c,), d)[0]) for i, row in enumerate(rows) for j, c in enumerate(row) if c]
-
-    def _combine(self, other, sign):
-        """self + sign * other, summed on the two integer forms."""
-        if not isinstance(other, Tensor2):
-            return NotImplemented
-        if (self.dim_left, self.dim_right) != (other.dim_left, other.dim_right):
-            raise DimensionMismatch("adding tensors of different shapes")
-        d, out = _combined(self._form, other._form, sign)
-        return Tensor2._from_integers(out, d, self.dim_left, self.dim_right)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        d, rows = self._form
-        return Tensor2._from_integers([[-a for a in row] for row in rows], d, self.dim_left, self.dim_right)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor2):
-            return NotImplemented
-        return (self.dim_left, self.dim_right, self._form) == (other.dim_left, other.dim_right, other._form)
-
-    def __hash__(self):
-        return hash((self.dim_left, self.dim_right, self._form))
-
-    def __repr__(self):
-        return "Tensor2(%r)" % (self.entries,)
 
 
 class Tensor3:
@@ -750,12 +698,6 @@ def apply_bilinear(c, x, y):
                         if b:
                             out[k] += coeff * b
     return _quotients(out, d * ex * ey)
-
-
-def tensor2_to_map(r):
-    """View an element of A (x) A as a map A* -> A: the matrix transpose of the entry table."""
-    d, rows = r._form
-    return LinearMap._from_integers(_transposed(rows, r.dim_right), d, r.dim_right, r.dim_left)
 
 
 def direct_sum_table(dim, tables, actions):

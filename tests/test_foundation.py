@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hombench import (DimensionMismatch, HomPreLieAlgebra, LinearMap, SingularMap, Tensor2,
                       Tensor3, apply_bilinear, basis_vector, document_for, map_direct_sum,
-                      serialize_document, tensor2_to_map, tensor_product_map, validate_hom_pre_lie)
+                      serialize_document, tensor_product_map, validate_hom_pre_lie)
 from hombench.foundation import direct_sum_table, frac, row_reduce
 from hombench.representations import action_table
 
@@ -69,8 +69,27 @@ def test_dual_map_is_transpose():
 def test_tensor2_sharp_pairs_first_slot():
     r = Tensor2.from_entries(2, 2, {(0, 1): 1})
     # the induced map pairs a covector against the first leg: e1* goes to e2
-    assert tensor2_to_map(r).apply((1, 0)) == (0, 1)
-    assert tensor2_to_map(r).apply((0, 1)) == (0, 0)
+    assert r.transpose().apply((1, 0)) == (0, 1)
+    assert r.transpose().apply((0, 1)) == (0, 0)
+
+
+def test_tensor2_is_a_map_of_its_own_kind():
+    """A Tensor2 is a LinearMap, but its document kind, equality and arithmetic
+    keep it apart from a plain map; only its transpose, the map r#, is plain."""
+    rows = ((1, Fraction(1, 2), 0), (0, -3, Fraction(2, 3)))
+    r, m = Tensor2(rows), LinearMap(rows)
+    assert isinstance(r, LinearMap)
+    assert document_for(r).kind == "tensor2" and document_for(m).kind == "linear_map"
+    assert r != m and m != r and r.entries == m.entries
+    with pytest.raises(TypeError):
+        r + m
+    s = Tensor2.from_entries(2, 3, {(1, 2): 5})
+    square = Tensor2.from_entries(2, 2, {(0, 1): Fraction(1, 3)})
+    assert all(type(t) is Tensor2 for t in (r + s, r - s, -r, square.flip()))
+    sharp = r.transpose()
+    assert type(sharp) is LinearMap
+    assert sharp == LinearMap(tuple(zip(*rows)), rows=3, cols=2)
+    assert repr(r) == "Tensor2(%r)" % (rows,) and repr(sharp).startswith("LinearMap(")
 
 
 def test_apply_bilinear_structure_tensor():
@@ -171,12 +190,17 @@ def test_ragged_table_is_rejected():
 
 
 def test_empty_entries_need_an_empty_dim():
-    """Like a map, a tensor with no entries must have a zero dim; otherwise its
-    declared right dim would disagree with its empty rows."""
+    """Like a map, a tensor with no entries, or only empty rows, must have a
+    zero dim; otherwise its declared right dim would disagree with its empty
+    rows. A tensor is built by the map's one constructor, so both raise."""
     with pytest.raises(DimensionMismatch):
         Tensor2((), 2, 3)
-    assert tensor2_to_map(Tensor2((), 0, 3)) == LinearMap((), rows=3, cols=0)
-    assert tensor2_to_map(Tensor2((), 2, 0)) == LinearMap((), rows=0, cols=2)
+    with pytest.raises(DimensionMismatch):
+        Tensor2(((), ()), 2, 3)
+    with pytest.raises(DimensionMismatch):
+        LinearMap(((), ()), rows=2, cols=3)
+    assert Tensor2((), 0, 3).transpose() == LinearMap((), rows=3, cols=0)
+    assert Tensor2((), 2, 0).transpose() == LinearMap((), rows=0, cols=2)
 
 
 def test_action_table_rejects_maps_that_are_not_square():
@@ -378,7 +402,7 @@ def test_readers_and_tensor_arithmetic_are_exact_on_the_integer_form(data):
     parsed = Tensor2.from_entries(n, m, items)
     assert parsed == r and hash(parsed) == hash(r)
     _assert_exact_rows(parsed.entries, g)
-    sharp = tensor2_to_map(r)
+    sharp = r.transpose()
     assert (sharp.rows, sharp.cols) == (m, n)
     _assert_exact_rows(sharp.entries, [[g[i][j] for i in range(n)] for j in range(m)])
     if n != m:
@@ -695,12 +719,12 @@ def _kernel_built():
 
 def _fresh_copy(value):
     """An equal value built from entries, with no cached state."""
+    if isinstance(value, Tensor2):
+        return Tensor2(value.entries, value.dim_left, value.dim_right)
     if isinstance(value, LinearMap):
         return LinearMap(value.entries, rows=value.rows, cols=value.cols)
     if isinstance(value, Tensor3):
         return Tensor3(value.entries, dims=value.dims)
-    if isinstance(value, Tensor2):
-        return Tensor2(value.entries, value.dim_left, value.dim_right)
     return HomPreLieAlgebra(_fresh_copy(value.product), _fresh_copy(value.twist))
 
 

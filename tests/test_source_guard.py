@@ -2,7 +2,8 @@
 
 Every module of src/hombench other than __init__ must use every name it
 imports, and every module-level _private function must be referenced
-somewhere in src/ besides its own definition.
+somewhere in src/ besides its own definition. No module rebuilds a map or
+tensor from another object's entries.
 """
 
 import ast
@@ -59,3 +60,20 @@ def test_every_private_function_is_referenced():
                     if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                     and not node.name.startswith("__") and node.name not in referenced]
     assert unreferenced == []
+
+
+def test_no_map_or_tensor_is_rebuilt_from_entries():
+    """LinearMap, Tensor2 and Tensor3 share one integer row store, so a call
+    such as LinearMap(x.entries) only divides x's form into Fractions and
+    coerces them back: use x, or a method that keeps the form."""
+    builders = {"LinearMap", "Tensor2", "Tensor3"}
+    rebuilt = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            first = node.args[0]
+            if called in builders and isinstance(first, ast.Attribute) and first.attr == "entries":
+                rebuilt.append("%s:%d" % (name, node.lineno))
+    assert rebuilt == []
