@@ -14,18 +14,24 @@ instance is then a list of int dot products, sum(map(mul, row, v)), tested for
 zero; only a failing one is divided by D * d into its exact residual (_record).
 
 validate_hom_pre_lie keeps its sums in a core, _hom_pre_lie_failures, that
-needs no objects: it takes the table's int planes and the twist's int rows and
-columns, sums the operators at the twisted basis vectors itself, and yields each
-failing instance as ints. The validator turns those into Failures, and search
-runs the same core on candidates it never builds (dendriform's
-validate_l_dendriform is split the same way).
+needs no objects: it takes the table's int planes and the twist's int columns,
+and yields each failing instance as ints. The validator turns those into
+Failures, and search runs the same core on candidates it never builds
+(dendriform's validate_l_dendriform is split the same way). A core packs each
+instance, an n-vector of ints, into one int with slots of a fixed width
+(foundation._pack): it packs each table output vector once, builds every
+operator at a twisted basis vector as n packed ints, and sums an instance as
+two or three length-n dot products. That int is 0 exactly when the instance
+holds, because the width, from foundation._instance_bits, keeps every slot
+below half its range; it is found once per report (_core_report) or per
+search, and only a failing instance is unpacked into its totals.
 """
 
 from operator import add, mul, sub
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput
 from .foundation import (Tensor2, Tensor3, apply_bilinear, sub_vectors, _core_operands,
-                         _integer_family, _left_sums, _quotients, _right_sums)
+                         _instance_bits, _integer_family, _quotients, _unpack)
 
 
 class Failure:
@@ -275,47 +281,49 @@ def validate_hom_lie(cand):
     return ValidationReport(failures)
 
 
-def _hom_pre_lie_failures(planes, d, alpha_rows, alpha_cols, e):
+def _hom_pre_lie_failures(planes, d, alpha_cols, e, w):
     """Yield (identity, witness, totals, scale) for each failing multiplicativity
     and twisted-associator instance, in report order, of the product table with
-    int planes / d under the twist with int rows alpha_rows and columns
-    alpha_cols / e. totals are ints whose quotients by scale are the residual.
+    int planes / d under the twist with int columns alpha_cols / e. totals are
+    ints whose quotients by scale are the residual.
 
-    The products with alpha(e_i) are summed straight from the ints, as the
-    operators alpha(e_i) . - and - . alpha(e_k), and everything they meet is
-    brought to one scale by foundation._core_operands. Twist invertibility is
-    not checked."""
+    Each instance is one int: a sum of dot products of packed operators, the
+    twist and alpha(e_i) . - and - . alpha(e_k), with vectors brought to one
+    scale by foundation._core_operands. The slots are packed at width w, which
+    must be at least _instance_bits of the inputs; only a nonzero sum is
+    unpacked into its totals. Twist invertibility is not checked."""
     n = len(planes)
-    left = [_left_sums(planes, a, n, n) for a in alpha_cols]       # alpha(e_i) . -
-    rows, (scaled,), alphas, scale = _core_operands([planes], d, alpha_rows, alpha_cols, e)
+    twist, (scaled,), ((left, right),), alphas, scale = _core_operands([planes], d, alpha_cols, e, w)
     for i in range(n):
         for j in range(n):
-            product, aj = scaled[i][j], alphas[j]
-            totals = [sum(map(mul, ar, product)) - sum(map(mul, lr, aj)) for ar, lr in zip(rows, left[i])]
-            if any(totals):
-                yield "twist-product-morphism", (i, j), totals, scale
-    right = [_right_sums(planes, a, n, n) for a in alpha_cols]     # - . alpha(e_k)
+            total = sum(map(mul, twist, scaled[i][j])) - sum(map(mul, left[i], alphas[j]))
+            if total:
+                yield "twist-product-morphism", (i, j), _unpack(total, w, n), scale
     for i in range(n):
         for j in range(i + 1, n):
             # (xy)a(z) - a(x)(yz) - (yx)a(z) + a(y)(xz) = [x, y]a(z) - a(x)(yz) + a(y)(xz)
             commutator = list(map(sub, scaled[i][j], scaled[j][i]))
             for k in range(n):
-                u, w = scaled[j][k], scaled[i][k]
-                totals = [sum(map(mul, rk, commutator)) - sum(map(mul, li, u)) + sum(map(mul, lj, w))
-                          for rk, li, lj in zip(right[k], left[i], left[j])]
-                if any(totals):
-                    yield "twisted-associator-symmetry", (i, j, k), totals, scale
+                total = (sum(map(mul, right[k], commutator)) - sum(map(mul, left[i], scaled[j][k]))
+                         + sum(map(mul, left[j], scaled[i][k])))
+                if total:
+                    yield "twisted-associator-symmetry", (i, j, k), _unpack(total, w, n), scale
 
 
 def _core_report(tables, twist, core):
     """The report of an identity core run on the integer forms of the tables and
     the twist: twist-invertible first, when it fails, then a Failure for each
-    failing instance the core yields, its totals divided into the residual."""
+    failing instance the core yields, its totals divided into the residual. The
+    core packs its instances at the width _instance_bits gives for the largest
+    table and twist ints."""
     failures = [] if twist.is_invertible() else [Failure("twist-invertible", (), ())]
     d, planes = _integer_family(tables)
     e, (rows,) = _integer_family([twist])
+    table_max = max((abs(x) for table in planes for plane in table for v in plane for x in v), default=0)
+    twist_max = max((abs(x) for row in rows for x in row), default=0)
+    w = _instance_bits(twist.rows, table_max, d, twist_max, e)
     failures += [Failure(identity, witness, _quotients(totals, scale))
-                 for identity, witness, totals, scale in core(*planes, d, rows, list(zip(*rows)), e)]
+                 for identity, witness, totals, scale in core(*planes, d, list(zip(*rows)), e, w)]
     return ValidationReport(failures)
 
 

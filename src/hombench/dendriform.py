@@ -14,7 +14,7 @@ from operator import add, mul, sub
 from .errors import (AsymmetricInput, DimensionMismatch, IntertwinerViolation, InvalidInput,
                      SingularMap)
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, row_reduce, sub_vectors,
-                         _core_operands, _integer_family, _left_sums, _right_sums)
+                         _core_operands, _integer_family, _unpack)
 from .algebras import (HomPreLieAlgebra, ValidationReport, agreement_report, combine_reports,
                        validate_hessian, validate_hom_pre_lie, _core_report, _record)
 from .representations import (HomPreLieRep, action_table, coadjoint_pre_lie_rep,
@@ -64,27 +64,25 @@ class HomLDendriform:
         return "HomLDendriform(dim=%d)" % self.dim
 
 
-def _l_dendriform_failures(lt, rt, d, alpha_rows, alpha_cols, e):
+def _l_dendriform_failures(lt, rt, d, alpha_cols, e, w):
     """Yield (identity, witness, totals, scale) for each failing multiplicativity
     and splitting-axiom instance, in report order, of the products |> and <| with
-    int planes lt / d and rt / d under the twist with int rows alpha_rows and
-    columns alpha_cols / e, summed as in algebras._hom_pre_lie_failures.
+    int planes lt / d and rt / d under the twist with int columns alpha_cols / e,
+    each instance one int packed at width w, as in algebras._hom_pre_lie_failures.
     Twist invertibility is not checked."""
     n = len(lt)
-    left_l = [_left_sums(lt, a, n, n) for a in alpha_cols]      # alpha(e_i) |> -
-    right_l = [_left_sums(rt, a, n, n) for a in alpha_cols]     # alpha(e_i) <| -
-    rows, (sl, sr), alphas, scale = _core_operands([lt, rt], d, alpha_rows, alpha_cols, e)
+    # left_l[i]: alpha(e_i) |> -, left_r[k]: - |> alpha(e_k), and right_l, right_r likewise for <|
+    twist, (sl, sr), ((left_l, left_r), (right_l, right_r)), alphas, scale = _core_operands(
+        [lt, rt], d, alpha_cols, e, w)
     for i in range(n):
         for j in range(n):
             aj = alphas[j]
-            totals = [sum(map(mul, ar, sl[i][j])) - sum(map(mul, lr, aj)) for ar, lr in zip(rows, left_l[i])]
-            if any(totals):
-                yield "twist-left-morphism", (i, j), totals, scale
-            totals = [sum(map(mul, ar, sr[i][j])) - sum(map(mul, rr, aj)) for ar, rr in zip(rows, right_l[i])]
-            if any(totals):
-                yield "twist-right-morphism", (i, j), totals, scale
-    left_r = [_right_sums(lt, a, n, n) for a in alpha_cols]     # - |> alpha(e_k)
-    right_r = [_right_sums(rt, a, n, n) for a in alpha_cols]    # - <| alpha(e_k)
+            total = sum(map(mul, twist, sl[i][j])) - sum(map(mul, left_l[i], aj))
+            if total:
+                yield "twist-left-morphism", (i, j), _unpack(total, w, n), scale
+            total = sum(map(mul, twist, sr[i][j])) - sum(map(mul, right_l[i], aj))
+            if total:
+                yield "twist-right-morphism", (i, j), _unpack(total, w, n), scale
 
     # Products are linear in each slot, so terms that share an operator are
     # applied once to the sum x |> y + x <| y or to the difference x |> y - y <| x.
@@ -95,21 +93,19 @@ def _l_dendriform_failures(lt, rt, d, alpha_rows, alpha_cols, e):
             # the axiom is half(x, y, z) - half(y, x, z)
             swapped = list(map(sub, both[i][j], both[j][i]))
             for k in range(n):
-                u, w = sl[i][k], sl[j][k]
-                totals = [sum(map(mul, rk, swapped)) + sum(map(mul, lj, u)) - sum(map(mul, li, w))
-                          for rk, lj, li in zip(left_r[k], left_l[j], left_l[i])]
-                if any(totals):
-                    yield "left-axiom", (i, j, k), totals, scale
+                total = (sum(map(mul, left_r[k], swapped)) + sum(map(mul, left_l[j], sl[i][k]))
+                         - sum(map(mul, left_l[i], sl[j][k])))
+                if total:
+                    yield "left-axiom", (i, j, k), _unpack(total, w, n), scale
     for i in range(n):
         for j in range(n):
             # (x|>y)<|a(z) - (y<|x)<|a(z) + a(y)<|(x|>z + x<|z) - a(x)|>(y<|z)
             difference = list(map(sub, sl[i][j], sr[j][i]))
             for k in range(n):
-                u, w = both[i][k], sr[j][k]
-                totals = [sum(map(mul, rk, difference)) + sum(map(mul, rj, u)) - sum(map(mul, li, w))
-                          for rk, rj, li in zip(right_r[k], right_l[j], left_l[i])]
-                if any(totals):
-                    yield "right-axiom", (i, j, k), totals, scale
+                total = (sum(map(mul, right_r[k], difference)) + sum(map(mul, right_l[j], both[i][k]))
+                         - sum(map(mul, left_l[i], sr[j][k])))
+                if total:
+                    yield "right-axiom", (i, j, k), _unpack(total, w, n), scale
 
 
 def validate_l_dendriform(cand):

@@ -134,8 +134,8 @@ def _read_row(cur, cols):
     return tuple(_parse_scalar(t, line_no) for t in tokens)
 
 
-def _read_matrix(cur, rows, cols):
-    return LinearMap(tuple(_read_row(cur, cols) for _ in range(rows)))
+def _read_matrix(cur, rows, cols, cls=LinearMap):
+    return cls(tuple(_read_row(cur, cols) for _ in range(rows)))
 
 
 def _entry_lines(cur):
@@ -188,8 +188,10 @@ def _read_map_family(cur, count, size):
 # lists its allowed values; a block's shape lists its sizes, each the name of
 # an earlier int field or a '+'-joined sum of such names. An invertible block
 # is a square matrix whose invertibility is checked once the whole document
-# has been read. The row's build takes the field values in order.
-INT, TAG, MATRIX, INVERTIBLE, ENTRIES, MAPS = "int", "tag", "matrix", "invertible", "entries", "maps"
+# has been read; a form block is a matrix read as the Tensor2 of a bilinear
+# form. The row's build takes the field values in order.
+INT, TAG, MATRIX, INVERTIBLE, FORM, ENTRIES, MAPS = ("int", "tag", "matrix", "invertible", "form", "entries",
+                                                     "maps")
 
 Field = namedtuple("Field", "key block shape path")
 Row = namedtuple("Row", "kind base cls fields build")
@@ -251,8 +253,8 @@ SCHEMA = (
         PreLieMatchedPair(HomPreLieAlgebra(p1, t1), HomPreLieAlgebra(p2, t2),
                           left1, right1, left2, right2)),
     Row("bilinear_form", None, BilinearForm,
-        (_f("dim", INT), _f("symmetry", TAG, ("symmetric", "skew")), _f("matrix", MATRIX, ("dim", "dim"))),
-        lambda dim, symmetry, matrix: BilinearForm(matrix.entries, symmetry)),
+        (_f("dim", INT), _f("symmetry", TAG, ("symmetric", "skew")), _f("matrix", FORM, ("dim", "dim"))),
+        lambda dim, symmetry, matrix: BilinearForm(matrix, symmetry)),
     Row("tensor2", None, Tensor2,
         (_f("dim_left", INT), _f("dim_right", INT), _f("entries", ENTRIES, ("dim_left", "dim_right"), "")),
         lambda dim_left, dim_right, entries: entries),
@@ -272,9 +274,9 @@ SCHEMA = (
         (_f("first_dim", INT), _f("second_dim", INT),
          _f("twist", MATRIX, (_TOTAL, _TOTAL), "total.twist"),
          _f("product", ENTRIES, (_TOTAL,) * 3, "total.product"),
-         _f("form", MATRIX, (_TOTAL, _TOTAL), "form.matrix")),
+         _f("form", FORM, (_TOTAL, _TOTAL), "form.matrix")),
         lambda first_dim, second_dim, twist, product, form:
-        ManinTriple(HomPreLieAlgebra(product, twist), BilinearForm(form.entries, "skew"),
+        ManinTriple(HomPreLieAlgebra(product, twist), BilinearForm(form, "skew"),
                     first_dim, second_dim)),
     Row("o_operator", None, OOperator,
         _pre_lie_rep_fields("rep.") + (_f("operator", MATRIX, ("dim", "space_dim"), "matrix"),),
@@ -310,7 +312,7 @@ def _parse_one(numbered):
             elif block == MAPS:
                 value = _read_map_family(cur, *dims)
             else:
-                value = _read_matrix(cur, *dims)
+                value = _read_matrix(cur, *dims, Tensor2 if block == FORM else LinearMap)
                 if block == INVERTIBLE:
                     must_invert.append((line_no, key, value))
         values.append(value)

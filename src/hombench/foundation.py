@@ -47,9 +47,21 @@ list of int dot products sum(map(mul, row, v)) equal to D * d times the
 residual. The rule is: no Fraction for a passing instance. The list is tested
 with any(), and only a failing instance is divided, by _quotients(totals, D * d),
 into the exact residual it reports. Outside this module the forms are read
-only through _integer_family. A validator core that works on int planes it was
-handed, without the objects, sums its operators with _left_sums and
-_right_sums, the int kernels of Tensor3.left_at and right_at.
+only through _integer_family.
+
+The two validator cores that work on int planes they were handed, without the
+objects (algebras._hom_pre_lie_failures and dendriform._l_dendriform_failures),
+go one step further: each instance is one int. _pack(v, w) packs an int
+vector into the single int sum of v[m] * 2^(w m), so that a dot product of
+packed operator columns with an int vector is the packed image (Kronecker
+substitution). _core_operands packs each table output vector once and gives
+every operator at a twisted basis vector as n packed ints, so an instance is
+two or three length-n dot products. While every slot of the result stays
+below 2^(w-1) in size, the int is 0 exactly when the instance holds, and only
+a failing one is unpacked (_unpack) into the totals it reports. The width w
+comes from _instance_bits, which bounds every slot by the identities' term
+counts and the largest entries; it is found once per report or per search,
+never per candidate.
 """
 
 from fractions import Fraction
@@ -213,16 +225,75 @@ def _times_each(vectors, f):
     return vectors if f == 1 else [[x * f for x in v] for v in vectors]
 
 
-def _core_operands(tables, d, rows, cols, e):
-    """(rows, tables, cols, scale): the operands of a validator core brought to
-    one scale. The operators it sums from int planes / d at the twist's int
-    columns / e have denominator d * e, and so do the returned twist rows; the
-    returned table planes and twist columns have the common denominator
-    f = lcm(d, e), and every product of an operator row with one of them is
-    scale = d * e * f times its value."""
+def _pack(v, w):
+    """The int v[0] + v[1] * 2^w + ... + v[n-1] * 2^((n-1) w) of an int vector
+    v: its n slots of width w in one int, each with its sign. Packing is linear,
+    and while every |v[m]| is below 2^(w-1) the packed int is 0 only for the
+    zero vector and _unpack recovers v."""
+    x = 0
+    for c in reversed(v):
+        x = (x << w) + c
+    return x
+
+
+def _unpack(x, w, n):
+    """The n signed slots of the packed int x as a list of ints: the inverse of
+    _pack(v, w) for a vector v of length n with every |v[m]| below 2^(w-1)."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = []
+    for _ in range(n):
+        s = x & mask
+        if s >= half:
+            s -= mask + 1
+        out.append(s)
+        x = (x - s) >> w
+    return out
+
+
+def _instance_bits(n, table_max, d, twist_max, e):
+    """The slot width w at which the validator cores pack their instances, for
+    dim-n product tables with int planes / d and a twist with int entries / e,
+    no table int larger than table_max in size and no twist int larger than
+    twist_max; f = lcm(d, e).
+
+    In the terms of _core_operands, twist and the vectors met have entries of
+    size at most twist_max * d, table_max * f / d and twist_max * f / e, and an
+    operator at alpha(e_i) has entries that are sums of n twist-table products.
+    So a multiplicativity slot is at most n * twist_max * table_max * f +
+    n^2 * twist_max^2 * table_max * f / e. An axiom slot sums n^2 products of a
+    twist int, a table int and a table vector entry per dot product, counted as
+    often as its vector sums table vectors: 4 n^2 for the twisted associator
+    (the commutator counts twice) and at most 6 n^2 for the splitting axioms
+    (x |> y + x <| y counts twice in a commutator), each product at most
+    twist_max * table_max^2 * f / d. w is one more than the bit length of the
+    larger bound, so every slot is below 2^(w-1) in size; w is 1 when n or a
+    maximum is 0."""
     f = lcm(d, e)
-    tables = [planes if f == d else [_times_each(plane, f // d) for plane in planes] for planes in tables]
-    return _times_each(rows, d), tables, _times_each(cols, f // e), d * e * f
+    base = n * twist_max * table_max
+    morphism = base * f + n * base * twist_max * (f // e)
+    axiom = 6 * n * base * table_max * (f // d)
+    return max(morphism, axiom).bit_length() + 1
+
+
+def _core_operands(tables, d, cols, e, w):
+    """(twist, tables, operators, alphas, scale): the operands of a validator
+    core on int planes / d and the twist's int columns cols / e, each instance
+    packed at slot width w (_pack). twist is the twist as n packed ints, column
+    p packed and times d. For each table, operators is the pair (left, right):
+    left[i][q] packs alpha(e_i) . e_q and right[k][p] packs e_p . alpha(e_k),
+    both over d * e, each a length-n dot of a twist column with the packed
+    output vectors. The returned table planes and twist columns alphas have
+    the common denominator f = lcm(d, e), so a dot of twist or an operator with
+    one of them packs scale = d * e * f times its value."""
+    f = lcm(d, e)
+    operators, scaled = [], []
+    for planes in tables:
+        packed = [[_pack(v, w) for v in plane] for plane in planes]
+        columns = list(zip(*packed))
+        operators.append(([[sum(map(mul, a, column)) for column in columns] for a in cols],
+                          [[sum(map(mul, a, plane)) for plane in packed] for a in cols]))
+        scaled.append(planes if f == d else [_times_each(plane, f // d) for plane in planes])
+    return [d * _pack(a, w) for a in cols], scaled, operators, _times_each(cols, f // e), d * e * f
 
 
 def row_reduce(work, cols):

@@ -18,7 +18,7 @@ algebra or dendriform, and a document.
 from itertools import product
 
 from .errors import BudgetExceeded, InvalidInput
-from .foundation import LinearMap, Tensor2, Tensor3, frac, _integer_family, _scaled
+from .foundation import LinearMap, Tensor2, Tensor3, frac, _instance_bits, _integer_family, _scaled
 from .algebras import (BilinearForm, HomPreLieAlgebra, validate_hessian,
                        validate_hom_pre_lie, _hom_pre_lie_failures)
 from .representations import HomPreLieRep
@@ -117,18 +117,19 @@ def _build_target(spec):
         e, (twist_rows,) = _integer_family([twist])
         twist_cols = list(zip(*twist_rows))
         p, values = _scaled(spec.coefficients)     # the coefficients times their lcm denominator p
+        w = _instance_bits(n, max(map(abs, values)), p, 1, e)      # the identity's entries are 0 and 1
         cube = n ** 3
         dims = (n, n, n)
 
         def hom_pre_lie(assign):
             planes = _planes(n, assign)
-            if next(_hom_pre_lie_failures(planes, p, twist_rows, twist_cols, e), None) is not None:
+            if next(_hom_pre_lie_failures(planes, p, twist_cols, e, w), None) is not None:
                 return None
             return HomPreLieAlgebra(Tensor3.from_integers(planes, p, dims), twist)
 
         def dendriform(assign):
             left, right = _planes(n, assign[:cube]), _planes(n, assign[cube:])
-            if next(_l_dendriform_failures(left, right, p, twist_rows, twist_cols, e), None) is not None:
+            if next(_l_dendriform_failures(left, right, p, twist_cols, e, w), None) is not None:
                 return None
             return HomLDendriform(Tensor3.from_integers(left, p, dims),
                                   Tensor3.from_integers(right, p, dims), twist)

@@ -2,8 +2,8 @@
 
 Every module of src/hombench other than __init__ must use every name it
 imports, and every module-level _private function must be referenced
-somewhere in src/ besides its own definition. No module rebuilds a map or
-tensor from another object's entries.
+somewhere in src/ besides its own definition. No module rebuilds a map,
+tensor or bilinear form from another object's entries.
 """
 
 import ast
@@ -65,8 +65,10 @@ def test_every_private_function_is_referenced():
 def test_no_map_or_tensor_is_rebuilt_from_entries():
     """LinearMap, Tensor2 and Tensor3 share one integer row store, so a call
     such as LinearMap(x.entries) only divides x's form into Fractions and
-    coerces them back: use x, or a method that keeps the form."""
-    builders = {"LinearMap", "Tensor2", "Tensor3"}
+    coerces them back: use x, or a method that keeps the form. BilinearForm
+    coerces its matrix into a Tensor2, so BilinearForm(x.entries, ...) is the
+    same round trip."""
+    builders = {"LinearMap", "Tensor2", "Tensor3", "BilinearForm"}
     rebuilt = []
     for name, tree in _modules().items():
         for node in ast.walk(tree):
