@@ -260,14 +260,14 @@ def _instance_bits(n, table_max, d, twist_max, e):
     size at most twist_max * d, table_max * f / d and twist_max * f / e, and an
     operator at alpha(e_i) has entries that are sums of n twist-table products.
     So a multiplicativity slot is at most n * twist_max * table_max * f +
-    n^2 * twist_max^2 * table_max * f / e. An axiom slot sums n^2 products of a
-    twist int, a table int and a table vector entry per dot product, counted as
-    often as its vector sums table vectors: 4 n^2 for the twisted associator
-    (the commutator counts twice) and at most 6 n^2 for the splitting axioms
-    (x |> y + x <| y counts twice in a commutator), each product at most
-    twist_max * table_max^2 * f / d. w is one more than the bit length of the
-    larger bound, so every slot is below 2^(w-1) in size; w is 1 when n or a
-    maximum is 0."""
+    n^2 * twist_max^2 * table_max * f / e. An axiom instance is three dot
+    products, each pairing operator entries with vector entries that sum one,
+    two or four table ints scaled by f / d, so its slot is a sum of products of
+    size at most twist_max * table_max^2 * f / d: 4 n^2 of them for the twisted
+    associator (n^2 for each dot, twice for the commutator) and at most 6 n^2
+    for the splitting axioms (the left axiom's commutator of x |> y + x <| y
+    counts four times). w is one more than the bit length of the larger bound,
+    so every slot is below 2^(w-1) in size; w is 1 when n or a maximum is 0."""
     f = lcm(d, e)
     base = n * twist_max * table_max
     morphism = base * f + n * base * twist_max * (f // e)

@@ -110,7 +110,7 @@ def _build_target(spec):
     The hom_pre_lie and dendriform targets draw from the coefficients scaled to
     ints, test each assignment's int planes with the validator core and stop at
     its first failure; only an accepted candidate becomes a table and an object.
-    The twist's int form is found once per search."""
+    The twist's int form and the cores' slot width are found once per search."""
     n = spec.dim
     if spec.target in ("hom_pre_lie", "dendriform"):
         twist = LinearMap.identity(n)
