@@ -7,31 +7,32 @@ multiplicativity and symmetry of the twisted associator in its first two
 arguments. Validators return reports with exact residual witnesses; they
 never raise on mathematically invalid candidates, only on shape errors.
 
-Each validator sums every identity instance in ints: the operators it applies
-come from foundation._integer_family at one common denominator D, and the
-vectors they apply to (table slices and map columns) at another, d. An
-instance is then a list of int dot products, sum(map(mul, row, v)), tested for
-zero; only a failing one is divided by D * d into its exact residual (_record).
+Each validator sums every identity instance as one packed int (foundation):
+it reads its tables and maps from one family at a common denominator
+(_packed_family), takes each operator at a twisted basis vector from
+_packed_operators, so a table's output vectors are packed once per call, and
+lets a fixed map act through its packed columns. An instance is a sum of a few
+dot products of packed operators with int vectors, tested for zero at a slot
+width from _slot_bits (the identity's term count is noted where it is
+computed); only a failing one is unpacked and divided into its exact residual
+(_record).
 
 validate_hom_pre_lie keeps its sums in a core, _hom_pre_lie_failures, that
 needs no objects: it takes the table's int planes and the twist's int columns,
 and yields each failing instance as ints. The validator turns those into
 Failures, and search runs the same core on candidates it never builds
-(dendriform's validate_l_dendriform is split the same way). A core packs each
-instance, an n-vector of ints, into one int with slots of a fixed width
-(foundation._pack): it packs each table output vector once, builds every
-operator at a twisted basis vector as n packed ints, and sums an instance as
-two or three length-n dot products. That int is 0 exactly when the instance
-holds, because the width, from foundation._instance_bits, keeps every slot
-below half its range; it is found once per report (_core_report) or per
-search, and only a failing instance is unpacked into its totals.
+(dendriform's validate_l_dendriform is split the same way). Its operands come
+from foundation._core_operands, which keeps the table and the twist at their
+own denominators, and its width from foundation._instance_bits, found once per
+report (_core_report) or per search.
 """
 
 from operator import add, mul, sub
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput
 from .foundation import (Tensor2, Tensor3, apply_bilinear, sub_vectors, _core_operands,
-                         _instance_bits, _integer_family, _quotients, _unpack)
+                         _instance_bits, _integer_family, _pack, _packed_family, _packed_operators,
+                         _quotients, _slot_bits, _transposed, _unpack)
 
 
 class Failure:
@@ -250,34 +251,37 @@ def _record(failures, identity, witness, totals, d=1):
 def validate_hom_lie(cand):
     """Check skew-symmetry, twist invertibility, multiplicativity, and the twisted Jacobi identity.
 
-    Every bracket with a twisted basis vector phi(e_i) is read from its operator
-    [phi(e_i), -], built once per call, and each Jacobi term
-    [phi(e_a), [e_b, e_c]] is computed once and shared by its three rotations."""
+    Every bracket with a twisted basis vector phi(e_i) is read from its packed
+    operator [phi(e_i), -], built once per call, and each Jacobi term
+    [phi(e_a), [e_b, e_c]] is one int computed once and shared by its three
+    rotations."""
     n = cand.dim
     phi = cand.twist
     failures = []
-    d, (planes, twist_rows) = _integer_family([cand.bracket, phi])
+    D, (planes, phi_rows), size = _packed_family([cand.bracket, phi])
     for i in range(n):
         for j in range(i, n):
-            _record(failures, "skew-symmetry", (i, j), list(map(add, planes[i][j], planes[j][i])), d)
+            _record(failures, "skew-symmetry", (i, j), list(map(add, planes[i][j], planes[j][i])), D)
     if not phi.is_invertible():
         failures.append(Failure("twist-invertible", (), ()))
-    phis = list(zip(*twist_rows))
-    D, (phi_rows, *ad) = _integer_family([phi] + [cand.bracket.left_at(phi.column(i)) for i in range(n)])
-    scale = D * d
+    w = _slot_bits(3 * n * n, size, size, size)     # the Jacobi sum: 3 n^2 products (multiplicativity: n + n^2)
+    phis = list(zip(*phi_rows))
+    ad, _ = _packed_operators(planes, w, phis, ())
+    twist = [D * _pack(c, w) for c in phis]
+    scale = D ** 3
     for i in range(n):
         for j in range(n):
-            bracket, twisted = planes[i][j], phis[j]
-            _record(failures, "twist-bracket-morphism", (i, j),
-                    [sum(map(mul, pr, bracket)) - sum(map(mul, ar, twisted))
-                     for pr, ar in zip(phi_rows, ad[i])], scale)
-    terms = [[[[sum(map(mul, row, planes[b][c])) for row in ad[a]] for c in range(n)] for b in range(n)]
-             for a in range(n)]
+            # phi([e_i, e_j]) - [phi(e_i), phi(e_j)]
+            total = sum(map(mul, twist, planes[i][j])) - sum(map(mul, ad[i], phis[j]))
+            if total:
+                _record(failures, "twist-bracket-morphism", (i, j), _unpack(total, w, n), scale)
+    terms = [[[sum(map(mul, ad[a], planes[b][c])) for c in range(n)] for b in range(n)] for a in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                cyclic = zip(terms[i][j][k], terms[j][k][i], terms[k][i][j])
-                _record(failures, "hom-jacobi", (i, j, k), [p + q + r for p, q, r in cyclic], scale)
+                total = terms[i][j][k] + terms[j][k][i] + terms[k][i][j]
+                if total:
+                    _record(failures, "hom-jacobi", (i, j, k), _unpack(total, w, n), scale)
     return ValidationReport(failures)
 
 
@@ -352,25 +356,28 @@ def check_morphism(f, src, dst):
     if f.cols != src.dim or f.rows != dst.dim:
         raise DimensionMismatch("map is %dx%d between dims %d -> %d" % (f.rows, f.cols, src.dim, dst.dim))
     failures = []
-    src_table = src.operation()
-    dst_table = dst.operation()
-    D, (f_rows, twist_rows, *at_images) = _integer_family(
-        [f, dst.twist] + [dst_table.left_at(f.column(i)) for i in range(src.dim)])     # f(e_i) * -
-    d, (planes, src_twist, f_ints) = _integer_family([src_table, src.twist, f])
+    ns, nd = src.dim, dst.dim
+    D, (f_ints, src_planes, src_twist, dst_planes, dst_twist), size = _packed_family(
+        [f, src.operation(), src.twist, dst.operation(), dst.twist])
+    w = _slot_bits(ns + nd * nd, size, size, size)      # operation-preserved: ns + nd^2 products
+    f_cols = _transposed(f_ints, ns)
+    at_images, _ = _packed_operators(dst_planes, w, f_cols, ())           # f(e_i) * -
+    f_op = [_pack(c, w) for c in f_cols]
+    dst_op = [_pack(c, w) for c in zip(*dst_twist)]
     src_cols = list(zip(*src_twist))
-    f_cols = list(zip(*f_ints))
-    scale = D * d
-    for j in range(src.dim):
-        moved, image = src_cols[j], f_cols[j]
-        _record(failures, "twist-intertwine", (j,),
-                [sum(map(mul, fr, moved)) - sum(map(mul, tr, image))
-                 for fr, tr in zip(f_rows, twist_rows)], scale)
-    for i in range(src.dim):
-        for j in range(src.dim):
-            product, image = planes[i][j], f_cols[j]
-            _record(failures, "operation-preserved", (i, j),
-                    [sum(map(mul, fr, product)) - sum(map(mul, lr, image))
-                     for fr, lr in zip(f_rows, at_images[i])], scale)
+    for j in range(ns):
+        # f(alpha(e_j)) - alpha'(f(e_j)): ns + nd products
+        total = sum(map(mul, f_op, src_cols[j])) - sum(map(mul, dst_op, f_cols[j]))
+        if total:
+            _record(failures, "twist-intertwine", (j,), _unpack(total, w, nd), D * D)
+    f_op = [D * x for x in f_op]
+    scale = D ** 3
+    for i in range(ns):
+        for j in range(ns):
+            # f(e_i * e_j) - f(e_i) * f(e_j)
+            total = sum(map(mul, f_op, src_planes[i][j])) - sum(map(mul, at_images[i], f_cols[j]))
+            if total:
+                _record(failures, "operation-preserved", (i, j), _unpack(total, w, nd), scale)
     return ValidationReport(failures)
 
 

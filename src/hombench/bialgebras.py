@@ -19,7 +19,8 @@ from operator import add, mul
 from .errors import (DimensionMismatch, InvalidInput, NotAnSMatrix, Pro1Violation,
                      TwistMismatch)
 from .foundation import (LinearMap, Tensor3, apply_bilinear, basis_vector, _integer_family,
-                         _quotients)
+                         _pack, _packed_family, _packed_operators, _quotients, _slot_bits, _transposed,
+                         _unpack)
 from .algebras import (HomPreLieAlgebra, ValidationReport, agreement_report, combine_reports,
                        validate_hom_pre_lie, _record)
 from .representations import (action_table, check_one_cocycle, coboundary_maps,
@@ -117,18 +118,21 @@ def check_pro3(a, r):
     square = hom_s_bracket(a, r)
     moved = r_sharp(r) @ a.twist.transpose()          # column i: sharp(alpha* e_i)
     inv_sq = a.twist.power(-2)                         # row i: (alpha^-2)* e_i
-    D, (moved_rows, *ops) = _integer_family(
-        [moved] + [a.product.left_at(moved.column(i)) for i in range(n)]
-        + [square.left_at(row) for row in inv_sq.entries])
-    at_moved, at_square = ops[:n], ops[n:]
-    d, (moved_cols, planes, inv_sq_rows) = _integer_family([moved.transpose(), dual.product, inv_sq])
+    D, (planes, moved_rows, dual_planes, square_planes, inv_sq_rows), size = _packed_family(
+        [a.product, moved, dual.product, square, inv_sq])
+    w = _slot_bits(2 * n * n + n, size, size, size)     # s-identity: 2 n^2 + n products
+    moved_cols = _transposed(moved_rows, n)
+    at_moved, _ = _packed_operators(planes, w, moved_cols, ())
+    at_square, _ = _packed_operators(square_planes, w, inv_sq_rows, ())
+    moved_op = [D * _pack(c, w) for c in moved_cols]
+    scale = D ** 3
     failures = []
     for i in range(n):
         for j in range(n):
-            product, x, y = planes[i][j], moved_cols[j], inv_sq_rows[j]
-            _record(failures, "s-identity", (i, j),
-                    [sum(map(mul, lr, x)) - sum(map(mul, mr, product)) - sum(map(mul, sr, y))
-                     for lr, mr, sr in zip(at_moved[i], moved_rows, at_square[i])], D * d)
+            total = (sum(map(mul, at_moved[i], moved_cols[j])) - sum(map(mul, moved_op, dual_planes[i][j]))
+                     - sum(map(mul, at_square[i], inv_sq_rows[j])))
+            if total:
+                _record(failures, "s-identity", (i, j), _unpack(total, w, n), scale)
     return ValidationReport(failures)
 
 
@@ -157,17 +161,16 @@ def check_P_condition(a, r):
 
     on_skew = [p_on(a.product.left_at(inv_sq.column(j)), skew) for j in range(n)]     # P(e_j) vec(S)
     twice = [p_on(a.product.left_at(inv.column(i)), q) for i in range(n) for q in on_skew]
-    D, forms = _integer_family(on_skew + twice)
-    d, (planes,) = _integer_family([a.product])
-    flat = [[x for row in form for x in row] for form in forms]
-    coordinates = list(zip(*flat[:n]))          # coordinate t of P(e_m) vec(S), for each m
+    D, (planes, *forms), size = _packed_family([a.product] + on_skew + twice)
+    w = _slot_bits(n + 1, size, size)     # p-condition: n + 1 products
+    flat = [_pack([x for row in form for x in row], w) for form in forms]
+    on_skew = flat[:n]                    # P(e_m) vec(S), packed
     failures = []
     for i in range(n):
         for j in range(n):
-            product = planes[i][j]
-            _record(failures, "p-condition", (i, j),
-                    [sum(map(mul, product, at)) - d * x for at, x in zip(coordinates, flat[n + i * n + j])],
-                    D * d)
+            total = sum(map(mul, planes[i][j], on_skew)) - D * flat[n + i * n + j]
+            if total:
+                _record(failures, "p-condition", (i, j), _unpack(total, w, n * n), D * D)
     return ValidationReport(failures)
 
 

@@ -231,7 +231,9 @@ EXPLANATIONS = {
         "Every valid even-split quadratic double is isomorphic to a standard one "
         "built on algebra-plus-dual with the canonical pairing form. The checker "
         "builds the standardization and verifies the isomorphism preserves products, "
-        "twists, and the form."),
+        "twists, and the form. The form component holds on every valid input: the "
+        "standardization exists only once the triple validates, and then the "
+        "isomorphism carries the given form to the canonical pairing by construction."),
     "bialgebra-tri-equiv": (
         "For an algebra and a compatible structure on its dual space, three "
         "conditions agree: the cocycle bialgebra conditions, the coadjoint matched "
@@ -239,7 +241,10 @@ EXPLANATIONS = {
     "s-identity": (
         "For a symmetric tensor satisfying the twist compatibility condition, the "
         "residual r#(a*(x)) . r#(a*(y)) - r#(a*(x o y)) equals the contraction of "
-        "the cubic bracket expression against the twisted dual pair (x, y)."),
+        "the cubic bracket expression against the twisted dual pair (x, y). This is "
+        "an identity: it holds for every tensor meeting the twist compatibility "
+        "condition over a valid twisted pre-Lie algebra, so the check can fail only "
+        "when the algebra is not valid."),
     "p-condition": (
         "Given the induced dual product, the dualized primal product is a "
         "one-cocycle for the dual coboundary representation exactly when the "

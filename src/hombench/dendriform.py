@@ -14,7 +14,8 @@ from operator import add, mul, sub
 from .errors import (AsymmetricInput, DimensionMismatch, IntertwinerViolation, InvalidInput,
                      SingularMap)
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, row_reduce, sub_vectors,
-                         _core_operands, _integer_family, _unpack)
+                         _core_operands, _pack, _packed_family, _packed_operators, _slot_bits,
+                         _transposed, _unpack)
 from .algebras import (HomPreLieAlgebra, ValidationReport, agreement_report, combine_reports,
                        validate_hessian, validate_hom_pre_lie, _core_report, _record)
 from .representations import (HomPreLieRep, action_table, coadjoint_pre_lie_rep,
@@ -194,18 +195,15 @@ class OOperator:
 
 
 def _operator_actions(o):
-    """The actions at the twisted preimages T beta^-1(v_i) of the space basis:
-    the families rho(T beta^-1 v_i) and mu(T beta^-1 v_i), one matrix per v_i.
-    Raises SingularMap when the space twist beta is singular."""
+    """(shifted, left, right): the map T beta^-1, whose column i is the twisted
+    preimage T beta^-1(v_i) of a space basis vector, and the action tables of
+    rho and mu (action_table). Raises SingularMap when the space twist beta is
+    singular."""
     rep = o.rep
     m = rep.space_dim
     if not rep.twist.is_invertible():
         raise SingularMap("representation space twist is singular")
-    beta_inv = rep.twist.inverse()
-    shifted = [o.matrix.apply(beta_inv.column(i)) for i in range(m)]
-    left = action_table(rep.left, m)
-    right = action_table(rep.right, m)
-    return [left.left_at(x) for x in shifted], [right.left_at(x) for x in shifted]
+    return o.matrix @ rep.twist.inverse(), action_table(rep.left, m), action_table(rep.right, m)
 
 
 def validate_o_operator(o):
@@ -216,36 +214,41 @@ def validate_o_operator(o):
     return _o_operator_report(o, *_operator_actions(o))
 
 
-def _o_operator_report(o, rho, mu):
-    """validate_o_operator's report, read from the operator's shifted actions
-    rho, mu = _operator_actions(o)."""
+def _o_operator_report(o, shifted, left, right):
+    """validate_o_operator's report, read from _operator_actions(o). Every
+    operator is packed from int planes: T rho(x) and T mu(x) at the twisted
+    preimages x from the action tables packed through T, and T(v_i) . - from
+    the product table. An operator into the zero algebra satisfies both."""
     rep = o.rep
     a = rep.algebra
-    t = o.matrix
+    n = a.dim
     m = rep.space_dim
-    D, (t_rows, twist_rows, *images) = _integer_family(
-        [t, a.twist] + [a.product.left_at(t.column(i)) for i in range(m)])      # T(v_i) . -
-    d, (t_ints, beta_ints, *actions) = _integer_family([t, rep.twist] + rho + mu)
-    columns = list(zip(*t_ints))
-    betas = list(zip(*beta_ints))
-    rho_cols = [list(zip(*r)) for r in actions[:m]]     # [i][j]: rho(T beta^-1 v_i) v_j
-    mu_cols = [list(zip(*r)) for r in actions[m:]]
-    scale = D * d
+    if not n:
+        return ValidationReport()
+    D, (planes, alpha_rows, t_ints, beta_rows, rho, mu, shifted_ints), size = _packed_family(
+        [a.product, a.twist, o.matrix, rep.twist, left, right, shifted])
+    w = _slot_bits(n * n + 2 * n * m, size, size, size)     # operator-product: n^2 + 2 n m products
+    columns = _transposed(t_ints, m)
+    xs = _transposed(shifted_ints, m)
+    t_op = [_pack(c, w) for c in columns]
+    images, _ = _packed_operators(planes, w, columns, ())     # T(v_i) . -
+    t_rho, _ = _packed_operators(rho, w, xs, (), t_op)         # [i][j]: T rho(T beta^-1 v_i) v_j
+    t_mu, _ = _packed_operators(mu, w, xs, (), t_op)
+    alpha_op = [_pack(c, w) for c in zip(*alpha_rows)]
+    betas = list(zip(*beta_rows))
     failures = []
     for j in range(m):
-        # T beta(v_j) - alpha T(v_j)
-        moved, image = betas[j], columns[j]
-        _record(failures, "twist-intertwine", (j,),
-                [sum(map(mul, tr, moved)) - sum(map(mul, ar, image))
-                 for tr, ar in zip(t_rows, twist_rows)], scale)
+        # T beta(v_j) - alpha T(v_j): m + n products
+        total = sum(map(mul, t_op, betas[j])) - sum(map(mul, alpha_op, columns[j]))
+        if total:
+            _record(failures, "twist-intertwine", (j,), _unpack(total, w, n), D * D)
+    scale = D ** 3
     for i in range(m):
         for j in range(m):
             # T(v_i) . T(v_j) - T(rho(T beta^-1 v_i) v_j + mu(T beta^-1 v_j) v_i)
-            image = columns[j]
-            inner = list(map(add, rho_cols[i][j], mu_cols[j][i]))
-            _record(failures, "operator-product", (i, j),
-                    [sum(map(mul, lr, image)) - sum(map(mul, tr, inner))
-                     for lr, tr in zip(images[i], t_rows)], scale)
+            total = sum(map(mul, images[i], columns[j])) - t_rho[i][j] - t_mu[j][i]
+            if total:
+                _record(failures, "operator-product", (i, j), _unpack(total, w, n), scale)
     return ValidationReport(failures)
 
 
@@ -280,13 +283,15 @@ def dendriform_from_o_operator(o):
     """Split the representation space and the operator image into dendriform
     structures: on the space via twisted-preimage actions, on the image by
     transporting products through the operator."""
-    rho, mu = _operator_actions(o)
-    if not _o_operator_report(o, rho, mu).valid:
+    shifted, left, right = _operator_actions(o)
+    if not _o_operator_report(o, shifted, left, right).valid:
         raise InvalidInput("dendriform_from_o_operator needs a valid relative operator")
     rep = o.rep
     m = rep.space_dim
     t = o.matrix
-    on_space = HomLDendriform(action_table(rho, m), -action_table(mu, m), rep.twist)
+    xs = [shifted.column(i) for i in range(m)]
+    on_space = HomLDendriform(action_table([left.left_at(x) for x in xs], m),
+                              -action_table([right.left_at(x) for x in xs], m), rep.twist)
 
     pivots = row_reduce([list(row) for row in t.entries], t.cols)
     image_basis = LinearMap.from_columns([t.column(j) for j in pivots], rows=t.rows)

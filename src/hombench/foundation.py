@@ -40,31 +40,36 @@ because every object is immutable.
 
 The identity validators read those forms through one entry point,
 _integer_family(items): a family of maps and tables brought to one common
-denominator D, each as its int rows or int planes. A validator takes its
-operators from one family and the vectors they act on (table slices, map
-columns) from another, with denominator d, so that every identity instance is a
-list of int dot products sum(map(mul, row, v)) equal to D * d times the
-residual. The rule is: no Fraction for a passing instance. The list is tested
-with any(), and only a failing instance is divided, by _quotients(totals, D * d),
-into the exact residual it reports. Outside this module the forms are read
-only through _integer_family.
+denominator D, each as its int rows or int planes. Outside this module the
+forms are read only through it (or _packed_family, which adds a bound on the
+ints). The rule is: no Fraction for a passing instance.
 
-The two validator cores that work on int planes they were handed, without the
-objects (algebras._hom_pre_lie_failures and dendriform._l_dendriform_failures),
-go one step further: each instance is one int. _pack(v, w) packs an int
-vector into the single int sum of v[m] * 2^(w m), so that a dot product of
-packed operator columns with an int vector is the packed image (Kronecker
-substitution). _core_operands packs each table output vector once and gives
-every operator at a twisted basis vector as n packed ints, so an instance is
-two or three length-n dot products. While every slot of the result stays
-below 2^(w-1) in size, the int is 0 exactly when the instance holds, and only
-a failing one is unpacked (_unpack) into the totals it reports. The width w
-comes from _instance_bits, which bounds every slot by the identities' term
-counts and the largest entries; it is found once per report or per search,
+An identity instance that sums operator images is one int. _pack(v, w) packs an int vector into the
+single int sum of v[m] * 2^(w m), so that a dot product of packed operator
+columns with an int vector is the packed image (Kronecker substitution).
+_packed_operators is the one operator builder: it packs a table's output
+vectors once (optionally through a map's packed columns) and gives the left
+and right multiplication operators at a list of int vectors, each as a list of
+packed ints. A fixed map acts through its packed columns. An instance is then
+a sum of a few dot products sum(map(mul, operator, v)), with every term brought
+to one scale, and while every slot stays below 2^(w-1) in size the int is 0
+exactly when the instance holds. Only a failing one is unpacked (_unpack) and
+divided by its scale, by _quotients, into the exact residual it reports.
+
+The width w comes from _slot_bits, the one width function: the largest number
+of products summed into one slot times bounds on their factors. Each validator
+finds it once per call, with the identity's term count at the call site; for
+a validator that reads everything from one _packed_family the factors are
+three ints no larger than the family's bound. The two validator cores that work
+on int planes they were handed, without the objects
+(algebras._hom_pre_lie_failures and dendriform._l_dendriform_failures), keep
+the table and the twist at their own denominators: _core_operands gives their
+operands and _instance_bits their width, found once per report or per search,
 never per candidate.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -250,49 +255,87 @@ def _unpack(x, w, n):
     return out
 
 
+def _slot_bits(products, *sizes):
+    """The slot width w at which the validators pack an identity instance
+    (_pack): every slot of the instance is a sum of at most products products,
+    each with one factor per size and no factor larger than its size. w is one
+    more than the bit length of products times the sizes, so every slot is below
+    2^(w-1) in size and the packed instance is 0 exactly when it holds; w is 1
+    when products or a size is 0."""
+    bound = products
+    for size in sizes:
+        bound *= size
+    return bound.bit_length() + 1
+
+
 def _instance_bits(n, table_max, d, twist_max, e):
-    """The slot width w at which the validator cores pack their instances, for
+    """The slot width at which the validator cores pack their instances, for
     dim-n product tables with int planes / d and a twist with int entries / e,
     no table int larger than table_max in size and no twist int larger than
     twist_max; f = lcm(d, e).
 
-    In the terms of _core_operands, twist and the vectors met have entries of
-    size at most twist_max * d, table_max * f / d and twist_max * f / e, and an
-    operator at alpha(e_i) has entries that are sums of n twist-table products.
-    So a multiplicativity slot is at most n * twist_max * table_max * f +
-    n^2 * twist_max^2 * table_max * f / e. An axiom instance is three dot
-    products, each pairing operator entries with vector entries that sum one,
-    two or four table ints scaled by f / d, so its slot is a sum of products of
-    size at most twist_max * table_max^2 * f / d: 4 n^2 of them for the twisted
-    associator (n^2 for each dot, twice for the commutator) and at most 6 n^2
-    for the splitting axioms (the left axiom's commutator of x |> y + x <| y
-    counts four times). w is one more than the bit length of the larger bound,
-    so every slot is below 2^(w-1) in size; w is 1 when n or a maximum is 0."""
+    In the terms of _core_operands, the packed twist and the vectors met have
+    entries of size at most twist_max * d, table_max * f / d and twist_max * f / e,
+    and an operator at alpha(e_i) has entries that are sums of n twist-table
+    products. So a multiplicativity slot sums n products of size at most
+    twist_max * table_max * f and n^2 of size at most twist_max^2 * table_max * f / e.
+    An axiom instance is three dot products, each pairing operator entries with
+    vector entries that sum one, two or four table ints scaled by f / d, so its
+    slot sums products of size at most twist_max * table_max^2 * f / d: 4 n^2 of
+    them for the twisted associator (n^2 for each dot, twice for the
+    commutator) and at most 6 n^2 for the splitting axioms (the left axiom's
+    commutator of x |> y + x <| y counts four times)."""
     f = lcm(d, e)
-    base = n * twist_max * table_max
-    morphism = base * f + n * base * twist_max * (f // e)
-    axiom = 6 * n * base * table_max * (f // d)
-    return max(morphism, axiom).bit_length() + 1
+    return max(_slot_bits(n + n * n, twist_max, table_max, max(f, twist_max * (f // e))),
+               _slot_bits(6 * n * n, twist_max, table_max, table_max, f // d))
+
+
+def _packed_operators(planes, w, xs, ys, through=None):
+    """(left, right): the multiplication operators of the int planes of a
+    (d1, d2, d3) table at int vectors, each operator a list of packed ints
+    (_pack at width w). Each output vector v is packed once: as _pack(v, w), or,
+    given the packed columns through of a map on the output space, as the packed
+    image of v under that map, a dot of through with v. left[a][q] packs
+    xs[a] . e_q for q < d2 and right[b][p] packs e_p . ys[b] for p < d1, each a
+    dot of the vector with the packed table. A dot of left[a] with an int
+    vector v of length d2 is then the packed xs[a] . v, one int."""
+    if through is None:
+        packed = [[_pack(v, w) for v in plane] for plane in planes]
+    else:
+        packed = [[sum(map(mul, through, v)) for v in plane] for plane in planes]
+    columns = list(zip(*packed))
+    return ([[sum(map(mul, x, column)) for column in columns] for x in xs],
+            [[sum(map(mul, y, plane)) for plane in packed] for y in ys])
+
+
+def _packed_family(items):
+    """(D, forms, size): the family _integer_family(items), and the larger of D
+    and the largest size of an int in its forms. An identity whose operators
+    (_packed_operators at the family's vectors, or a family map's packed
+    columns) and vectors all come from one family sums, in each slot, products
+    of three factors no larger than size: a term with only two family factors
+    is brought to the common denominator D^3 by a factor D."""
+    D, forms = _integer_family(items)
+    size = D
+    for item, form in zip(items, forms):
+        rows = chain.from_iterable(form) if isinstance(item, Tensor3) else form
+        size = max(size, max(map(abs, chain.from_iterable(rows)), default=0))
+    return D, forms, size
 
 
 def _core_operands(tables, d, cols, e, w):
     """(twist, tables, operators, alphas, scale): the operands of a validator
     core on int planes / d and the twist's int columns cols / e, each instance
     packed at slot width w (_pack). twist is the twist as n packed ints, column
-    p packed and times d. For each table, operators is the pair (left, right):
-    left[i][q] packs alpha(e_i) . e_q and right[k][p] packs e_p . alpha(e_k),
-    both over d * e, each a length-n dot of a twist column with the packed
-    output vectors. The returned table planes and twist columns alphas have
-    the common denominator f = lcm(d, e), so a dot of twist or an operator with
-    one of them packs scale = d * e * f times its value."""
+    p packed and times d. For each table, operators is the pair (left, right)
+    of _packed_operators at the twist columns: left[i][q] packs
+    alpha(e_i) . e_q and right[k][p] packs e_p . alpha(e_k), both over d * e.
+    The returned table planes and twist columns alphas have the common
+    denominator f = lcm(d, e), so a dot of twist or an operator with one of
+    them packs scale = d * e * f times its value."""
     f = lcm(d, e)
-    operators, scaled = [], []
-    for planes in tables:
-        packed = [[_pack(v, w) for v in plane] for plane in planes]
-        columns = list(zip(*packed))
-        operators.append(([[sum(map(mul, a, column)) for column in columns] for a in cols],
-                          [[sum(map(mul, a, plane)) for plane in packed] for a in cols]))
-        scaled.append(planes if f == d else [_times_each(plane, f // d) for plane in planes])
+    operators = [_packed_operators(planes, w, cols, cols) for planes in tables]
+    scaled = [planes if f == d else [_times_each(plane, f // d) for plane in planes] for planes in tables]
     return [d * _pack(a, w) for a in cols], scaled, operators, _times_each(cols, f // e), d * e * f
 
 

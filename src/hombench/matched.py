@@ -4,7 +4,11 @@ A matched pair is two algebras acting on each other such that the direct sum
 carries the same kind of structure (the double). The validators accept
 arbitrary candidates and fold the component structures' own validity into the
 verdict, so the double-equivalence theorems can be exercised on random input.
-The cross identities are summed in ints, as the validators of algebras are.
+Each cross-identity instance is one packed int, as in the validators of
+algebras: every operator at a twisted basis vector is read once per call from
+the int planes of the action tables and the acted-on algebra's table
+(foundation._packed_operators), and only a nonzero instance is unpacked into
+its residual.
 """
 
 from collections import namedtuple
@@ -12,7 +16,7 @@ from operator import mul, sub
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput, TwistMismatch
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, direct_sum_table,
-                         map_direct_sum, _integer_family)
+                         map_direct_sum, _packed_family, _packed_operators, _slot_bits, _unpack)
 from .algebras import (BilinearForm, HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
                        agreement_report, combine_reports, validate_hom_lie, validate_hom_pre_lie,
                        validate_quadratic, _record)
@@ -69,32 +73,29 @@ class PreLieMatchedPair:
 
 
 def _lie_cross(acting, acted, action, back):
-    """The cross identity with values in the acted-on algebra, as (d, residual)
-    where residual(x, y, z) is d times the residual of
+    """The cross identity with values in the acted-on algebra, as (w, scale,
+    residual) where residual(x, y, z) is scale times the residual of
     rho(phi(x))[y, z] = [rho(x)y, psi(z)] + [psi(y), rho(x)z]
-    + rho(rho'(z)x)psi(y) - rho(rho'(y)x)psi(z), as a list of ints; action is rho
-    (acting on acted), back is rho' (acted on acting), and phi, psi are the two
-    twists. Every operator at a twisted basis vector is built once per call."""
+    + rho(rho'(z)x)psi(y) - rho(rho'(y)x)psi(z), packed at width w into one int;
+    action is rho (acting on acted), back is rho' (acted on acting), and phi, psi
+    are the two twists. Every operator at a twisted basis vector is built once
+    per call."""
     nx = acting.dim
     ny = acted.dim
-    on = action_table(action, ny)
-    back_on = action_table(back, nx)
-    psi = [acted.twist.column(y) for y in range(ny)]
-    D, ops = _integer_family([on.left_at(acting.twist.column(x)) for x in range(nx)]   # rho(phi(x))
-                             + [on.right_at(p) for p in psi]                          # u -> rho(u)psi(y)
-                             + [acted.bracket.left_at(p) for p in psi]                # [psi(y), -]
-                             + [acted.bracket.right_at(p) for p in psi])              # [-, psi(z)]
-    at_phi = ops[:nx]
-    on_psi, bracket_psi, psi_bracket = (ops[nx + s * ny:nx + (s + 1) * ny] for s in range(3))
-    d, (brackets, acts, backs) = _integer_family([acted.bracket, on, back_on])
+    D, (brackets, phi_rows, acts, backs, psi_rows), size = _packed_family(
+        [acted.bracket, acting.twist, action_table(action, ny), action_table(back, nx), acted.twist])
+    w = _slot_bits(3 * nx * ny + 2 * ny * ny, size, size, size)    # 3 nx ny + 2 ny^2 products
+    psi = list(zip(*psi_rows))
+    at_phi, _ = _packed_operators(acts, w, list(zip(*phi_rows)), ())   # rho(phi(x))
+    _, on_psi = _packed_operators(acts, w, (), psi)                    # u -> rho(u)psi(y)
+    bracket_psi, psi_bracket = _packed_operators(brackets, w, psi, psi)     # [psi(y), -], [-, psi(z)]
 
     def residual(x, y, z):
-        bracket, xy, xz, zx, yx = brackets[y][z], acts[x][y], acts[x][z], backs[z][x], backs[y][x]
-        return [sum(map(mul, pa, bracket)) - sum(map(mul, pz, xy)) - sum(map(mul, by, xz))
-                - sum(map(mul, oy, zx)) + sum(map(mul, oz, yx))
-                for pa, pz, by, oy, oz in zip(at_phi[x], psi_bracket[z], bracket_psi[y], on_psi[y], on_psi[z])]
+        return (sum(map(mul, at_phi[x], brackets[y][z])) - sum(map(mul, psi_bracket[z], acts[x][y]))
+                - sum(map(mul, bracket_psi[y], acts[x][z])) - sum(map(mul, on_psi[y], backs[z][x]))
+                + sum(map(mul, on_psi[z], backs[y][x])))
 
-    return D * d, residual
+    return w, D ** 3, residual
 
 
 def validate_matched_pair_lie(mp):
@@ -111,16 +112,20 @@ def validate_matched_pair_lie(mp):
     failures = list(report.failures)
 
     # values in the first algebra; the acting index comes last
-    scale, cross = _lie_cross(h, g, mp.second_action, mp.first_action)
+    w, scale, cross = _lie_cross(h, g, mp.second_action, mp.first_action)
     for i in range(n):
         for j in range(n):
             for k in range(m):
-                _record(failures, "cross-first", (i, j, k), cross(k, i, j), scale)
-    scale, cross = _lie_cross(g, h, mp.first_action, mp.second_action)
+                total = cross(k, i, j)
+                if total:
+                    _record(failures, "cross-first", (i, j, k), _unpack(total, w, n), scale)
+    w, scale, cross = _lie_cross(g, h, mp.first_action, mp.second_action)
     for i in range(n):
         for j in range(m):
             for k in range(m):
-                _record(failures, "cross-second", (i, j, k), cross(i, j, k), scale)
+                total = cross(i, j, k)
+                if total:
+                    _record(failures, "cross-second", (i, j, k), _unpack(total, w, m), scale)
     return ValidationReport(failures, report.details)
 
 
@@ -143,46 +148,44 @@ def _pre_lie_cross_failures(failures, side, acting, acted, left, right, back_lef
                          + r(r'(z)x)beta(y) + beta(y).l(x)z,
     where (l, r) = (left, right) act on acted, (l', r') = (back_left, back_right)
     act back on acting, and alpha, beta are the twists of acting and acted.
-    Every operator at a twisted basis vector is built once per call."""
+    Every operator at a twisted basis vector is built once per call, and each
+    instance is one packed int."""
     nx = acting.dim
     ny = acted.dim
-    l_on = action_table(left, ny)
-    r_on = action_table(right, ny)
-    l_back = action_table(back_left, nx)
-    r_back = action_table(back_right, nx)
-    alpha = [acting.twist.column(x) for x in range(nx)]
-    beta = [acted.twist.column(y) for y in range(ny)]
-    D, ops = _integer_family([l_on.left_at(a) for a in alpha]                  # l(alpha(x))
-                             + [r_on.left_at(a) for a in alpha]                # r(alpha(x))
-                             + [l_on.right_at(b) for b in beta]                # u -> l(u)beta(y)
-                             + [r_on.right_at(b) for b in beta]                # u -> r(u)beta(y)
-                             + [acted.product.left_at(b) for b in beta]        # beta(y).-
-                             + [acted.product.right_at(b) for b in beta])      # -.beta(z)
-    l_alpha, r_alpha = ops[:nx], ops[nx:2 * nx]
-    l_beta, r_beta, beta_times, times_beta = (ops[2 * nx + s * ny:2 * nx + (s + 1) * ny] for s in range(4))
-    d, (planes, ls, rs, lb, rb) = _integer_family([acted.product, l_on, r_on, l_back, r_back])
-    scale = D * d
+    D, (planes, ls, rs, lb, rb, alpha_rows, beta_rows), size = _packed_family(
+        [acted.product, action_table(left, ny), action_table(right, ny), action_table(back_left, nx),
+         action_table(back_right, nx), acting.twist, acted.twist])
+    w = _slot_bits(4 * nx * ny + 3 * ny * ny, size, size, size)    # cross-left: 4 nx ny + 3 ny^2 products
+    alpha = list(zip(*alpha_rows))
+    beta = list(zip(*beta_rows))
+    l_alpha, l_beta = _packed_operators(ls, w, alpha, beta)            # l(alpha(x)); u -> l(u)beta(y)
+    r_alpha, r_beta = _packed_operators(rs, w, alpha, beta)            # r(alpha(x)); u -> r(u)beta(y)
+    beta_times, times_beta = _packed_operators(planes, w, beta, beta)  # beta(y).-; -.beta(z)
+    scale = D ** 3
     commutators = [[list(map(sub, planes[y][z], planes[z][y])) for z in range(ny)] for y in range(ny)]
     for x in range(nx):
+        ra = r_alpha[x]
         for y in range(ny):
+            ry, by, yx, xy = r_beta[y], beta_times[y], lb[y][x], rs[x][y]
             for z in range(ny):
-                commutator, zx, yx, xz, xy = commutators[y][z], lb[z][x], lb[y][x], rs[x][z], rs[x][y]
-                _record(failures, "cross-right-" + side, (x, y, z),
-                        [sum(map(mul, ra, commutator)) - sum(map(mul, ry, zx)) + sum(map(mul, rz, yx))
-                         - sum(map(mul, by, xz)) + sum(map(mul, bz, xy))
-                         for ra, ry, rz, by, bz in zip(r_alpha[x], r_beta[y], r_beta[z],
-                                                       beta_times[y], beta_times[z])], scale)
+                # 4 nx ny + 2 ny^2 products
+                total = (sum(map(mul, ra, commutators[y][z])) - sum(map(mul, ry, lb[z][x]))
+                         + sum(map(mul, r_beta[z], yx)) - sum(map(mul, by, rs[x][z]))
+                         + sum(map(mul, beta_times[z], xy)))
+                if total:
+                    _record(failures, "cross-right-" + side, (x, y, z), _unpack(total, w, ny), scale)
     for x in range(nx):
+        la = l_alpha[x]
         for y in range(ny):
             mixed = list(map(sub, lb[y][x], rb[y][x]))
             difference = list(map(sub, ls[x][y], rs[x][y]))
+            ry, by = r_beta[y], beta_times[y]
             for z in range(ny):
-                product, zx, xz = planes[y][z], rb[z][x], ls[x][z]
-                _record(failures, "cross-left-" + side, (x, y, z),
-                        [sum(map(mul, la, product)) + sum(map(mul, lz, mixed)) - sum(map(mul, tz, difference))
-                         - sum(map(mul, ry, zx)) - sum(map(mul, by, xz))
-                         for la, lz, tz, ry, by in zip(l_alpha[x], l_beta[z], times_beta[z],
-                                                       r_beta[y], beta_times[y])], scale)
+                total = (sum(map(mul, la, planes[y][z])) + sum(map(mul, l_beta[z], mixed))
+                         - sum(map(mul, times_beta[z], difference)) - sum(map(mul, ry, rb[z][x]))
+                         - sum(map(mul, by, ls[x][z])))
+                if total:
+                    _record(failures, "cross-left-" + side, (x, y, z), _unpack(total, w, ny), scale)
 
 
 def validate_matched_pair_pre_lie(mp):

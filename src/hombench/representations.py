@@ -27,17 +27,18 @@ dual_pre_lie_rep (hence the coadjoint representation), the coadjoint matched
 pair and the dual product induced by a tensor all read it. The coboundary and
 cocycle side does not, so the two sides of each equivalence keep separate code.
 
-The validators sum each identity instance in ints, as those of algebras do: a
-matrix identity is checked one column at a time, each column a sum of operators
-applied to table slices or map columns, and only a nonzero column becomes an
-exact residual.
+The validators test each identity instance as one packed int, as those of
+algebras do: a matrix identity is checked one column at a time, each column a
+sum of dot products of packed operators (foundation._packed_operators on the
+action tables and the algebra's table) with table slices or map columns, and
+only a nonzero column is unpacked into an exact residual.
 """
 
 from operator import mul, sub
 
 from .errors import DimensionMismatch, InvalidInput, SingularMap
 from .foundation import (Tensor3, direct_sum_table, map_direct_sum, tensor_product_map,
-                         _integer_family)
+                         _pack, _packed_family, _packed_operators, _slot_bits, _transposed, _unpack)
 from .algebras import (HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
                        validate_hom_lie, validate_hom_pre_lie, _record)
 
@@ -107,37 +108,35 @@ class HomPreLieRep:
         return "HomPreLieRep(algebra_dim=%d, space_dim=%d)" % (self.algebra.dim, self.space_dim)
 
 
-def _lie_action_failures(algebra, twist, maps, space_dim, failures, prefix=""):
-    """Record the two Lie-side representation identities against the given bracket table."""
-    n = algebra.dim
-    m = space_dim
-    table = action_table(maps, m)
-    at_phi = [table.left_at(algebra.twist.column(i)) for i in range(n)]     # rho(phi(e_i))
-    on_beta = [table.right_at(twist.column(k)) for k in range(m)]          # x -> rho(x)beta(v_k)
-    D, (beta_rows, *ops) = _integer_family([twist] + at_phi + on_beta)
-    at_phi, on_beta = ops[:n], ops[n:]
-    d, (brackets, acts, beta_ints) = _integer_family([algebra.bracket, table, twist])
-    betas = list(zip(*beta_ints))
-    scale = D * d
+def _lie_action_failures(bracket, phi, beta, table, failures, prefix=""):
+    """Record the two Lie-side representation identities of the (n, m, m) action
+    table on a space with twist beta, against the bracket table with twist phi."""
+    n, m, _ = table.dims
+    D, (brackets, phi_rows, acts, beta_rows), size = _packed_family([bracket, phi, table, beta])
+    w = _slot_bits(3 * n * m, size, size, size)     # action-bracket: 3 n m products (action-twist: m + n m)
+    betas = list(zip(*beta_rows))
+    at_phi, _ = _packed_operators(acts, w, list(zip(*phi_rows)), ())      # rho(phi(e_i))
+    _, on_beta = _packed_operators(acts, w, (), betas)                    # x -> rho(x)beta(v_k)
+    beta_op = [D * _pack(c, w) for c in betas]
+    scale = D ** 3
     for i in range(n):
         for j in range(m):
             # rho(phi(e_i)) beta(v_j) - beta rho(e_i) v_j
-            moved, acted = betas[j], acts[i][j]
-            _record(failures, prefix + "action-twist-compatibility", (i, j),
-                    [sum(map(mul, pr, moved)) - sum(map(mul, br, acted))
-                     for pr, br in zip(at_phi[i], beta_rows)], scale)
+            total = sum(map(mul, at_phi[i], betas[j])) - sum(map(mul, beta_op, acts[i][j]))
+            if total:
+                _record(failures, prefix + "action-twist-compatibility", (i, j), _unpack(total, w, m), scale)
     # twice_acted[i][j][k] = rho(phi(e_i)) rho(e_j) v_k, computed once for the two
     # instances (i, j, k) and (j, i, k) that use it
-    twice_acted = [[[[sum(map(mul, row, acts[j][k])) for row in at_phi[i]] for k in range(m)]
-                    for j in range(n)] for i in range(n)]
+    twice_acted = [[[sum(map(mul, at_phi[i], acts[j][k])) for k in range(m)] for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            bracket = brackets[i][j]
+            bracket_ij, p, q = brackets[i][j], twice_acted[i][j], twice_acted[j][i]
             for k in range(m):
                 # rho([e_i, e_j]) beta(v_k) - rho(phi(e_i)) rho(e_j) v_k + rho(phi(e_j)) rho(e_i) v_k
-                _record(failures, prefix + "action-bracket-compatibility", (i, j, k),
-                        [sum(map(mul, bk, bracket)) - p + q
-                         for bk, p, q in zip(on_beta[k], twice_acted[i][j][k], twice_acted[j][i][k])], scale)
+                total = sum(map(mul, on_beta[k], bracket_ij)) - p[k] + q[k]
+                if total:
+                    _record(failures, prefix + "action-bracket-compatibility", (i, j, k),
+                            _unpack(total, w, m), scale)
 
 
 def validate_lie_rep(rep):
@@ -145,7 +144,8 @@ def validate_lie_rep(rep):
     if not rep.twist.is_invertible():
         raise SingularMap("representation space twist is singular")
     failures = []
-    _lie_action_failures(rep.algebra, rep.twist, rep.maps, rep.space_dim, failures)
+    g = rep.algebra
+    _lie_action_failures(g.bracket, g.twist, rep.twist, action_table(rep.maps, rep.space_dim), failures)
     return ValidationReport(failures)
 
 
@@ -157,39 +157,35 @@ def validate_pre_lie_rep(rep):
     a = rep.algebra
     n = a.dim
     m = rep.space_dim
-    beta = rep.twist
     failures = []
-    commutator = HomLieAlgebra(a.commutator_tensor(), a.twist)
-    _lie_action_failures(commutator, beta, rep.left, m, failures, prefix="left-")
-    alphas = [a.twist.column(i) for i in range(n)]
     left = action_table(rep.left, m)
     right = action_table(rep.right, m)
-    mu_at_alpha = [right.left_at(x) for x in alphas]                       # mu(alpha(e_i))
-    rho_at_alpha = [left.left_at(x) for x in alphas]                       # rho(alpha(e_i))
-    mu_on_beta = [right.right_at(beta.column(k)) for k in range(m)]        # x -> mu(x)beta(v_k)
-    D, (beta_rows, *ops) = _integer_family([beta] + mu_at_alpha + rho_at_alpha + mu_on_beta)
-    mu_at_alpha, rho_at_alpha, mu_on_beta = ops[:n], ops[n:2 * n], ops[2 * n:]
-    d, (planes, rho, mu, beta_ints) = _integer_family([a.product, left, right, beta])
-    betas = list(zip(*beta_ints))
-    scale = D * d
+    _lie_action_failures(a.commutator_tensor(), a.twist, rep.twist, left, failures, prefix="left-")
+    D, (planes, alpha_rows, rho, mu, beta_rows), size = _packed_family([a.product, a.twist, left, right, rep.twist])
+    w = _slot_bits(4 * n * m, size, size, size)     # left-right: 4 n m products (right-twist: m + n m)
+    alphas = list(zip(*alpha_rows))
+    betas = list(zip(*beta_rows))
+    mu_at_alpha, mu_on_beta = _packed_operators(mu, w, alphas, betas)   # mu(alpha(e_i)); x -> mu(x)beta(v_k)
+    rho_at_alpha, _ = _packed_operators(rho, w, alphas, ())            # rho(alpha(e_i))
+    beta_op = [D * _pack(c, w) for c in betas]
+    scale = D ** 3
     for i in range(n):
         for j in range(m):
             # beta mu(e_i) v_j - mu(alpha(e_i)) beta(v_j)
-            acted, moved = mu[i][j], betas[j]
-            _record(failures, "right-twist-compatibility", (i, j),
-                    [sum(map(mul, br, acted)) - sum(map(mul, mr, moved))
-                     for br, mr in zip(beta_rows, mu_at_alpha[i])], scale)
+            total = sum(map(mul, beta_op, mu[i][j])) - sum(map(mul, mu_at_alpha[i], betas[j]))
+            if total:
+                _record(failures, "right-twist-compatibility", (i, j), _unpack(total, w, m), scale)
     differences = [[list(map(sub, mu[i][k], rho[i][k])) for k in range(m)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            product = planes[i][j]
+            product, ma, ra = planes[i][j], mu_at_alpha[j], rho_at_alpha[i]
             for k in range(m):
                 # mu(alpha(e_j)) (mu(e_i) - rho(e_i)) v_k - mu(e_i e_j) beta(v_k)
                 #   + rho(alpha(e_i)) mu(e_j) v_k
-                difference, acted = differences[i][k], mu[j][k]
-                _record(failures, "left-right-compatibility", (i, j, k),
-                        [sum(map(mul, ma, difference)) - sum(map(mul, mb, product)) + sum(map(mul, ra, acted))
-                         for ma, mb, ra in zip(mu_at_alpha[j], mu_on_beta[k], rho_at_alpha[i])], scale)
+                total = (sum(map(mul, ma, differences[i][k])) - sum(map(mul, mu_on_beta[k], product))
+                         + sum(map(mul, ra, mu[j][k])))
+                if total:
+                    _record(failures, "left-right-compatibility", (i, j, k), _unpack(total, w, m), scale)
     return ValidationReport(failures)
 
 
@@ -292,20 +288,22 @@ def check_one_cocycle(rep, delta):
         raise DimensionMismatch("cocycle candidate is %dx%d for dims %d -> %d"
                                 % (delta.rows, delta.cols, g.dim, rep.space_dim))
     n = g.dim
-    table = action_table(rep.maps, rep.space_dim)
-    D, (delta_rows, *at_phi) = _integer_family([delta] + [table.left_at(g.twist.column(i)) for i in range(n)])
-    d, (brackets, delta_ints) = _integer_family([g.bracket, delta])
-    images = list(zip(*delta_ints))
-    scale = D * d
-    acted = [[[sum(map(mul, row, images[j])) for row in at_phi[i]] for j in range(n)] for i in range(n)]
+    m = rep.space_dim
+    D, (brackets, phi_rows, acts, delta_ints), size = _packed_family(
+        [g.bracket, g.twist, action_table(rep.maps, m), delta])
+    w = _slot_bits(n + 2 * n * m, size, size, size)     # cocycle: n + 2 n m products
+    at_phi, _ = _packed_operators(acts, w, list(zip(*phi_rows)), ())     # rho(phi(e_i))
+    images = _transposed(delta_ints, n)
+    delta_op = [D * _pack(c, w) for c in images]
+    acted = [[sum(map(mul, at_phi[i], images[j])) for j in range(n)] for i in range(n)]
+    scale = D ** 3
     failures = []
     for i in range(n):
         for j in range(n):
             # delta([e_i, e_j]) - rho(phi(e_i)) delta(e_j) + rho(phi(e_j)) delta(e_i)
-            bracket = brackets[i][j]
-            _record(failures, "cocycle", (i, j),
-                    [sum(map(mul, dr, bracket)) - p + q
-                     for dr, p, q in zip(delta_rows, acted[i][j], acted[j][i])], scale)
+            total = sum(map(mul, delta_op, brackets[i][j])) - acted[i][j] + acted[j][i]
+            if total:
+                _record(failures, "cocycle", (i, j), _unpack(total, w, m), scale)
     return ValidationReport(failures)
 
 

@@ -3,7 +3,8 @@
 Every module of src/hombench other than __init__ must use every name it
 imports, and every module-level _private function must be referenced
 somewhere in src/ besides its own definition. No module rebuilds a map,
-tensor or bilinear form from another object's entries.
+tensor or bilinear form from another object's entries, and no validator
+records an instance summed as a list of per-row dot products.
 """
 
 import ast
@@ -79,3 +80,27 @@ def test_no_map_or_tensor_is_rebuilt_from_entries():
             if called in builders and isinstance(first, ast.Attribute) and first.attr == "entries":
                 rebuilt.append("%s:%d" % (name, node.lineno))
     assert rebuilt == []
+
+
+def _is_dot(node):
+    """Is the node a call sum(map(mul, ...))?"""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum" and node.args
+            and isinstance(node.args[0], ast.Call) and getattr(node.args[0].func, "id", None) == "map"
+            and node.args[0].args and getattr(node.args[0].args[0], "id", None) == "mul")
+
+
+def test_no_instance_is_recorded_as_a_list_of_row_dots():
+    """An identity instance is one packed int (foundation._packed_operators and
+    _slot_bits), unpacked only when it fails. Passing _record a comprehension
+    whose elements are sum(map(mul, ...)) dots, one per output row, brings back
+    the per-row summing that packing replaced."""
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_record"):
+                continue
+            for arg in node.args:
+                if isinstance(arg, (ast.ListComp, ast.GeneratorExp)) and any(
+                        _is_dot(inner) for inner in ast.walk(arg.elt)):
+                    found.append("%s:%d" % (name, node.lineno))
+    assert found == []
