@@ -334,9 +334,12 @@ def _core_operands(tables, d, cols, e, w):
     denominator f = lcm(d, e), so a dot of twist or an operator with one of
     them packs scale = d * e * f times its value."""
     f = lcm(d, e)
-    operators = [_packed_operators(planes, w, cols, cols) for planes in tables]
-    scaled = [planes if f == d else [_times_each(plane, f // d) for plane in planes] for planes in tables]
-    return [d * _pack(a, w) for a in cols], scaled, operators, _times_each(cols, f // e), d * e * f
+    operators = []
+    for planes in tables:       # a loop, not a comprehension: this runs once per search candidate
+        operators.append(_packed_operators(planes, w, cols, cols))
+    if f != d:
+        tables = [[_times_each(plane, f // d) for plane in planes] for planes in tables]
+    return [d * _pack(a, w) for a in cols], tables, operators, _times_each(cols, f // e), d * e * f
 
 
 def row_reduce(work, cols):

@@ -86,8 +86,7 @@ def _lie_cross(acting, acted, action, back):
         [acted.bracket, acting.twist, action_table(action, ny), action_table(back, nx), acted.twist])
     w = _slot_bits(3 * nx * ny + 2 * ny * ny, size, size, size)    # 3 nx ny + 2 ny^2 products
     psi = list(zip(*psi_rows))
-    at_phi, _ = _packed_operators(acts, w, list(zip(*phi_rows)), ())   # rho(phi(x))
-    _, on_psi = _packed_operators(acts, w, (), psi)                    # u -> rho(u)psi(y)
+    at_phi, on_psi = _packed_operators(acts, w, list(zip(*phi_rows)), psi)     # rho(phi(x)); u -> rho(u)psi(y)
     bracket_psi, psi_bracket = _packed_operators(brackets, w, psi, psi)     # [psi(y), -], [-, psi(z)]
 
     def residual(x, y, z):

@@ -115,8 +115,8 @@ def _lie_action_failures(bracket, phi, beta, table, failures, prefix=""):
     D, (brackets, phi_rows, acts, beta_rows), size = _packed_family([bracket, phi, table, beta])
     w = _slot_bits(3 * n * m, size, size, size)     # action-bracket: 3 n m products (action-twist: m + n m)
     betas = list(zip(*beta_rows))
-    at_phi, _ = _packed_operators(acts, w, list(zip(*phi_rows)), ())      # rho(phi(e_i))
-    _, on_beta = _packed_operators(acts, w, (), betas)                    # x -> rho(x)beta(v_k)
+    # rho(phi(e_i)) and x -> rho(x)beta(v_k)
+    at_phi, on_beta = _packed_operators(acts, w, list(zip(*phi_rows)), betas)
     beta_op = [D * _pack(c, w) for c in betas]
     scale = D ** 3
     for i in range(n):
