@@ -44,17 +44,18 @@ denominator D, each as its int rows or int planes. Outside this module the
 forms are read only through it (or _packed_family, which adds a bound on the
 ints). The rule is: no Fraction for a passing instance.
 
-An identity instance that sums operator images is one int. _pack(v, w) packs an int vector into the
-single int sum of v[m] * 2^(w m), so that a dot product of packed operator
-columns with an int vector is the packed image (Kronecker substitution).
-_packed_operators is the one operator builder: it packs a table's output
-vectors once (optionally through a map's packed columns) and gives the left
-and right multiplication operators at a list of int vectors, each as a list of
-packed ints. A fixed map acts through its packed columns. An instance is then
-a sum of a few dot products sum(map(mul, operator, v)), with every term brought
-to one scale, and while every slot stays below 2^(w-1) in size the int is 0
-exactly when the instance holds. Only a failing one is unpacked (_unpack) and
-divided by its scale, by _quotients, into the exact residual it reports.
+An identity instance that sums operator images is one int. _pack(v, w) packs an
+int vector into the single int sum of v[m] * 2^(w m), so that a dot product of
+packed operator columns with an int vector is the packed image (Kronecker
+substitution). _packed_operators is the one function that builds operators: it
+packs a table's output vectors once (optionally through a map's packed columns)
+and gives the left and right multiplication operators at a list of int vectors,
+each as a list of packed ints. A fixed map acts through its packed columns. An
+instance is then a sum of a few dot products sum(map(mul, operator, v)), with
+every term brought to one scale, and while every slot stays below 2^(w-1) in
+size the int is 0 exactly when the instance holds. Only a failing one is
+unpacked (_unpack) and divided by its scale, by _quotients, into the exact
+residual it reports.
 
 The width w comes from _slot_bits, the one width function: the largest number
 of products summed into one slot times bounds on their factors. Each validator

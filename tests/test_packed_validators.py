@@ -246,9 +246,7 @@ def _bumped_table(t, i, j, k, by):
 
 def _block(m, extra):
     """The map m (+) (extra) on a space one larger, as lists."""
-    n = len(m)
-    out = [list(row) + [0] for row in m] + [[0] * n + [extra]]
-    return out
+    return [list(row) + [0] for row in m] + [[0] * len(m) + [extra]]
 
 
 def _moved(q, q_inv, m):
@@ -400,8 +398,8 @@ def _derived_annihilator(base):
     c = _t(base.lie.bracket)
     n = base.n
     rows = [c[i][j] for i in range(n) for j in range(n)]
-    # a functional u with u . v = 0 for the brackets v: the last nonzero row of
-    # the reduced kernel basis, found by elimination on the transposed system
+    # a kernel vector u of the rows v (u . v = 0), by Gauss-Jordan elimination:
+    # 1 at the first free column, minus that column of each pivot row at its pivot
     work = [[Fraction(x) for x in r] for r in rows]
     pivots = []
     for col in range(n):
@@ -672,3 +670,14 @@ def test_pairs_cover_twists_dims_and_both_verdicts():
         assert all(mp.first.twist != LinearMap.identity(mp.first.dim) for _, mp in pairs)
         verdicts = [validate(mp).valid for _, mp in pairs]
         assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_zero_dimensional_targets_give_valid_reports():
+    """A map into the zero algebra, and an operator into it, satisfy every
+    identity: there is no slot to fail."""
+    zero = HomPreLieAlgebra(Tensor3.zero(0, 0, 0), LinearMap.identity(0))
+    a = fixtures.nilpotent_algebra()
+    assert check_morphism(LinearMap((), rows=0, cols=a.dim), a, zero).to_dict() == {"valid": True, "failures": []}
+    rep = HomPreLieRep(zero, 2, LinearMap.identity(2), [], [])
+    report = validate_o_operator(OOperator(rep, LinearMap((), rows=0, cols=2)))
+    assert report.to_dict() == {"valid": True, "failures": []}
