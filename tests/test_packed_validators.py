@@ -8,8 +8,8 @@ lam = (10^15 + 37)/(10^12 + 61), whose denominator is coprime to that one, and
 bump single entries by that size; some bumps fail an instance in one slot.
 validate_hom_lie is compared with hom_lie_failures of bench/oracle.py. The
 representation, cross, cocycle, morphism and O-operator identities are compared,
-failure by failure in report order, with a recomputation in plain Fractions
-below that reads only .entries and packs nothing.
+failure by failure in report order, with a recomputation in exact scalars
+(ints and Fractions) below that reads only .entries and packs nothing.
 
 A second set draws every entry as +-SIZE with seeded signs: then every int a
 validator reads has the size its slot width is computed from, and the
@@ -290,7 +290,7 @@ BIG = _bases(SIZE, [LAM], 20)
 SMALL = _bases(1, LAMBDAS, 21)
 
 
-# ---- large inputs against the oracle and the Fraction recomputation ----
+# ---- large inputs against the oracle and the recomputation ----
 
 def _hom_lie_cases():
     rng = random.Random(22)
