@@ -19,20 +19,25 @@ computed); only a failing one is unpacked and divided into its exact residual
 
 validate_hom_pre_lie keeps its sums in a core, _hom_pre_lie_failures, that
 needs no objects: it takes the table's int planes and the twist's int columns,
-and yields each failing instance as ints. The validator turns those into
-Failures, and search runs the same core on candidates it never builds
-(dendriform's validate_l_dendriform is split the same way). Its operands come
-from foundation._core_operands, which keeps the table and the twist at their
-own denominators, and its width from foundation._instance_bits, found once per
-report (_core_report) or per search.
+and yields each failing instance as its packed int. The validator unpacks
+those into Failures (_core_report), and search runs the same core on
+candidates it never builds, asking only whether anything fails
+(dendriform's validate_l_dendriform is split the same way). The core keeps
+the table and the twist at their own denominators, builds each operator the
+first time an instance reads it, and takes its width from
+foundation._instance_bits, found once per report or per search. Reports run
+its instances in report order, multiplicativity first; search asks for the
+axiom instances first, since under its identity twist multiplicativity always
+holds and nearly every rejected candidate fails an early axiom instance.
 """
 
+from math import lcm
 from operator import add, mul, sub
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput
-from .foundation import (Tensor2, Tensor3, apply_bilinear, sub_vectors, _core_operands,
-                         _instance_bits, _integer_family, _pack, _packed_family, _packed_operators,
-                         _quotients, _slot_bits, _transposed, _unpack)
+from .foundation import (Tensor2, Tensor3, apply_bilinear, sub_vectors, _instance_bits,
+                         _integer_family, _pack, _operators_on_demand, _packed_family, _packed_operators,
+                         _quotients, _slot_bits, _times_each, _transposed, _unpack)
 
 
 class Failure:
@@ -285,49 +290,69 @@ def validate_hom_lie(cand):
     return ValidationReport(failures)
 
 
-def _hom_pre_lie_failures(planes, d, alpha_cols, e, w):
-    """Yield (identity, witness, totals, scale) for each failing multiplicativity
-    and twisted-associator instance, in report order, of the product table with
-    int planes / d under the twist with int columns alpha_cols / e. totals are
-    ints whose quotients by scale are the residual.
+def _hom_pre_lie_failures(planes, d, alpha_cols, e, w, axioms_first=False):
+    """Yield (identity, witness, total, scale) for each failing multiplicativity
+    and twisted-associator instance of the product table with int planes / d
+    under the twist with int columns alpha_cols / e: total is the instance
+    packed at width w (foundation._pack), scale times its value, and _unpack
+    gives its slots. The instances come in report order, multiplicativity
+    first, or with axioms_first the twisted-associator instances first; the
+    two orders yield the same items. Only search sets axioms_first: it asks only
+    whether any instance fails, and nearly every candidate it rejects fails an
+    early associator instance, so it never reaches multiplicativity, which
+    still runs, and still rejects, when every axiom instance holds.
 
     Each instance is one int: a sum of dot products of packed operators, the
-    twist and alpha(e_i) . - and - . alpha(e_k), with vectors brought to one
-    scale by foundation._core_operands. The slots are packed at width w, which
-    must be at least _instance_bits of the inputs; only a nonzero sum is
-    unpacked into its totals. Twist invertibility is not checked."""
+    twist and alpha(e_i) . - and - . alpha(e_k), with the vectors brought to the
+    common denominator f = lcm(d, e). The table is packed once, each operator is
+    built the first time an instance reads it, and the twist is packed only when
+    the multiplicativity instances run. w must be at least _instance_bits of the
+    inputs. Twist invertibility is not checked."""
     n = len(planes)
-    twist, (scaled,), ((left, right),), alphas, scale = _core_operands([planes], d, alpha_cols, e, w)
-    for i in range(n):
-        for j in range(n):
-            total = sum(map(mul, twist, scaled[i][j])) - sum(map(mul, left[i], alphas[j]))
-            if total:
-                yield "twist-product-morphism", (i, j), _unpack(total, w, n), scale
-    for i in range(n):
-        for j in range(i + 1, n):
-            # (xy)a(z) - a(x)(yz) - (yx)a(z) + a(y)(xz) = [x, y]a(z) - a(x)(yz) + a(y)(xz)
-            commutator = list(map(sub, scaled[i][j], scaled[j][i]))
-            for k in range(n):
-                total = (sum(map(mul, right[k], commutator)) - sum(map(mul, left[i], scaled[j][k]))
-                         + sum(map(mul, left[j], scaled[i][k])))
-                if total:
-                    yield "twisted-associator-symmetry", (i, j, k), _unpack(total, w, n), scale
+    f = lcm(d, e)
+    scale = d * e * f
+    left, right = _operators_on_demand(planes, w, alpha_cols)     # alpha(e_i) . -, - . alpha(e_k)
+    if f != d:
+        planes = [_times_each(plane, f // d) for plane in planes]
+
+    for axioms in (True, False) if axioms_first else (False, True):
+        if axioms:
+            for i in range(n):
+                for j in range(i + 1, n):
+                    # (xy)a(z) - a(x)(yz) - (yx)a(z) + a(y)(xz) = [x, y]a(z) - a(x)(yz) + a(y)(xz)
+                    commutator = list(map(sub, planes[i][j], planes[j][i]))
+                    at_i, at_j = left[i], left[j]
+                    for k in range(n):
+                        total = (sum(map(mul, right[k], commutator)) - sum(map(mul, at_i, planes[j][k]))
+                                 + sum(map(mul, at_j, planes[i][k])))
+                        if total:
+                            yield "twisted-associator-symmetry", (i, j, k), total, scale
+        else:
+            twist = [d * _pack(a, w) for a in alpha_cols]
+            alphas = _times_each(alpha_cols, f // e)
+            for i in range(n):
+                at = left[i]
+                for j in range(n):
+                    total = sum(map(mul, twist, planes[i][j])) - sum(map(mul, at, alphas[j]))
+                    if total:
+                        yield "twist-product-morphism", (i, j), total, scale
 
 
 def _core_report(tables, twist, core):
     """The report of an identity core run on the integer forms of the tables and
     the twist: twist-invertible first, when it fails, then a Failure for each
-    failing instance the core yields, its totals divided into the residual. The
-    core packs its instances at the width _instance_bits gives for the largest
-    table and twist ints."""
+    failing instance the core yields, its packed total unpacked and divided
+    into the residual. The core packs its instances at the width
+    _instance_bits gives for the largest table and twist ints."""
     failures = [] if twist.is_invertible() else [Failure("twist-invertible", (), ())]
     d, planes = _integer_family(tables)
     e, (rows,) = _integer_family([twist])
+    n = twist.rows
     table_max = max((abs(x) for table in planes for plane in table for v in plane for x in v), default=0)
     twist_max = max((abs(x) for row in rows for x in row), default=0)
-    w = _instance_bits(twist.rows, table_max, d, twist_max, e)
-    failures += [Failure(identity, witness, _quotients(totals, scale))
-                 for identity, witness, totals, scale in core(*planes, d, list(zip(*rows)), e, w)]
+    w = _instance_bits(n, table_max, d, twist_max, e)
+    failures += [Failure(identity, witness, _quotients(_unpack(total, w, n), scale))
+                 for identity, witness, total, scale in core(*planes, d, list(zip(*rows)), e, w)]
     return ValidationReport(failures)
 
 

@@ -14,6 +14,7 @@ B = alpha R^T, and A_i, B_k their rows, entry (i, j, k) is
 (A_i A_j)_k - [B_k, A_i]_j - (B_k B_j)_i.
 """
 
+from itertools import chain
 from operator import add, mul
 
 from .errors import (DimensionMismatch, InvalidInput, NotAnSMatrix, Pro1Violation,
@@ -85,19 +86,24 @@ def dual_product_from_r(a, r):
 
 def hom_s_bracket(a, r):
     """The twisted square bracket of the tensor with itself, in the closed form
-    of the module docstring; vanishing is the third solution condition. Every
-    product is read from the left multiplication operators at A_i and B_k."""
+    of the module docstring; vanishing is the third solution condition. The
+    products are read from the left multiplication operators at A_i and B_k
+    (foundation._packed_operators): A_i A_j, B_k B_j and the commutator
+    A_i B_k - B_k A_i are each one packed int, unpacked into its n entries."""
     _tensor_on(a, r)
     n = a.dim
-    maps = [a.twist @ r, a.twist @ r.transpose()]
-    D, ops = _integer_family([a.product.left_at(x) for m in maps for x in m.entries])
-    d, (ints_a, ints_b) = _integer_family(maps)
-    at_a, at_b = ops[:n], ops[n:]
-    # aa[i][j] = A_i A_j, ab[i][k] = A_i B_k, ba[k][i] = B_k A_i, bb[k][j] = B_k B_j, times D * d
-    aa, ab, ba, bb = [[[[sum(map(mul, row, v)) for row in op] for v in vectors] for op in at]
-                      for at, vectors in ((at_a, ints_a), (at_a, ints_b), (at_b, ints_a), (at_b, ints_b))]
+    D, (planes, ints_a, ints_b) = _integer_family([a.product, a.twist @ r, a.twist @ r.transpose()])
+    table_max = max((abs(x) for plane in planes for v in plane for x in v), default=0)
+    rows_max = max((abs(x) for v in (*ints_a, *ints_b) for x in v), default=0)
+    w = _slot_bits(2 * n * n, rows_max, rows_max, table_max)      # the commutator: 2 n^2 products
+    at, _ = _packed_operators(planes, w, [*ints_a, *ints_b], ())      # A_i . - at i, B_k . - at n + k
+    # aa[i][j] = A_i A_j, ab[i][k] = A_i B_k - B_k A_i, bb[k][j] = B_k B_j, times D^3
+    aa = [[_unpack(sum(map(mul, at[i], v)), w, n) for v in ints_a] for i in range(n)]
+    ab = [[_unpack(sum(map(mul, at[i], v)) - sum(map(mul, at[n + k], ints_a[i])), w, n)
+           for k, v in enumerate(ints_b)] for i in range(n)]
+    bb = [[_unpack(sum(map(mul, at[n + k], v)), w, n) for v in ints_b] for k in range(n)]
     return Tensor3.from_slices(n, n, n, lambda i, j: _quotients(
-        [aa[i][j][k] - ba[k][i][j] + ab[i][k][j] - bb[k][j][i] for k in range(n)], D * d))
+        [aa[i][j][k] + ab[i][k][j] - bb[k][j][i] for k in range(n)], D ** 3))
 
 
 def check_pro3(a, r):
@@ -161,9 +167,13 @@ def check_P_condition(a, r):
 
     on_skew = [p_on(a.product.left_at(inv_sq.column(j)), skew) for j in range(n)]     # P(e_j) vec(S)
     twice = [p_on(a.product.left_at(inv.column(i)), q) for i in range(n) for q in on_skew]
-    D, (planes, *forms), size = _packed_family([a.product] + on_skew + twice)
-    w = _slot_bits(n + 1, size, size)     # p-condition: n + 1 products
-    flat = [_pack([x for row in form for x in row], w) for form in forms]
+    D, (planes, *forms) = _integer_family([a.product] + on_skew + twice)
+    flat = [[x for row in form for x in row] for form in forms]
+    table_max, skew_max, twice_max = (max((abs(x) for v in vectors for x in v), default=0)
+                                      for vectors in (chain.from_iterable(planes), flat[:n], flat[n:]))
+    # p-condition: n products of a table int and a P(e_m) vec(S) int, and D times a twice-applied int
+    w = _slot_bits(n + 1, max(table_max * skew_max, D * twice_max))
+    flat = [_pack(v, w) for v in flat]
     on_skew = flat[:n]                    # P(e_m) vec(S), packed
     failures = []
     for i in range(n):

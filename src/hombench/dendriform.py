@@ -9,13 +9,14 @@ on algebra-plus-dual-space whose solution property mirrors the operator one.
 """
 
 from collections import namedtuple
+from math import lcm
 from operator import add, mul, sub
 
 from .errors import (AsymmetricInput, DimensionMismatch, IntertwinerViolation, InvalidInput,
                      SingularMap)
 from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, row_reduce, sub_vectors,
-                         _core_operands, _pack, _packed_family, _packed_operators, _slot_bits,
-                         _transposed, _unpack)
+                         _operators_on_demand, _pack, _packed_family, _packed_operators,
+                         _slot_bits, _times_each, _transposed, _unpack)
 from .algebras import (HomPreLieAlgebra, ValidationReport, agreement_report, combine_reports,
                        validate_hessian, validate_hom_pre_lie, _core_report, _record)
 from .representations import (HomPreLieRep, action_table, coadjoint_pre_lie_rep,
@@ -65,48 +66,64 @@ class HomLDendriform:
         return "HomLDendriform(dim=%d)" % self.dim
 
 
-def _l_dendriform_failures(lt, rt, d, alpha_cols, e, w):
-    """Yield (identity, witness, totals, scale) for each failing multiplicativity
-    and splitting-axiom instance, in report order, of the products |> and <| with
-    int planes lt / d and rt / d under the twist with int columns alpha_cols / e,
-    each instance one int packed at width w, as in algebras._hom_pre_lie_failures.
-    Twist invertibility is not checked."""
+def _l_dendriform_failures(lt, rt, d, alpha_cols, e, w, axioms_first=False):
+    """Yield (identity, witness, total, scale) for each failing multiplicativity
+    and splitting-axiom instance of the products |> and <| with int planes lt / d
+    and rt / d under the twist with int columns alpha_cols / e, as
+    algebras._hom_pre_lie_failures does: each instance one int packed at width
+    w, in report order, or with axioms_first (set only by search) the left- and
+    right-axiom instances before multiplicativity. Both tables are packed once,
+    each operator is built the first time an instance reads it, and the twist is
+    packed only when the multiplicativity instances run. Twist invertibility is
+    not checked."""
     n = len(lt)
+    f = lcm(d, e)
+    scale = d * e * f
     # left_l[i]: alpha(e_i) |> -, left_r[k]: - |> alpha(e_k), and right_l, right_r likewise for <|
-    twist, (sl, sr), ((left_l, left_r), (right_l, right_r)), alphas, scale = _core_operands(
-        [lt, rt], d, alpha_cols, e, w)
-    for i in range(n):
-        for j in range(n):
-            aj = alphas[j]
-            total = sum(map(mul, twist, sl[i][j])) - sum(map(mul, left_l[i], aj))
-            if total:
-                yield "twist-left-morphism", (i, j), _unpack(total, w, n), scale
-            total = sum(map(mul, twist, sr[i][j])) - sum(map(mul, right_l[i], aj))
-            if total:
-                yield "twist-right-morphism", (i, j), _unpack(total, w, n), scale
+    left_l, left_r = _operators_on_demand(lt, w, alpha_cols)
+    right_l, right_r = _operators_on_demand(rt, w, alpha_cols)
+    if f != d:
+        lt, rt = ([_times_each(plane, f // d) for plane in planes] for planes in (lt, rt))
 
-    # Products are linear in each slot, so terms that share an operator are
-    # applied once to the sum x |> y + x <| y or to the difference x |> y - y <| x.
-    both = [[list(map(add, sl[i][j], sr[i][j])) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            # half(x, y, z) = (x|>y)|>a(z) + (x<|y)|>a(z) + a(y)|>(x|>z), for x=e_i, y=e_j, z=e_k;
-            # the axiom is half(x, y, z) - half(y, x, z)
-            swapped = list(map(sub, both[i][j], both[j][i]))
-            for k in range(n):
-                total = (sum(map(mul, left_r[k], swapped)) + sum(map(mul, left_l[j], sl[i][k]))
-                         - sum(map(mul, left_l[i], sl[j][k])))
-                if total:
-                    yield "left-axiom", (i, j, k), _unpack(total, w, n), scale
-    for i in range(n):
-        for j in range(n):
-            # (x|>y)<|a(z) - (y<|x)<|a(z) + a(y)<|(x|>z + x<|z) - a(x)|>(y<|z)
-            difference = list(map(sub, sl[i][j], sr[j][i]))
-            for k in range(n):
-                total = (sum(map(mul, right_r[k], difference)) + sum(map(mul, right_l[j], both[i][k]))
-                         - sum(map(mul, left_l[i], sr[j][k])))
-                if total:
-                    yield "right-axiom", (i, j, k), _unpack(total, w, n), scale
+    for axioms in (True, False) if axioms_first else (False, True):
+        if axioms:
+            # Products are linear in each slot, so terms that share an operator are
+            # applied once to the sum x |> y + x <| y or to the difference x |> y - y <| x.
+            both = [[list(map(add, lt[i][j], rt[i][j])) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    # half(x, y, z) = (x|>y)|>a(z) + (x<|y)|>a(z) + a(y)|>(x|>z), for x=e_i, y=e_j, z=e_k;
+                    # the axiom is half(x, y, z) - half(y, x, z)
+                    swapped = list(map(sub, both[i][j], both[j][i]))
+                    at_i, at_j = left_l[i], left_l[j]
+                    for k in range(n):
+                        total = (sum(map(mul, left_r[k], swapped)) + sum(map(mul, at_j, lt[i][k]))
+                                 - sum(map(mul, at_i, lt[j][k])))
+                        if total:
+                            yield "left-axiom", (i, j, k), total, scale
+            for i in range(n):
+                at_i = left_l[i]
+                for j in range(n):
+                    # (x|>y)<|a(z) - (y<|x)<|a(z) + a(y)<|(x|>z + x<|z) - a(x)|>(y<|z)
+                    difference = list(map(sub, lt[i][j], rt[j][i]))
+                    at_j = right_l[j]
+                    for k in range(n):
+                        total = (sum(map(mul, right_r[k], difference)) + sum(map(mul, at_j, both[i][k]))
+                                 - sum(map(mul, at_i, rt[j][k])))
+                        if total:
+                            yield "right-axiom", (i, j, k), total, scale
+        else:
+            twist = [d * _pack(a, w) for a in alpha_cols]
+            alphas = _times_each(alpha_cols, f // e)
+            for i in range(n):
+                at_l, at_r = left_l[i], right_l[i]
+                for j in range(n):
+                    total = sum(map(mul, twist, lt[i][j])) - sum(map(mul, at_l, alphas[j]))
+                    if total:
+                        yield "twist-left-morphism", (i, j), total, scale
+                    total = sum(map(mul, twist, rt[i][j])) - sum(map(mul, at_r, alphas[j]))
+                    if total:
+                        yield "twist-right-morphism", (i, j), total, scale
 
 
 def validate_l_dendriform(cand):

@@ -47,15 +47,18 @@ ints). The rule is: no Fraction for a passing instance.
 An identity instance that sums operator images is one int. _pack(v, w) packs an
 int vector into the single int sum of v[m] * 2^(w m), so that a dot product of
 packed operator columns with an int vector is the packed image (Kronecker
-substitution). _packed_operators is the one function that builds operators: it
-packs a table's output vectors once (optionally through a map's packed columns)
-and gives the left and right multiplication operators at a list of int vectors,
-each as a list of packed ints. A fixed map acts through its packed columns. An
-instance is then a sum of a few dot products sum(map(mul, operator, v)), with
-every term brought to one scale, and while every slot stays below 2^(w-1) in
-size the int is 0 exactly when the instance holds. Only a failing one is
-unpacked (_unpack) and divided by its scale, by _quotients, into the exact
-residual it reports.
+substitution). _packed_operators builds operators: it packs a table's output
+vectors once (_packed_planes, optionally through a map's packed columns) and
+gives the left and right multiplication operators at a list of int vectors,
+each a list of packed ints, from the one operator kernel _operator_at. The
+validator cores read theirs from _operators_on_demand, which builds each one
+the first time an instance reads it, so an instance that fails early never
+builds the operators only later instances read. A fixed map acts through its packed
+columns. An instance is then a sum of a few dot products sum(map(mul,
+operator, v)), with every term brought to one scale, and while every slot
+stays below 2^(w-1) in size the int is 0 exactly when the instance holds.
+Only a failing one is unpacked (_unpack) and divided by its scale, by
+_quotients, into the exact residual it reports.
 
 The width w comes from _slot_bits, the one width function: the largest number
 of products summed into one slot times bounds on their factors. Each validator
@@ -64,9 +67,10 @@ a validator that reads everything from one _packed_family the factors are
 three ints no larger than the family's bound. The two validator cores that work
 on int planes they were handed, without the objects
 (algebras._hom_pre_lie_failures and dendriform._l_dendriform_failures), keep
-the table and the twist at their own denominators: _core_operands gives their
-operands and _instance_bits their width, found once per report or per search,
-never per candidate.
+the table and the twist at their own denominators, bring the vectors they
+meet to f = lcm(d, e), and pack the twist only when their multiplicativity
+instances run; _instance_bits gives their width, found once per report or per
+search, never per candidate.
 """
 
 from fractions import Fraction
@@ -275,11 +279,12 @@ def _instance_bits(n, table_max, d, twist_max, e):
     no table int larger than table_max in size and no twist int larger than
     twist_max; f = lcm(d, e).
 
-    In the terms of _core_operands, the packed twist and the vectors met have
-    entries of size at most twist_max * d, table_max * f / d and twist_max * f / e,
-    and an operator at alpha(e_i) has entries that are sums of n twist-table
-    products. So a multiplicativity slot sums n products of size at most
-    twist_max * table_max * f and n^2 of size at most twist_max^2 * table_max * f / e.
+    In the cores, the packed twist (twist ints times d) and the vectors met
+    (table ints times f / d, twist ints times f / e) have entries of size at
+    most twist_max * d, table_max * f / d and twist_max * f / e, and an operator
+    at alpha(e_i) has entries that are sums of n twist-table products. So a
+    multiplicativity slot sums n products of size at most twist_max *
+    table_max * f and n^2 of size at most twist_max^2 * table_max * f / e.
     An axiom instance is three dot products, each pairing operator entries with
     vector entries that sum one, two or four table ints scaled by f / d, so its
     slot sums products of size at most twist_max * table_max^2 * f / d: 4 n^2 of
@@ -291,22 +296,59 @@ def _instance_bits(n, table_max, d, twist_max, e):
                _slot_bits(6 * n * n, twist_max, table_max, table_max, f // d))
 
 
+def _packed_planes(planes, w, through=None):
+    """The int planes of a table with each output vector v packed once, at slot
+    width w: as _pack(v, w), or, given the packed columns through of a map on the
+    output space, as the packed image of v under that map, a dot of through
+    with v."""
+    if through is None:
+        return [[_pack(v, w) for v in plane] for plane in planes]
+    return [[sum(map(mul, through, v)) for v in plane] for plane in planes]
+
+
+def _operator_at(rows, x):
+    """The multiplication operator of a packed table (_packed_planes) at the int
+    vector x, as the list of dots of x with rows: x . - when rows are the packed
+    table's columns, zip(*packed), and - . x when they are its planes. The one
+    kernel every packed operator comes from."""
+    return [sum(map(mul, x, row)) for row in rows]
+
+
 def _packed_operators(planes, w, xs, ys, through=None):
     """(left, right): the multiplication operators of the int planes of a
     (d1, d2, d3) table at int vectors, each operator a list of packed ints
-    (_pack at width w). Each output vector v is packed once: as _pack(v, w), or,
-    given the packed columns through of a map on the output space, as the packed
-    image of v under that map, a dot of through with v. left[a][q] packs
-    xs[a] . e_q for q < d2 and right[b][p] packs e_p . ys[b] for p < d1, each a
-    dot of the vector with the packed table. A dot of left[a] with an int
-    vector v of length d2 is then the packed xs[a] . v, one int."""
-    if through is None:
-        packed = [[_pack(v, w) for v in plane] for plane in planes]
-    else:
-        packed = [[sum(map(mul, through, v)) for v in plane] for plane in planes]
+    (_pack at width w). The table is packed once (_packed_planes, through an
+    optional map); left[a][q] packs xs[a] . e_q for q < d2 and right[b][p]
+    packs e_p . ys[b] for p < d1, each a dot of the vector with the packed
+    table (_operator_at). A dot of left[a] with an int vector v of length d2
+    is then the packed xs[a] . v, one int."""
+    packed = _packed_planes(planes, w, through)
     columns = list(zip(*packed))
-    return ([[sum(map(mul, x, column)) for column in columns] for x in xs],
-            [[sum(map(mul, y, plane)) for plane in packed] for y in ys])
+    return [_operator_at(columns, x) for x in xs], [_operator_at(packed, y) for y in ys]
+
+
+class _Operators(dict):
+    """The operators _operator_at(rows, xs[a]) by index a, each built the first
+    time it is read and then kept."""
+
+    __slots__ = ("rows", "xs")
+
+    def __init__(self, rows, xs):
+        self.rows = rows
+        self.xs = xs
+
+    def __missing__(self, a):
+        operator = self[a] = _operator_at(self.rows, self.xs[a])
+        return operator
+
+
+def _operators_on_demand(planes, w, xs):
+    """(left, right): the operators _packed_operators(planes, w, xs, xs) gives,
+    each built the first time it is read (_Operators). The validator cores read
+    theirs from these, so an instance that fails early never builds the
+    operators that only later instances read."""
+    packed = _packed_planes(planes, w)
+    return _Operators(list(zip(*packed)), xs), _Operators(packed, xs)
 
 
 def _packed_family(items):
@@ -322,25 +364,6 @@ def _packed_family(items):
         rows = chain.from_iterable(form) if isinstance(item, Tensor3) else form
         size = max(size, max(map(abs, chain.from_iterable(rows)), default=0))
     return D, forms, size
-
-
-def _core_operands(tables, d, cols, e, w):
-    """(twist, tables, operators, alphas, scale): the operands of a validator
-    core on int planes / d and the twist's int columns cols / e, each instance
-    packed at slot width w (_pack). twist is the twist as n packed ints, column
-    p packed and times d. For each table, operators is the pair (left, right)
-    of _packed_operators at the twist columns: left[i][q] packs
-    alpha(e_i) . e_q and right[k][p] packs e_p . alpha(e_k), both over d * e.
-    The returned table planes and twist columns alphas have the common
-    denominator f = lcm(d, e), so a dot of twist or an operator with one of
-    them packs scale = d * e * f times its value."""
-    f = lcm(d, e)
-    operators = []
-    for planes in tables:       # a loop, not a comprehension: this runs once per search candidate
-        operators.append(_packed_operators(planes, w, cols, cols))
-    if f != d:
-        tables = [[_times_each(plane, f // d) for plane in planes] for planes in tables]
-    return [d * _pack(a, w) for a in cols], tables, operators, _times_each(cols, f // e), d * e * f
 
 
 def row_reduce(work, cols):

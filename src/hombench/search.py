@@ -11,8 +11,11 @@ The hom_pre_lie and dendriform targets test a candidate on integer planes: the
 coefficients are scaled to ints once per search, each assignment is sliced into
 the planes of its table(s), and the validator core (the same sums that
 validate_hom_pre_lie and validate_l_dendriform report from) runs until its
-first failing instance. Only an accepted candidate becomes a Tensor3, an
-algebra or dendriform, and a document.
+first failing instance, which is never unpacked. Search asks the core for the
+axiom instances before multiplicativity: the order cannot change which
+candidates fail, and the first instances of the axioms reject nearly every
+candidate, before the operators that later instances read are built. Only an
+accepted candidate becomes a Tensor3, an algebra or dendriform, and a document.
 """
 
 from itertools import product
@@ -108,9 +111,10 @@ def _build_target(spec):
     slots from values, and build maps an assignment to an accepted value or None.
 
     The hom_pre_lie and dendriform targets draw from the coefficients scaled to
-    ints, test each assignment's int planes with the validator core and stop at
-    its first failure; only an accepted candidate becomes a table and an object.
-    The twist's int form and the cores' slot width are found once per search."""
+    ints, test each assignment's int planes with the validator core, axioms
+    first, and stop at its first failure; only an accepted candidate becomes a
+    table and an object. The twist's int form and the cores' slot width are
+    found once per search."""
     n = spec.dim
     if spec.target in ("hom_pre_lie", "dendriform"):
         twist = LinearMap.identity(n)
@@ -123,13 +127,13 @@ def _build_target(spec):
 
         def hom_pre_lie(assign):
             planes = _planes(n, assign)
-            if next(_hom_pre_lie_failures(planes, p, twist_cols, e, w), None) is not None:
+            if next(_hom_pre_lie_failures(planes, p, twist_cols, e, w, axioms_first=True), None) is not None:
                 return None
             return HomPreLieAlgebra(Tensor3.from_integers(planes, p, dims), twist)
 
         def dendriform(assign):
             left, right = _planes(n, assign[:cube]), _planes(n, assign[cube:])
-            if next(_l_dendriform_failures(left, right, p, twist_cols, e, w), None) is not None:
+            if next(_l_dendriform_failures(left, right, p, twist_cols, e, w, axioms_first=True), None) is not None:
                 return None
             return HomLDendriform(Tensor3.from_integers(left, p, dims),
                                   Tensor3.from_integers(right, p, dims), twist)

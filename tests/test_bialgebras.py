@@ -126,7 +126,8 @@ def _random_inputs():
     is not the identity, with a non-symmetric r, a symmetric r (neither
     intertwines a generic twist), an intertwining r (up to dim 4) and r = 0.
     The pairwise reference is quartic in the entries of r, so r is sparse at
-    dim 5."""
+    dim 5. At dims 2 and 3, inputs whose entries all have numerators near
+    10^30 over a denominator near 10^12 test the packed width."""
     rng = random.Random(20191231)
 
     def q():
@@ -156,6 +157,16 @@ def _random_inputs():
             elif case == "zero":
                 rows = [[0] * n for _ in range(n)]
             out.append((n, case, HomPreLieAlgebra(product, twist), Tensor2(rows)))
+    for n in (2, 3):
+        # every entry +-(3 10^30 + 1)/(10^12 + 39), so the packed products come near their slot width
+        def signed(*shape):
+            if len(shape) == 1:
+                return [rng.choice((-1, 1)) * Fraction(3 * 10 ** 30 + 1, 10 ** 12 + 39) for _ in range(shape[0])]
+            return [signed(*shape[1:]) for _ in range(shape[0])]
+
+        for copy in range(2):
+            out.append((n, "signed%d" % copy, HomPreLieAlgebra(Tensor3(signed(n, n, n)), LinearMap(signed(n, n))),
+                        Tensor2(signed(n, n))))
     return out
 
 

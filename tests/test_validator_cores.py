@@ -15,8 +15,13 @@ near 10^12 is coprime to it, and bumps single entries by that size; in the
 graded basis such a bump fails some instances in one slot, so the slot width
 is exercised where a too-narrow width would misread a residual.
 
+Search runs the cores with the axiom instances first; on every input here
+both orders must yield the same failing instances, the axioms-first run
+yielding none exactly when the report is valid apart from twist invertibility.
+
 check_P_condition computes P(x) vec(S) in closed form; it is compared with the
-Kronecker path it replaced, rebuilt here from public functions.
+Kronecker path it replaced, rebuilt here from public functions, also on inputs
+whose entries are all +-SIZE, which bring its residuals near the slot width.
 """
 
 import importlib.util
@@ -31,10 +36,13 @@ import pytest
 from hombench import (HomLDendriform, HomPreLieAlgebra, LinearMap, Tensor2, Tensor3,
                       action_table, check_P_condition, tensor_product_map, validate_hom_pre_lie,
                       validate_l_dendriform)
-from hombench.foundation import sub_vectors, _pack, _unpack
+from hombench.algebras import _hom_pre_lie_failures
+from hombench.dendriform import _l_dendriform_failures
+from hombench.foundation import sub_vectors, _instance_bits, _integer_family, _pack, _unpack
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 LAMBDAS = (2, Fraction(1, 2), Fraction(2, 3), -2)
+SIZE = Fraction(3 * 10 ** 30 + 1, 10 ** 12 + 39)
 
 
 def _load(name, alias):
@@ -152,7 +160,6 @@ def _big_cases():
     and in the graded basis, with one-entry bumps of the same size."""
     rng = random.Random(19)
     lam = Fraction(10 ** 15 + 37, 10 ** 12 + 61)
-    size = Fraction(3 * 10 ** 30 + 1, 10 ** 12 + 39)
     families = [("novikov3", I.novikov(3)), ("novikov4", I.novikov(4)), ("upper3", I.upper(3)),
                 ("two_step3", I.two_step(rng, [1, 2], [3]))]
     pre_lie, dendriform = [], []
@@ -161,10 +168,10 @@ def _big_cases():
         alg = I.Algebra(items, weights, lam, I.with_rational_inverse(rng, n, 2 * n))
         for basis, table, twist in (("moved", alg.table, alg.twist), ("graded", alg.sparse_table, alg.sparse_twist)):
             name = "%s-%s" % (family, basis)
-            table = _scaled3(table, size)
+            table = _scaled3(table, SIZE)
             pre_lie.append((name, table, twist))
             for _ in range(2):
-                bumped, at = _bumped3(table, rng, size)
+                bumped, at = _bumped3(table, rng, SIZE)
                 pre_lie.append(("%s-bump%s" % (name, at), bumped, twist))
             i, j = rng.randrange(n), rng.randrange(n)
             moved = [list(row) for row in twist]
@@ -173,9 +180,9 @@ def _big_cases():
             zero = O.zeros3(n, n, n)
             dendriform.append((name, table, zero, twist))
             dendriform.append(("%s-right-table" % name, table, table, twist))
-            bumped, at = _bumped3(table, rng, size)
+            bumped, at = _bumped3(table, rng, SIZE)
             dendriform.append(("%s-left-bump%s" % (name, at), bumped, zero, twist))
-            bumped, at = _bumped3(zero, rng, size)
+            bumped, at = _bumped3(zero, rng, SIZE)
             dendriform.append(("%s-right-bump%s" % (name, at), table, bumped, twist))
     return pre_lie, dendriform
 
@@ -243,28 +250,91 @@ def _dim1(c):
     return Tensor3(((((c,),),)))
 
 
-@pytest.mark.parametrize("product, alpha, failures", [
+DIM1_PRE_LIE = [
     (5, 1, []),
     (Fraction(3, 2), 2, [("twist-product-morphism", (0, 0), (-3,))]),
     (Fraction(7, 3), Fraction(-1, 2), [("twist-product-morphism", (0, 0), (Fraction(-7, 4),))]),
     (Fraction(7, 3), 0, [("twist-invertible", (), ())]),
-])
-def test_dim1_hom_pre_lie_reports(product, alpha, failures):
-    report = validate_hom_pre_lie(HomPreLieAlgebra(_dim1(product), LinearMap(((alpha,),))))
-    assert [(f.identity, f.witness, f.residual) for f in report.failures] == failures
-
-
-@pytest.mark.parametrize("left, right, alpha, failures", [
+]
+DIM1_DENDRIFORM = [
     (1, 0, 1, []),
     (2, 3, 1, [("right-axiom", (0, 0, 0), (6,))]),
     (Fraction(3, 2), Fraction(-2, 5), 2, [("twist-left-morphism", (0, 0), (-3,)),
                                           ("twist-right-morphism", (0, 0), (Fraction(4, 5),)),
                                           ("right-axiom", (0, 0, 0), (Fraction(-6, 5),))]),
     (4, 1, 0, [("twist-invertible", (), ())]),
-])
+]
+
+
+@pytest.mark.parametrize("product, alpha, failures", DIM1_PRE_LIE)
+def test_dim1_hom_pre_lie_reports(product, alpha, failures):
+    report = validate_hom_pre_lie(HomPreLieAlgebra(_dim1(product), LinearMap(((alpha,),))))
+    assert [(f.identity, f.witness, f.residual) for f in report.failures] == failures
+
+
+@pytest.mark.parametrize("left, right, alpha, failures", DIM1_DENDRIFORM)
 def test_dim1_l_dendriform_reports(left, right, alpha, failures):
     report = validate_l_dendriform(HomLDendriform(_dim1(left), _dim1(right), LinearMap(((alpha,),))))
     assert [(f.identity, f.witness, f.residual) for f in report.failures] == failures
+
+
+def _order_cases():
+    """(name, core, tables, twist, validate): every pre-Lie and dendriform input
+    above, the big ones, the dim-1 ones and dim 0, as the objects each core's
+    validator reads."""
+    empty, eye0 = Tensor3.zero(0, 0, 0), LinearMap.identity(0)
+    pre_lie = [(name, [Tensor3(table)], LinearMap(twist)) for name, table, twist in PRE_LIE + BIG_PRE_LIE]
+    pre_lie += [("dim1-%s-%s" % (c, alpha), [_dim1(c)], LinearMap(((alpha,),))) for c, alpha, _ in DIM1_PRE_LIE]
+    pre_lie.append(("dim0", [empty], eye0))
+    dendriform = [(name, [Tensor3(left), Tensor3(right)], LinearMap(twist))
+                  for name, left, right, twist in DENDRIFORM + BIG_DENDRIFORM]
+    dendriform += [("dim1-%s-%s-%s" % (lt, rt, alpha), [_dim1(lt), _dim1(rt)], LinearMap(((alpha,),)))
+                   for lt, rt, alpha, _ in DIM1_DENDRIFORM]
+    dendriform.append(("dim0", [empty, empty], eye0))
+    return ([("pre_lie-" + name, _hom_pre_lie_failures, tables, twist,
+              lambda tables, twist: validate_hom_pre_lie(HomPreLieAlgebra(*tables, twist)))
+             for name, tables, twist in pre_lie]
+            + [("dendriform-" + name, _l_dendriform_failures, tables, twist,
+                lambda tables, twist: validate_l_dendriform(HomLDendriform(*tables, twist)))
+               for name, tables, twist in dendriform])
+
+
+ORDER_CASES = _order_cases()
+
+
+@pytest.mark.parametrize("name, core, tables, twist, validate", ORDER_CASES,
+                         ids=[case[0] for case in ORDER_CASES])
+def test_axioms_first_order_yields_the_same_failures(name, core, tables, twist, validate):
+    """Search runs the cores with the axioms first, report order runs
+    multiplicativity first: both yield the same (identity, witness, total)
+    items, and the axioms-first run yields nothing exactly when the report is
+    valid apart from twist invertibility, which the cores do not check."""
+    d, planes = _integer_family(tables)
+    e, (rows,) = _integer_family([twist])
+    table_max = max((abs(x) for table in planes for plane in table for v in plane for x in v), default=0)
+    twist_max = max((abs(x) for row in rows for x in row), default=0)
+    args = (*planes, d, list(zip(*rows)), e, _instance_bits(twist.rows, table_max, d, twist_max, e))
+    in_report_order = [item[:3] for item in core(*args)]
+    axioms_first = [item[:3] for item in core(*args, axioms_first=True)]
+    assert len(set(in_report_order)) == len(in_report_order) == len(axioms_first)
+    assert set(in_report_order) == set(axioms_first)
+    identities = [f.identity for f in validate(tables, twist).failures if f.identity != "twist-invertible"]
+    assert identities == [identity for identity, _, _ in in_report_order]
+    assert (next(core(*args, axioms_first=True), None) is None) == (not identities)
+
+
+def test_order_cases_include_axiom_and_multiplicativity_failures():
+    """Both orders are compared on inputs that fail only an axiom, only
+    multiplicativity, and both, for each core."""
+    for prefix, axioms, morphisms in (("pre_lie", {"twisted-associator-symmetry"}, {"twist-product-morphism"}),
+                                      ("dendriform", {"left-axiom", "right-axiom"},
+                                       {"twist-left-morphism", "twist-right-morphism"})):
+        kinds = set()
+        for name, _, tables, twist, validate in ORDER_CASES:
+            if name.startswith(prefix):
+                found = {f.identity for f in validate(tables, twist).failures}
+                kinds.add((bool(found & axioms), bool(found & morphisms)))
+        assert {(True, False), (False, True), (True, True), (False, False)} <= kinds
 
 
 def _kronecker_p_condition(a, r):
@@ -290,7 +360,10 @@ def _kronecker_p_condition(a, r):
 
 def _p_condition_cases():
     """Each Yau-twisted algebra and one bump of its table, each with a seeded
-    rational tensor that is neither symmetric nor skew."""
+    rational tensor that is neither symmetric nor skew; and dim-2 and dim-3
+    inputs whose table, twist and tensor entries are all +-SIZE with seeded
+    signs, so that the ints of every role are large and failing residuals come
+    near the slot width's limit."""
     algebras, _ = _algebras()
     rng = random.Random(16)
     out = []
@@ -300,6 +373,19 @@ def _p_condition_cases():
         bumped = I.bump_table(table, rng.randrange(n), rng.randrange(n), rng.randrange(n))
         for label, t in (("", table), ("-bumped", bumped)):
             out.append((name + label, HomPreLieAlgebra(Tensor3(t), LinearMap(twist)), r))
+
+    def signed(*shape):
+        if len(shape) == 1:
+            return [rng.choice((-1, 1)) * SIZE for _ in range(shape[0])]
+        return [signed(*shape[1:]) for _ in range(shape[0])]
+
+    for n in (2, 3):
+        for copy in range(3):
+            twist = LinearMap(signed(n, n))
+            while not twist.is_invertible():
+                twist = LinearMap(signed(n, n))
+            out.append(("signed%d-%d" % (n, copy), HomPreLieAlgebra(Tensor3(signed(n, n, n)), twist),
+                        Tensor2(signed(n, n))))
     return out
 
 
