@@ -53,12 +53,12 @@ gives the left and right multiplication operators at a list of int vectors,
 each a list of packed ints, from the one operator kernel _operator_at. The
 validator cores read theirs from _operators_on_demand, which builds each one
 the first time an instance reads it, so an instance that fails early never
-builds the operators only later instances read. A fixed map acts through its packed
-columns. An instance is then a sum of a few dot products sum(map(mul,
-operator, v)), with every term brought to one scale, and while every slot
-stays below 2^(w-1) in size the int is 0 exactly when the instance holds.
-Only a failing one is unpacked (_unpack) and divided by its scale, by
-_quotients, into the exact residual it reports.
+builds the operators only later instances read. A fixed map acts through its
+packed columns. An instance is then a sum of a few dot products
+sum(map(mul, operator, v)), with every term brought to one scale, and while
+every slot stays below 2^(w-1) in size the int is 0 exactly when the
+instance holds. Only a failing one is unpacked (_unpack) and divided by its
+scale, by _quotients, into the exact residual it reports.
 
 The width w comes from _slot_bits, the one width function: the largest number
 of products summed into one slot times bounds on their factors. Each validator
