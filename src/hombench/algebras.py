@@ -35,7 +35,7 @@ from math import lcm
 from operator import add, mul, sub
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput
-from .foundation import (Tensor2, Tensor3, apply_bilinear, sub_vectors, _instance_bits,
+from .foundation import (Tensor2, apply_bilinear, _instance_bits,
                          _integer_family, _pack, _operators_on_demand, _packed_family, _packed_operators,
                          _quotients, _slot_bits, _times_each, _transposed, _unpack)
 
@@ -187,9 +187,7 @@ class HomPreLieAlgebra:
 
     def commutator_tensor(self):
         """Structure tensor of x . y - y . x, with no validity requirement."""
-        n = self.dim
-        p = self.product
-        return Tensor3.from_slices(n, n, n, lambda i, j: sub_vectors(p.slice12(i, j), p.slice12(j, i)))
+        return self.product - self.product.swapped()
 
     def __eq__(self, other):
         if not isinstance(other, HomPreLieAlgebra):

@@ -15,17 +15,15 @@ B = alpha R^T, and A_i, B_k their rows, entry (i, j, k) is
 """
 
 from itertools import chain
-from operator import add, mul
+from operator import mul
 
 from .errors import (DimensionMismatch, InvalidInput, NotAnSMatrix, Pro1Violation,
                      TwistMismatch)
-from .foundation import (LinearMap, Tensor3, apply_bilinear, basis_vector, _integer_family,
-                         _pack, _packed_family, _packed_operators, _quotients, _slot_bits, _transposed,
-                         _unpack)
+from .foundation import (LinearMap, Tensor3, _integer_family, _pack, _packed_family, _packed_operators,
+                         _quotients, _slot_bits, _transposed, _unpack)
 from .algebras import (HomPreLieAlgebra, ValidationReport, agreement_report, combine_reports,
                        validate_hom_pre_lie, _record)
-from .representations import (action_table, check_one_cocycle, coboundary_maps,
-                              coboundary_rep, _dual_actions)
+from .representations import check_one_cocycle, coboundary_maps, coboundary_rep, _dual_actions
 from .matched import (coadjoint_matched_pair, require_dual_twists, standard_manin_triple,
                       validate_manin_triple, validate_matched_pair_pre_lie)
 
@@ -70,18 +68,10 @@ def dual_product_from_r(a, r):
     """The induced product on the dual space; requires the intertwining condition."""
     if not check_pro1(a, r):
         raise Pro1Violation("tensor does not intertwine the twists")
-    n = a.dim
-    rho, mu = (action_table(maps, n) for maps in
-               _dual_actions(a.product.left_maps(), a.product.right_maps(), a.twist, a.twist))
-    sharp = r_sharp(r)
-    e = [basis_vector(n, i) for i in range(n)]
-
-    def product(i, j):
-        # rho*(r# e_i) e_j + mu*(r#^T e_j) e_i, and r#^T is r itself
-        return tuple(map(add, apply_bilinear(rho, sharp.column(i), e[j]),
-                         apply_bilinear(mu, r.column(j), e[i])))
-
-    return HomPreLieAlgebra(Tensor3.from_slices(n, n, n, product), a.twist.inverse().transpose())
+    rho, mu = _dual_actions(a.product, a.product.swapped(), a.twist, a.twist)
+    # slice (i, j) is rho*(r# e_i) e_j + mu*(r#^T e_j) e_i, and r#^T is r itself
+    product = rho.first_through(r_sharp(r)) + mu.first_through(r).swapped()
+    return HomPreLieAlgebra(product, a.twist.inverse().transpose())
 
 
 def hom_s_bracket(a, r):
@@ -156,8 +146,6 @@ def check_P_condition(a, r):
     _tensor_on(a, r)
     n = a.dim
     alpha = a.twist
-    inv_sq = alpha.power(-2)
-    inv = alpha.inverse()
     alpha_t = alpha.transpose()
     skew = r - r.flip()
 
@@ -165,8 +153,8 @@ def check_P_condition(a, r):
         m = lm @ s @ alpha_t
         return m - m.transpose()
 
-    on_skew = [p_on(a.product.left_at(inv_sq.column(j)), skew) for j in range(n)]     # P(e_j) vec(S)
-    twice = [p_on(a.product.left_at(inv.column(i)), q) for i in range(n) for q in on_skew]
+    on_skew = [p_on(lm, skew) for lm in a.product.first_through(alpha.power(-2)).left_maps()]     # P(e_j) vec(S)
+    twice = [p_on(lm, q) for lm in a.product.first_through(alpha.inverse()).left_maps() for q in on_skew]
     D, (planes, *forms) = _integer_family([a.product] + on_skew + twice)
     flat = [[x for row in form for x in row] for form in forms]
     table_max, skew_max, twice_max = (max((abs(x) for v in vectors for x in v), default=0)

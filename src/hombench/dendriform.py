@@ -14,7 +14,7 @@ from operator import add, mul, sub
 
 from .errors import (AsymmetricInput, DimensionMismatch, IntertwinerViolation, InvalidInput,
                      SingularMap)
-from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, row_reduce, sub_vectors,
+from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, row_reduce,
                          _operators_on_demand, _pack, _packed_family, _packed_operators,
                          _slot_bits, _times_each, _transposed, _unpack)
 from .algebras import (HomPreLieAlgebra, ValidationReport, agreement_report, combine_reports,
@@ -143,8 +143,7 @@ def horizontal(d):
 
 
 def _vertical_table(d):
-    n = d.dim
-    return Tensor3.from_slices(n, n, n, lambda i, j: sub_vectors(d.basis_left(i, j), d.basis_right(j, i)))
+    return d.left - d.right.swapped()
 
 
 def vertical(d):
@@ -158,15 +157,14 @@ def _mixed_rep(d):
     """The mixed action pair on the vertical algebra, without validation: x |> -
     as the left action and -(x <| -) as the right action."""
     vert = HomPreLieAlgebra(_vertical_table(d), d.twist)
-    return HomPreLieRep(vert, d.dim, d.twist, d.left.left_maps(), [-m for m in d.right.left_maps()])
+    return HomPreLieRep(vert, d.dim, d.twist, d.left, -d.right)
 
 
 def transpose_dendriform(d):
     """Keep the left product, replace x <| y by -(y <| x); an involution."""
     if not validate_l_dendriform(d).valid:
         raise InvalidInput("transpose_dendriform needs a valid dendriform structure")
-    n = d.dim
-    return HomLDendriform(d.left, -Tensor3.from_slices(n, n, n, lambda i, j: d.basis_right(j, i)), d.twist)
+    return HomLDendriform(d.left, -d.right.swapped(), d.twist)
 
 
 def dendriform_rep_check(d):
@@ -179,7 +177,7 @@ def dendriform_rep_check(d):
     named = [
         ("horizontal", validate_hom_pre_lie(horiz)),
         ("horizontal-action", validate_pre_lie_rep(
-            HomPreLieRep(horiz, d.dim, d.twist, d.left.left_maps(), d.right.right_maps()))),
+            HomPreLieRep(horiz, d.dim, d.twist, d.left, d.right.swapped()))),
         ("vertical", validate_hom_pre_lie(mixed.algebra)),
         ("vertical-action", validate_pre_lie_rep(mixed)),
     ]
@@ -213,14 +211,13 @@ class OOperator:
 
 def _operator_actions(o):
     """(shifted, left, right): the map T beta^-1, whose column i is the twisted
-    preimage T beta^-1(v_i) of a space basis vector, and the action tables of
-    rho and mu (action_table). Raises SingularMap when the space twist beta is
+    preimage T beta^-1(v_i) of a space basis vector, and the stored action
+    tables of rho and mu. Raises SingularMap when the space twist beta is
     singular."""
     rep = o.rep
-    m = rep.space_dim
     if not rep.twist.is_invertible():
         raise SingularMap("representation space twist is singular")
-    return o.matrix @ rep.twist.inverse(), action_table(rep.left, m), action_table(rep.right, m)
+    return o.matrix @ rep.twist.inverse(), rep.left_table, rep.right_table
 
 
 def validate_o_operator(o):
@@ -303,12 +300,9 @@ def dendriform_from_o_operator(o):
     shifted, left, right = _operator_actions(o)
     if not _o_operator_report(o, shifted, left, right).valid:
         raise InvalidInput("dendriform_from_o_operator needs a valid relative operator")
-    rep = o.rep
-    m = rep.space_dim
     t = o.matrix
-    xs = [shifted.column(i) for i in range(m)]
-    on_space = HomLDendriform(action_table([left.left_at(x) for x in xs], m),
-                              -action_table([right.left_at(x) for x in xs], m), rep.twist)
+    # the actions at the twisted preimages: the first slot moved through T beta^-1
+    on_space = HomLDendriform(left.first_through(shifted), -right.first_through(shifted), o.rep.twist)
 
     pivots = row_reduce([list(row) for row in t.entries], t.cols)
     image_basis = LinearMap.from_columns([t.column(j) for j in pivots], rows=t.rows)
@@ -334,17 +328,13 @@ def compatible_dendriform_from_invertible(o):
     if not validate_o_operator(o).valid:
         raise InvalidInput("compatible_dendriform_from_invertible needs a valid relative operator")
     a = o.algebra
-    rep = o.rep
-    n = a.dim
-    alpha_inv = a.twist.inverse()
     t = o.matrix
-    back = [alpha_inv.column(i) for i in range(n)]
-    left = action_table(rep.left, n)
-    right = action_table(rep.right, n)
-    # T rho(alpha^-1(x)) T^-1, and likewise for mu
-    return HomLDendriform(action_table([t @ left.left_at(x) @ t_inv for x in back], n),
-                          -action_table([t @ right.left_at(x) @ t_inv for x in back], n),
-                          a.twist)
+
+    def conjugated(table):
+        # T rho(alpha^-1(e_i)) T^-1 for each i, and likewise for mu
+        return action_table([t @ op @ t_inv for op in table.first_through(a.twist.inverse()).left_maps()], a.dim)
+
+    return HomLDendriform(conjugated(o.rep.left_table), -conjugated(o.rep.right_table), a.twist)
 
 
 def dendriform_from_hessian(a, b):
@@ -355,20 +345,17 @@ def dendriform_from_hessian(a, b):
     and y -> y u_i for the right one."""
     if not validate_hessian(a, b).valid:
         raise InvalidInput("dendriform_from_hessian needs a valid hessian form")
-    n = a.dim
     sharp = b.sharp()
     minus_inv = -sharp.inverse()
     matrix = sharp.transpose()
     inv_sq = a.twist.power(-2)
-    alpha_inv = a.twist.inverse()
-    back = [alpha_inv.column(i) for i in range(n)]
-    rights = [a.product.right_at(u) for u in back]
 
-    def split(ops):
-        return action_table([minus_inv @ (matrix @ op @ inv_sq).transpose() for op in ops], n)
+    def split(table):
+        # C_i for each i: the first slot of the commutator or swapped product moved through alpha^-1
+        ops = table.first_through(a.twist.inverse()).left_maps()
+        return action_table([minus_inv @ (matrix @ op @ inv_sq).transpose() for op in ops], a.dim)
 
-    return HomLDendriform(split([a.product.left_at(u) - rm for u, rm in zip(back, rights)]),
-                          split(rights), a.twist)
+    return HomLDendriform(split(a.commutator_tensor()), split(a.product.swapped()), a.twist)
 
 
 SemidirectSolution = namedtuple("SemidirectSolution", ["algebra", "tensor", "verdict"])
@@ -394,9 +381,8 @@ def semidirect_smatrix(a, rep, t, variant="dual"):
         raise IntertwinerViolation("map does not intertwine the twists")
     ambient_rep = dual_pre_lie_rep(a, rep)
     if variant == "statement":
-        star_left = star_maps(rep.left, a.twist, rep.twist)
-        ambient_rep = HomPreLieRep(a, rep.space_dim, ambient_rep.twist,
-                                   ambient_rep.left, [-mm for mm in star_left])
+        ambient_rep = HomPreLieRep(a, rep.space_dim, ambient_rep.twist, ambient_rep.left_table,
+                                   -star_maps(rep.left_table, a.twist, rep.twist))
     big = semidirect_product_raw(a, ambient_rep)
     n = a.dim
     m = rep.space_dim

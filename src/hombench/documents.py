@@ -173,13 +173,15 @@ def _read_entries(cur, dims):
 
 
 def _read_map_family(cur, count, size):
-    maps = []
+    """count 'map: i' blocks of size x size rows, read as the (count, size, size)
+    action table whose slice (i, q) is column q of map i."""
+    planes = []
     for idx in range(count):
         line_no, value = _read_key(cur, "map")
         if value != str(idx):
             raise ParseError("line %d: expected 'map: %d'" % (line_no, idx))
-        maps.append(_read_matrix(cur, size, size))
-    return maps
+        planes.append(tuple(zip(*[_read_row(cur, size) for _ in range(size)])))
+    return Tensor3(planes, dims=(count, size, size))
 
 
 # The schema: one row per document kind, and one per representation base.
@@ -189,7 +191,9 @@ def _read_map_family(cur, count, size):
 # an earlier int field or a '+'-joined sum of such names. An invertible block
 # is a square matrix whose invertibility is checked once the whole document
 # has been read; a form block is a matrix read as the Tensor2 of a bilinear
-# form. The row's build takes the field values in order.
+# form. A maps block is an action family, written as one 'map: i' matrix per
+# basis vector and held as its action table. The row's build takes the field
+# values in order.
 INT, TAG, MATRIX, INVERTIBLE, FORM, ENTRIES, MAPS = ("int", "tag", "matrix", "invertible", "form", "entries",
                                                      "maps")
 
@@ -211,14 +215,15 @@ def _algebra(table, prefix="", owner="", twist=MATRIX):
 
 def _space(owner, *families):
     """The space of a representation stored at owner, then its action families
-    given as (key, attribute) pairs."""
+    given as (key, attribute) pairs, the attribute holding the action table."""
     return ((_f("space_dim", INT, (), owner + "space_dim"),
              _f("space_twist", MATRIX, ("space_dim", "space_dim"), owner + "twist"))
             + tuple(_f(key, MAPS, ("dim", "space_dim"), owner + attr) for key, attr in families))
 
 
 def _pre_lie_rep_fields(owner):
-    return _algebra("product", owner=owner + "algebra.") + _space(owner, ("left", "left"), ("right", "right"))
+    return _algebra("product", owner=owner + "algebra.") + _space(owner, ("left", "left_table"),
+                                                                  ("right", "right_table"))
 
 
 def _pre_lie_rep(dim, twist, product, space_dim, space_twist, left, right):
@@ -233,22 +238,22 @@ SCHEMA = (
     Row("hom_pre_lie", None, HomPreLieAlgebra, _algebra("product"),
         lambda dim, twist, product: HomPreLieAlgebra(product, twist)),
     Row("representation", "hom_lie", HomLieRep,
-        _algebra("bracket", owner="algebra.") + _space("", ("action", "maps")),
+        _algebra("bracket", owner="algebra.") + _space("", ("action", "table")),
         lambda dim, twist, bracket, space_dim, space_twist, action:
         HomLieRep(HomLieAlgebra(bracket, twist), space_dim, space_twist, action)),
     Row("representation", "hom_pre_lie", HomPreLieRep, _pre_lie_rep_fields(""), _pre_lie_rep),
     Row("matched_pair_lie", None, LieMatchedPair,
         _algebra("bracket", "first_", "first.") + _algebra("bracket", "second_", "second.")
-        + (_f("first_action", MAPS, ("first_dim", "second_dim")),
-           _f("second_action", MAPS, ("second_dim", "first_dim"))),
+        + (_f("first_action", MAPS, ("first_dim", "second_dim"), "first_action_table"),
+           _f("second_action", MAPS, ("second_dim", "first_dim"), "second_action_table")),
         lambda d1, t1, b1, d2, t2, b2, act1, act2:
         LieMatchedPair(HomLieAlgebra(b1, t1), HomLieAlgebra(b2, t2), act1, act2)),
     Row("matched_pair_pre_lie", None, PreLieMatchedPair,
         _algebra("product", "first_", "first.") + _algebra("product", "second_", "second.")
-        + (_f("first_left", MAPS, ("first_dim", "second_dim")),
-           _f("first_right", MAPS, ("first_dim", "second_dim")),
-           _f("second_left", MAPS, ("second_dim", "first_dim")),
-           _f("second_right", MAPS, ("second_dim", "first_dim"))),
+        + (_f("first_left", MAPS, ("first_dim", "second_dim"), "first_left_table"),
+           _f("first_right", MAPS, ("first_dim", "second_dim"), "first_right_table"),
+           _f("second_left", MAPS, ("second_dim", "first_dim"), "second_left_table"),
+           _f("second_right", MAPS, ("second_dim", "first_dim"), "second_right_table")),
         lambda d1, t1, p1, d2, t2, p2, left1, right1, left2, right2:
         PreLieMatchedPair(HomPreLieAlgebra(p1, t1), HomPreLieAlgebra(p2, t2),
                           left1, right1, left2, right2)),
@@ -393,9 +398,9 @@ def serialize_document(doc):
                 lines.extend("%s %s" % (" ".join(map(str, index)), _scalar_str(c))
                              for index, c in value.nonzero_items())
             elif block == MAPS:
-                for idx, m in enumerate(value):
+                for idx, plane in enumerate(value.entries):
                     lines.append("map: %d" % idx)
-                    _emit_rows(lines, m)
+                    lines.extend(" ".join(map(_scalar_str, row)) for row in zip(*plane))
             else:
                 _emit_rows(lines, value)
     return "\n".join(lines) + "\n"

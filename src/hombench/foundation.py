@@ -7,10 +7,13 @@ vectors are tuples, matrices act on column vectors, and composite indices are
 lexicographic with the left factor major. No floats anywhere.
 
 A structure table is a Tensor3 whose (i, j) output vector is the product of
-the basis pair. Other modules reach its storage only through seven
+the basis pair; an action table, whose slice (p, q) is column q of action
+p, is one too. Other modules reach its storage only through these
 primitives: Tensor3.left_maps() and Tensor3.right_maps() give the
 multiplication operators by each basis vector, Tensor3.left_at(x) and
-Tensor3.right_at(y) give multiplication by one vector,
+Tensor3.right_at(y) give multiplication by one vector, Tensor3.swapped()
+swaps the two input slots (so a right-multiplication family is the swapped
+table), Tensor3.first_through(m) moves the first slot through a map,
 Tensor3.from_slices() builds a table one output vector at a time,
 Tensor3.from_left_maps() builds it from a family of maps, the inverse of
 left_maps(), and Tensor3.from_integers() builds it from int planes at one
@@ -30,8 +33,9 @@ divide what they return out of it on each read, never for integral data
 (d = 1). A kernel scales each input vector to ints once, does every
 multiply-add on ints, and divides each output entry once, giving an int when
 the division is exact and a Fraction otherwise. Maps and tables derived from
-others (+, -, negation, scale, transpose, flip, left_maps, tensor_product_map,
-map_direct_sum, Tensor3.from_left_maps, direct_sum_table) are combined on the
+others (+, -, negation, scale, transpose, flip, left_maps, swapped,
+first_through, tensor_product_map, map_direct_sum, Tensor3.from_left_maps,
+direct_sum_table) are combined on the
 operands' forms brought to one denominator, with no per-entry frac().
 Elimination (row_reduce, and with it inverse and is_invertible) also runs in
 ints and divides each pivot row by its pivot once at the end. A map remembers
@@ -203,29 +207,15 @@ def _integer_family(items):
 
 def _left_sums(planes, xs, d2, d3):
     """Left multiplication by the int vector xs on the int planes of a (len(xs),
-    d2, d3) table: the d3 int rows of length d2 whose entry (k, j) is the sum of
-    xs[i] * planes[i][j][k], with zero terms skipped."""
-    out = [[0] * d2 for _ in range(d3)]
+    d2, d3) table: the int plane of d2 vectors of length d3 whose entry (j, k) is
+    the sum of xs[i] * planes[i][j][k], with zero terms skipped."""
+    out = [[0] * d3 for _ in range(d2)]
     for xi, plane in zip(xs, planes):
         if xi:
-            for j, vec in enumerate(plane):
+            for acc, vec in zip(out, plane):
                 for k, c in enumerate(vec):
                     if c:
-                        out[k][j] += xi * c
-    return out
-
-
-def _right_sums(planes, ys, d1, d3):
-    """Right multiplication by the int vector ys on the int planes of a (d1,
-    len(ys), d3) table: the d3 int rows of length d1 whose entry (k, i) is the
-    sum of ys[j] * planes[i][j][k], with zero terms skipped."""
-    out = [[0] * d1 for _ in range(d3)]
-    for i, plane in enumerate(planes):
-        for yj, vec in zip(ys, plane):
-            if yj:
-                for k, c in enumerate(vec):
-                    if c:
-                        out[k][i] += yj * c
+                        acc[k] += xi * c
     return out
 
 
@@ -738,10 +728,26 @@ class Tensor3:
 
     def right_maps(self):
         """Right multiplication by each basis vector: map j sends e_i to slice12(i, j)."""
+        return self.swapped().left_maps()
+
+    def swapped(self):
+        """The (d2, d1, d3) table with the two input slots swapped: its slice (j, i)
+        is slice12(i, j), so its left_maps() are the right_maps() of this one."""
         d1, d2, d3 = self.dims
         d, planes = self._form
-        return tuple(LinearMap._from_integers(_transposed([plane[j] for plane in planes], d3), d, d3, d1)
-                     for j in range(d2))
+        return Tensor3.from_integers([[plane[j] for plane in planes] for j in range(d2)], d, (d2, d1, d3))
+
+    def first_through(self, m):
+        """The (m.cols, d2, d3) table of (x, y) -> self(m x, y), the first slot moved
+        through the map m: plane i is the sum of m[r][i] times plane r, so its
+        left_maps() are left_at(m.column(i)) for each i."""
+        d1, d2, d3 = self.dims
+        if m.rows != d1:
+            raise DimensionMismatch("left multiplication of a %r tensor by length %d" % (self.dims, m.rows))
+        d, planes = self._form
+        e, rows = m._form
+        return Tensor3.from_integers([_left_sums(planes, xs, d2, d3) for xs in _transposed(rows, m.cols)],
+                                     d * e, (m.cols, d2, d3))
 
     def left_at(self, x):
         """Left multiplication by the vector x: the d3 x d2 matrix sending y to
@@ -751,17 +757,14 @@ class Tensor3:
             raise DimensionMismatch("left multiplication of a %r tensor by length %d" % (self.dims, len(x)))
         d, planes = self._form
         e, xs = _scaled(x)
-        return LinearMap._from_integers(_left_sums(planes, xs, d2, d3), d * e, d3, d2)
+        return LinearMap._from_integers(_transposed(_left_sums(planes, xs, d2, d3), d3), d * e, d3, d2)
 
     def right_at(self, y):
         """Right multiplication by the vector y: the d3 x d1 matrix sending x to
-        apply_bilinear(self, x, y), summed straight from the table."""
-        d1, d2, d3 = self.dims
-        if len(y) != d2:
+        apply_bilinear(self, x, y), the left multiplication of the swapped table."""
+        if len(y) != self.dims[1]:
             raise DimensionMismatch("right multiplication of a %r tensor by length %d" % (self.dims, len(y)))
-        d, planes = self._form
-        e, ys = _scaled(y)
-        return LinearMap._from_integers(_right_sums(planes, ys, d1, d3), d * e, d3, d1)
+        return self.swapped().left_at(y)
 
     def nonzero_items(self):
         d, planes = self._form
@@ -844,28 +847,23 @@ def apply_bilinear(c, x, y):
 def direct_sum_table(dim, tables, actions):
     """The (dim, dim, dim) structure table of a direct sum, placed block by block.
     tables holds (offset, table) pairs: entry (i, j, k) of the table lands at
-    (offset + i, offset + j, offset + k). actions holds (maps, acting, acted,
-    swap, negate) rows: entry (k, j) of maps[i], the action of basis vector i
-    of the summand at offset acting on basis vector j of the summand at offset
-    acted, lands at (acting + i, acted + j, acted + k), or at (acted + j,
-    acting + i, acted + k) when swap is set, negated when negate is set. Only
-    nonzero entries are placed, later ones over earlier ones, on the integer
-    forms of every block brought to one common denominator."""
-    d, forms = _integer_family([table for _, table in tables] + [m for row in actions for m in row[0]])
-    forms = iter(forms)
+    (offset + i, offset + j, offset + k). actions holds (table, acting, acted,
+    swap, negate) rows of action tables: entry (i, j, k) of the table, entry k
+    of the action of basis vector i of the summand at offset acting on basis
+    vector j of the summand at offset acted, lands at (acting + i, acted + j,
+    acted + k), or at (acted + j, acting + i, acted + k) when swap is set,
+    negated when negate is set. A structure table is the action row (table,
+    offset, offset, False, False). Only nonzero entries are placed, later ones
+    over earlier ones, plane by plane on the integer forms of every block
+    brought to one common denominator."""
+    rows = [(table, offset, offset, False, False) for offset, table in tables] + list(actions)
+    d, forms = _integer_family([row[0] for row in rows])
     planes = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for offset, _ in tables:
-        for i, plane in enumerate(next(forms)):
+    for form, (_, acting, acted, swap, negate) in zip(forms, rows):
+        for i, plane in enumerate(form):
             for j, vec in enumerate(plane):
-                out = planes[offset + i][offset + j]
-                for k, c in enumerate(vec):
-                    if c:
-                        out[offset + k] = c
-    for maps, acting, acted, swap, negate in actions:
-        for i in range(len(maps)):
-            for j, column in enumerate(zip(*next(forms))):
                 out = planes[acted + j][acting + i] if swap else planes[acting + i][acted + j]
-                for k, c in enumerate(column):
+                for k, c in enumerate(vec):
                     if c:
                         out[acted + k] = -c if negate else c
     return Tensor3.from_integers(planes, d, (dim, dim, dim))

@@ -4,9 +4,11 @@ A matched pair is two algebras acting on each other such that the direct sum
 carries the same kind of structure (the double). The validators accept
 arbitrary candidates and fold the component structures' own validity into the
 verdict, so the double-equivalence theorems can be exercised on random input.
-Each cross-identity instance is one packed int, as in the validators of
-algebras: every operator at a twisted basis vector is read once per call from
-the int planes of the action tables and the acted-on algebra's table
+Each mutual action family is stored as its action table (see
+representations), which the validators and the doubles read as it is. Each
+cross-identity instance is one packed int, as in the validators of algebras:
+every operator at a twisted basis vector is read once per call from the int
+planes of the action tables and the acted-on algebra's table
 (foundation._packed_operators), and only a nonzero instance is unpacked into
 its residual.
 """
@@ -20,53 +22,49 @@ from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, direct_sum
 from .algebras import (BilinearForm, HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
                        agreement_report, combine_reports, validate_hom_lie, validate_hom_pre_lie,
                        validate_quadratic, _record)
-from .representations import (HomLieRep, HomPreLieRep, action_table, star_maps,
-                              validate_lie_rep, validate_pre_lie_rep, _action_family,
-                              _dual_actions)
+from .representations import (HomLieRep, HomPreLieRep, star_maps, validate_lie_rep,
+                              validate_pre_lie_rep, _Stored, _action_family, _dual_actions, _maps_view)
 
 
-class LieMatchedPair:
+class LieMatchedPair(_Stored):
     """Two twisted Lie algebras with mutual actions; first_action[i] acts on the
-    second space, second_action[j] acts on the first space."""
+    second space, second_action[j] acts on the first space. Each family is
+    stored as its action table, and first_action and second_action are views."""
 
-    __slots__ = ("first", "second", "first_action", "second_action")
+    __slots__ = ("first", "second", "first_action_table", "second_action_table")
+
+    first_action = _maps_view("first_action_table")
+    second_action = _maps_view("second_action_table")
 
     def __init__(self, first, second, first_action, second_action):
         self.first = first
         self.second = second
-        self.first_action = _action_family(first_action, first.dim, second.dim)
-        self.second_action = _action_family(second_action, second.dim, first.dim)
-
-    def __eq__(self, other):
-        if not isinstance(other, LieMatchedPair):
-            return NotImplemented
-        return (self.first, self.second, self.first_action, self.second_action) == \
-               (other.first, other.second, other.first_action, other.second_action)
+        self.first_action_table = _action_family(first_action, first.dim, second.dim)
+        self.second_action_table = _action_family(second_action, second.dim, first.dim)
 
     def __repr__(self):
         return "LieMatchedPair(%d, %d)" % (self.first.dim, self.second.dim)
 
 
-class PreLieMatchedPair:
-    """Two twisted pre-Lie algebras with mutual left/right action families."""
+class PreLieMatchedPair(_Stored):
+    """Two twisted pre-Lie algebras with mutual left/right action families, each
+    stored as its action table; first_left and the like are views."""
 
-    __slots__ = ("first", "second", "first_left", "first_right", "second_left", "second_right")
+    __slots__ = ("first", "second", "first_left_table", "first_right_table",
+                 "second_left_table", "second_right_table")
+
+    first_left = _maps_view("first_left_table")
+    first_right = _maps_view("first_right_table")
+    second_left = _maps_view("second_left_table")
+    second_right = _maps_view("second_right_table")
 
     def __init__(self, first, second, first_left, first_right, second_left, second_right):
         self.first = first
         self.second = second
-        self.first_left = _action_family(first_left, first.dim, second.dim)
-        self.first_right = _action_family(first_right, first.dim, second.dim)
-        self.second_left = _action_family(second_left, second.dim, first.dim)
-        self.second_right = _action_family(second_right, second.dim, first.dim)
-
-    def __eq__(self, other):
-        if not isinstance(other, PreLieMatchedPair):
-            return NotImplemented
-        return ((self.first, self.second, self.first_left, self.first_right,
-                 self.second_left, self.second_right) ==
-                (other.first, other.second, other.first_left, other.first_right,
-                 other.second_left, other.second_right))
+        self.first_left_table = _action_family(first_left, first.dim, second.dim)
+        self.first_right_table = _action_family(first_right, first.dim, second.dim)
+        self.second_left_table = _action_family(second_left, second.dim, first.dim)
+        self.second_right_table = _action_family(second_right, second.dim, first.dim)
 
     def __repr__(self):
         return "PreLieMatchedPair(%d, %d)" % (self.first.dim, self.second.dim)
@@ -78,12 +76,12 @@ def _lie_cross(acting, acted, action, back):
     rho(phi(x))[y, z] = [rho(x)y, psi(z)] + [psi(y), rho(x)z]
     + rho(rho'(z)x)psi(y) - rho(rho'(y)x)psi(z), packed at width w into one int;
     action is rho (acting on acted), back is rho' (acted on acting), and phi, psi
-    are the two twists. Every operator at a twisted basis vector is built once
-    per call."""
+    are the two twists; action and back are action tables. Every operator at a
+    twisted basis vector is built once per call."""
     nx = acting.dim
     ny = acted.dim
     D, (brackets, phi_rows, acts, backs, psi_rows), size = _packed_family(
-        [acted.bracket, acting.twist, action_table(action, ny), action_table(back, nx), acted.twist])
+        [acted.bracket, acting.twist, action, back, acted.twist])
     w = _slot_bits(3 * nx * ny + 2 * ny * ny, size, size, size)    # 3 nx ny + 2 ny^2 products
     psi = list(zip(*psi_rows))
     at_phi, on_psi = _packed_operators(acts, w, list(zip(*phi_rows)), psi)     # rho(phi(x)); u -> rho(u)psi(y)
@@ -105,20 +103,20 @@ def validate_matched_pair_lie(mp):
     m = h.dim
     named = [("first", validate_hom_lie(g)), ("second", validate_hom_lie(h))]
     if g.twist.is_invertible() and h.twist.is_invertible():
-        named.append(("first-action", validate_lie_rep(HomLieRep(g, m, h.twist, mp.first_action))))
-        named.append(("second-action", validate_lie_rep(HomLieRep(h, n, g.twist, mp.second_action))))
+        named.append(("first-action", validate_lie_rep(HomLieRep(g, m, h.twist, mp.first_action_table))))
+        named.append(("second-action", validate_lie_rep(HomLieRep(h, n, g.twist, mp.second_action_table))))
     report = combine_reports(named)
     failures = list(report.failures)
 
     # values in the first algebra; the acting index comes last
-    w, scale, cross = _lie_cross(h, g, mp.second_action, mp.first_action)
+    w, scale, cross = _lie_cross(h, g, mp.second_action_table, mp.first_action_table)
     for i in range(n):
         for j in range(n):
             for k in range(m):
                 total = cross(k, i, j)
                 if total:
                     _record(failures, "cross-first", (i, j, k), _unpack(total, w, n), scale)
-    w, scale, cross = _lie_cross(g, h, mp.first_action, mp.second_action)
+    w, scale, cross = _lie_cross(g, h, mp.first_action_table, mp.second_action_table)
     for i in range(n):
         for j in range(m):
             for k in range(m):
@@ -134,8 +132,8 @@ def double_lie(mp):
     h = mp.second
     n = g.dim
     bracket = direct_sum_table(n + h.dim, [(0, g.bracket), (n, h.bracket)], [
-        (mp.first_action, 0, n, False, False), (mp.first_action, 0, n, True, True),
-        (mp.second_action, n, 0, False, False), (mp.second_action, n, 0, True, True)])
+        (mp.first_action_table, 0, n, False, False), (mp.first_action_table, 0, n, True, True),
+        (mp.second_action_table, n, 0, False, False), (mp.second_action_table, n, 0, True, True)])
     return HomLieAlgebra(bracket, map_direct_sum(g.twist, h.twist))
 
 
@@ -146,14 +144,14 @@ def _pre_lie_cross_failures(failures, side, acting, acted, left, right, back_lef
       l(alpha(x))(y.z) = -l(l'(y)x - r'(y)x)beta(z) + (l(x)y - r(x)y).beta(z)
                          + r(r'(z)x)beta(y) + beta(y).l(x)z,
     where (l, r) = (left, right) act on acted, (l', r') = (back_left, back_right)
-    act back on acting, and alpha, beta are the twists of acting and acted.
+    act back on acting, all four given as action tables, and alpha, beta are
+    the twists of acting and acted.
     Every operator at a twisted basis vector is built once per call, and each
     instance is one packed int."""
     nx = acting.dim
     ny = acted.dim
     D, (planes, ls, rs, lb, rb, alpha_rows, beta_rows), size = _packed_family(
-        [acted.product, action_table(left, ny), action_table(right, ny), action_table(back_left, nx),
-         action_table(back_right, nx), acting.twist, acted.twist])
+        [acted.product, left, right, back_left, back_right, acting.twist, acted.twist])
     w = _slot_bits(4 * nx * ny + 3 * ny * ny, size, size, size)    # cross-left: 4 nx ny + 3 ny^2 products
     alpha = list(zip(*alpha_rows))
     beta = list(zip(*beta_rows))
@@ -194,17 +192,15 @@ def validate_matched_pair_pre_lie(mp):
     n = a.dim
     m = b.dim
     named = [("first", validate_hom_pre_lie(a)), ("second", validate_hom_pre_lie(b))]
+    first = (mp.first_left_table, mp.first_right_table)
+    second = (mp.second_left_table, mp.second_right_table)
     if a.twist.is_invertible() and b.twist.is_invertible():
-        named.append(("first-action",
-                      validate_pre_lie_rep(HomPreLieRep(a, m, b.twist, mp.first_left, mp.first_right))))
-        named.append(("second-action",
-                      validate_pre_lie_rep(HomPreLieRep(b, n, a.twist, mp.second_left, mp.second_right))))
+        named.append(("first-action", validate_pre_lie_rep(HomPreLieRep(a, m, b.twist, *first))))
+        named.append(("second-action", validate_pre_lie_rep(HomPreLieRep(b, n, a.twist, *second))))
     report = combine_reports(named)
     failures = list(report.failures)
-    _pre_lie_cross_failures(failures, "second", a, b, mp.first_left, mp.first_right,
-                            mp.second_left, mp.second_right)
-    _pre_lie_cross_failures(failures, "first", b, a, mp.second_left, mp.second_right,
-                            mp.first_left, mp.first_right)
+    _pre_lie_cross_failures(failures, "second", a, b, *first, *second)
+    _pre_lie_cross_failures(failures, "first", b, a, *second, *first)
     return ValidationReport(failures, report.details)
 
 
@@ -214,8 +210,8 @@ def double_pre_lie(mp):
     b = mp.second
     n = a.dim
     product = direct_sum_table(n + b.dim, [(0, a.product), (n, b.product)], [
-        (mp.first_left, 0, n, False, False), (mp.first_right, 0, n, True, False),
-        (mp.second_left, n, 0, False, False), (mp.second_right, n, 0, True, False)])
+        (mp.first_left_table, 0, n, False, False), (mp.first_right_table, 0, n, True, False),
+        (mp.second_left_table, n, 0, False, False), (mp.second_right_table, n, 0, True, False)])
     return HomPreLieAlgebra(product, map_direct_sum(a.twist, b.twist))
 
 
@@ -233,7 +229,7 @@ def coadjoint_matched_pair(a, adual):
     require_dual_twists(a, adual)
 
     def coadjoint(b):
-        return _dual_actions(b.product.left_maps(), b.product.right_maps(), b.twist, b.twist)
+        return _dual_actions(b.product, b.product.swapped(), b.twist, b.twist)
 
     return PreLieMatchedPair(a, adual, *coadjoint(a), *coadjoint(adual))
 
@@ -244,9 +240,8 @@ def coadjoint_lie_matched_pair(a, adual):
     require_dual_twists(a, adual)
     lie_a = HomLieAlgebra(a.commutator_tensor(), a.twist)
     lie_d = HomLieAlgebra(adual.commutator_tensor(), adual.twist)
-    return LieMatchedPair(lie_a, lie_d,
-                          star_maps(a.product.left_maps(), a.twist, a.twist),
-                          star_maps(adual.product.left_maps(), adual.twist, adual.twist))
+    return LieMatchedPair(lie_a, lie_d, star_maps(a.product, a.twist, a.twist),
+                          star_maps(adual.product, adual.twist, adual.twist))
 
 
 def check_pre_lie_matched_equiv(a, adual):

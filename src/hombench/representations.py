@@ -4,28 +4,26 @@ A Lie-side representation is (V, beta, rho) with beta invertible,
 rho(phi(x)) beta = beta rho(x), and rho([x,y]) beta = rho(phi(x)) rho(y) -
 rho(phi(y)) rho(x). A pre-Lie-side representation is (V, beta, rho, mu)
 where rho is a Lie-side representation of the commutator algebra and mu
-satisfies the twisted right-action compatibilities. Actions are stored as
-one matrix per algebra basis vector and extended linearly.
+satisfies the twisted right-action compatibilities. A family of n actions on
+a space of dimension m is stored as one (n, m, m) action table, whose slice
+(p, q) is column q of the action at basis vector p.
 
-The action at a basis vector is its stored matrix. _action_family(maps, n, m)
-is the one shape check of a family: n matrices, each m x m; the representation
-and matched-pair containers and action_table call it. A family of n actions on
-a space of dimension m holds the same data as an (n, m, m) structure table, and
-action_table(maps, m) is the one converter: slice (p, q) is maps[p].column(q),
-placed from the maps' integer forms by Tensor3.from_left_maps, so
-Tensor3.left_maps() gives the family back. Every action at a general vector
-is then read through the table primitives of foundation: table.left_at(x) is
-the matrix of the action at x, table.right_at(v) sends x to the action at x
-applied to v, and apply_bilinear(table, x, v) is one such value. The
-multiplication operators of an algebra at a general vector come straight from
-its own table (Tensor3.left_at, Tensor3.right_at).
+_action_family(family, n, m) is the one place a family enters: n m x m maps,
+placed by Tensor3.from_left_maps, or a Tensor3 of dims (n, m, m). The
+representation and matched-pair containers store only tables, and their map
+tuples (maps, left, first_action and the like) are views derived on every
+read. Validators, duals and direct sums read the stored tables. A
+right-multiplication family is a table with its input slots swapped
+(Tensor3.swapped), and the family at the images of the basis under a map M
+is the table with its first slot moved through M (Tensor3.first_through).
 
 The twisted dual of a left/right action pair (rho, mu) on V is the pair
 (rho*, mu*) = (star(rho) - star(mu), -star(mu)) on the dual space, where
-star_maps is the twisted dual of one family. _dual_actions is its one home:
-dual_pre_lie_rep (hence the coadjoint representation), the coadjoint matched
-pair and the dual product induced by a tensor all read it. The coboundary and
-cocycle side does not, so the two sides of each equivalence keep separate code.
+star_maps, one contraction of the table's int planes, is the twisted dual of
+one family. _dual_actions is its one home: dual_pre_lie_rep (hence the
+coadjoint representation), the coadjoint matched pair and the dual product
+induced by a tensor all read it. The coboundary and cocycle side does not, so
+the two sides of each equivalence keep separate code.
 
 The validators test each identity instance as one packed int, as those of
 algebras do: a matrix identity is checked one column at a time, each column a
@@ -37,34 +35,61 @@ only a nonzero column is unpacked into an exact residual.
 from operator import mul, sub
 
 from .errors import DimensionMismatch, InvalidInput, SingularMap
-from .foundation import (Tensor3, direct_sum_table, map_direct_sum, tensor_product_map,
+from .foundation import (Tensor3, direct_sum_table, map_direct_sum, tensor_product_map, _integer_family,
                          _pack, _packed_family, _packed_operators, _slot_bits, _transposed, _unpack)
 from .algebras import (HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
                        validate_hom_lie, validate_hom_pre_lie, _record)
 
 
-def _action_family(maps, count, size):
-    """The maps as a tuple, after checking that they are count size x size matrices."""
-    maps = tuple(maps)
+def _action_family(family, count, size):
+    """The action family as its (count, size, size) action table, whose slice
+    (p, q) is maps[p].column(q): a Tensor3 of those dims as it is, or count
+    size x size maps placed by Tensor3.from_left_maps."""
+    if isinstance(family, Tensor3):
+        if family.dims != (count, size, size):
+            raise DimensionMismatch("action table dims %r, expected %r" % (family.dims, (count, size, size)))
+        return family
+    maps = tuple(family)
     if len(maps) != count:
         raise DimensionMismatch("%d action matrices for %d basis vectors" % (len(maps), count))
     for m in maps:
         if m.rows != size or m.cols != size:
             raise DimensionMismatch("action matrix is %dx%d, expected %dx%d" % (m.rows, m.cols, size, size))
-    return maps
+    return Tensor3.from_left_maps(maps, size, size)
 
 
 def action_table(maps, size):
     """The family of size x size action matrices as one (len(maps), size, size)
-    table whose slice (p, q) is maps[p].column(q), built from the maps' integer
-    forms by Tensor3.from_left_maps."""
-    return Tensor3.from_left_maps(_action_family(maps, len(maps), size), size, size)
+    table whose slice (p, q) is maps[p].column(q)."""
+    maps = tuple(maps)
+    return _action_family(maps, len(maps), size)
 
 
-class HomLieRep:
-    """An action of a twisted Lie algebra on a space with its own twist."""
+def _maps_view(name):
+    """A read-only view of the action table stored at name: its tuple of maps,
+    Tensor3.left_maps(), derived on every read and cached nowhere."""
+    return property(lambda self: getattr(self, name).left_maps())
 
-    __slots__ = ("algebra", "space_dim", "twist", "maps")
+
+class _Stored:
+    """A container whose slots hold what it stores, its action tables among
+    them; two are equal when they have one type and equal slots."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
+class HomLieRep(_Stored):
+    """An action of a twisted Lie algebra on a space with its own twist, stored as
+    its action table; maps is a view of it."""
+
+    __slots__ = ("algebra", "space_dim", "twist", "table")
+
+    maps = _maps_view("table")
 
     def __init__(self, algebra, space_dim, twist, maps):
         if twist.rows != space_dim or twist.cols != space_dim:
@@ -72,22 +97,20 @@ class HomLieRep:
         self.algebra = algebra
         self.space_dim = space_dim
         self.twist = twist
-        self.maps = _action_family(maps, algebra.dim, space_dim)
-
-    def __eq__(self, other):
-        if not isinstance(other, HomLieRep):
-            return NotImplemented
-        return (self.algebra, self.space_dim, self.twist, self.maps) == \
-               (other.algebra, other.space_dim, other.twist, other.maps)
+        self.table = _action_family(maps, algebra.dim, space_dim)
 
     def __repr__(self):
         return "HomLieRep(algebra_dim=%d, space_dim=%d)" % (self.algebra.dim, self.space_dim)
 
 
-class HomPreLieRep:
-    """A left/right action pair of a twisted pre-Lie algebra on a space with its own twist."""
+class HomPreLieRep(_Stored):
+    """A left/right action pair of a twisted pre-Lie algebra on a space with its
+    own twist, stored as two action tables; left and right are views of them."""
 
-    __slots__ = ("algebra", "space_dim", "twist", "left", "right")
+    __slots__ = ("algebra", "space_dim", "twist", "left_table", "right_table")
+
+    left = _maps_view("left_table")
+    right = _maps_view("right_table")
 
     def __init__(self, algebra, space_dim, twist, left, right):
         if twist.rows != space_dim or twist.cols != space_dim:
@@ -95,14 +118,8 @@ class HomPreLieRep:
         self.algebra = algebra
         self.space_dim = space_dim
         self.twist = twist
-        self.left = _action_family(left, algebra.dim, space_dim)
-        self.right = _action_family(right, algebra.dim, space_dim)
-
-    def __eq__(self, other):
-        if not isinstance(other, HomPreLieRep):
-            return NotImplemented
-        return (self.algebra, self.space_dim, self.twist, self.left, self.right) == \
-               (other.algebra, other.space_dim, other.twist, other.left, other.right)
+        self.left_table = _action_family(left, algebra.dim, space_dim)
+        self.right_table = _action_family(right, algebra.dim, space_dim)
 
     def __repr__(self):
         return "HomPreLieRep(algebra_dim=%d, space_dim=%d)" % (self.algebra.dim, self.space_dim)
@@ -145,7 +162,7 @@ def validate_lie_rep(rep):
         raise SingularMap("representation space twist is singular")
     failures = []
     g = rep.algebra
-    _lie_action_failures(g.bracket, g.twist, rep.twist, action_table(rep.maps, rep.space_dim), failures)
+    _lie_action_failures(g.bracket, g.twist, rep.twist, rep.table, failures)
     return ValidationReport(failures)
 
 
@@ -158,10 +175,9 @@ def validate_pre_lie_rep(rep):
     n = a.dim
     m = rep.space_dim
     failures = []
-    left = action_table(rep.left, m)
-    right = action_table(rep.right, m)
-    _lie_action_failures(a.commutator_tensor(), a.twist, rep.twist, left, failures, prefix="left-")
-    D, (planes, alpha_rows, rho, mu, beta_rows), size = _packed_family([a.product, a.twist, left, right, rep.twist])
+    _lie_action_failures(a.commutator_tensor(), a.twist, rep.twist, rep.left_table, failures, prefix="left-")
+    D, (planes, alpha_rows, rho, mu, beta_rows), size = _packed_family(
+        [a.product, a.twist, rep.left_table, rep.right_table, rep.twist])
     w = _slot_bits(4 * n * m, size, size, size)     # left-right: 4 n m products (right-twist: m + n m)
     alphas = list(zip(*alpha_rows))
     betas = list(zip(*beta_rows))
@@ -193,18 +209,16 @@ def adjoint_rep(g):
     """The bracket acting on the algebra itself, with the twist as space twist."""
     if not validate_hom_lie(g).valid:
         raise InvalidInput("adjoint_rep needs a valid twisted Lie algebra")
-    return HomLieRep(g, g.dim, g.twist, g.bracket.left_maps())
+    return HomLieRep(g, g.dim, g.twist, g.bracket)
 
 
 def shifted_rep(a, s):
     """The regular action family L^s_x y = alpha^s(x) . y, R^s_x y = y . alpha^s(x)."""
     if not validate_hom_pre_lie(a).valid:
         raise InvalidInput("shifted_rep needs a valid twisted pre-Lie algebra")
-    n = a.dim
     power = a.twist.power(s)
-    left = [a.product.left_at(power.column(i)) for i in range(n)]
-    right = [a.product.right_at(power.column(i)) for i in range(n)]
-    return HomPreLieRep(a, n, a.twist, left, right)
+    return HomPreLieRep(a, a.dim, a.twist, a.product.first_through(power),
+                        a.product.swapped().first_through(power))
 
 
 def regular_rep(a):
@@ -219,28 +233,33 @@ def tensor_rep(g, r1, r2):
     if not (validate_lie_rep(r1).valid and validate_lie_rep(r2).valid):
         raise InvalidInput("tensor_rep needs valid representations")
     twist = tensor_product_map(r1.twist, r2.twist)
-    maps = [tensor_product_map(r1.maps[i], r2.twist) + tensor_product_map(r1.twist, r2.maps[i])
-            for i in range(g.dim)]
+    maps = [tensor_product_map(m1, r2.twist) + tensor_product_map(r1.twist, m2) for m1, m2 in zip(r1.maps, r2.maps)]
     return HomLieRep(g, r1.space_dim * r2.space_dim, twist, maps)
 
 
-def star_maps(maps, algebra_twist, space_twist):
-    """The twisted dual action family: at basis vector i, minus the transpose of the
-    action at twist(e_i), composed with the inverse-square dual of the space twist."""
-    table = action_table(maps, space_twist.rows)
-    inv_t = space_twist.inverse().transpose()
-    sq = inv_t @ inv_t
-    return tuple((-table.left_at(algebra_twist.column(i)).transpose()) @ sq
-                 for i in range(algebra_twist.rows))
+def star_maps(family, algebra_twist, space_twist):
+    """The twisted dual of an action family, given as maps or as its action
+    table, returned as an action table: at basis vector
+    i, minus the transpose of the action at twist(e_i), composed with the
+    inverse-square dual of the space twist. On int planes this is
+    S[i][q][p] = -sum_{r,s} alpha[r][i] (beta^-2)[q][s] T[r][p][s]: the table's
+    first slot moved through the algebra twist (Tensor3.first_through), then
+    each plane contracted with the rows of beta^-2."""
+    table = family if isinstance(family, Tensor3) else action_table(family, space_twist.rows)
+    inv = space_twist.inverse()
+    moved = _action_family(table, table.dims[0], space_twist.rows).first_through(algebra_twist)
+    D, (planes, sq_rows) = _integer_family([moved, inv @ inv])
+    return Tensor3.from_integers([[[-sum(map(mul, row, vec)) for vec in plane] for row in sq_rows]
+                                  for plane in planes], D * D, moved.dims)
 
 
 def _dual_actions(left, right, algebra_twist, space_twist):
     """The twisted dual (rho*, mu*) = (star(left) - star(right), -star(right)) of
-    a left/right action pair: its left and right actions on the dual space."""
+    the action tables of a left/right pair: the action tables of its left and
+    right actions on the dual space."""
     star_left = star_maps(left, algebra_twist, space_twist)
     star_right = star_maps(right, algebra_twist, space_twist)
-    return (tuple(sl - sr for sl, sr in zip(star_left, star_right)),
-            tuple(-sr for sr in star_right))
+    return star_left - star_right, -star_right
 
 
 def dual_pre_lie_rep(a, r):
@@ -248,7 +267,7 @@ def dual_pre_lie_rep(a, r):
     if r.algebra != a:
         raise InvalidInput("representation does not belong to the given algebra")
     return HomPreLieRep(a, r.space_dim, r.twist.inverse().transpose(),
-                        *_dual_actions(r.left, r.right, a.twist, r.twist))
+                        *_dual_actions(r.left_table, r.right_table, a.twist, r.twist))
 
 
 def coadjoint_pre_lie_rep(a):
@@ -259,16 +278,12 @@ def coadjoint_pre_lie_rep(a):
 def coboundary_maps(a):
     """The per-basis coboundary action matrices on the tensor square, without
     validating the algebra; the twist must be invertible."""
-    n = a.dim
     alpha = a.twist
     inv_sq = alpha.power(-2)
-    maps = []
-    for i in range(n):
-        shifted = inv_sq.column(i)
-        left = a.product.left_at(shifted)
-        ad = left - a.product.right_at(shifted)
-        maps.append(tensor_product_map(left, alpha) + tensor_product_map(alpha, ad))
-    return maps
+    # left multiplication and the commutator at alpha^-2(e_i)
+    lefts = a.product.first_through(inv_sq).left_maps()
+    ads = a.commutator_tensor().first_through(inv_sq).left_maps()
+    return [tensor_product_map(left, alpha) + tensor_product_map(alpha, ad) for left, ad in zip(lefts, ads)]
 
 
 def coboundary_rep(a):
@@ -290,7 +305,7 @@ def check_one_cocycle(rep, delta):
     n = g.dim
     m = rep.space_dim
     D, (brackets, phi_rows, acts, delta_ints), size = _packed_family(
-        [g.bracket, g.twist, action_table(rep.maps, m), delta])
+        [g.bracket, g.twist, rep.table, delta])
     w = _slot_bits(n + 2 * n * m, size, size, size)     # cocycle: n + 2 n m products
     at_phi, _ = _packed_operators(acts, w, list(zip(*phi_rows)), ())     # rho(phi(e_i))
     images = _transposed(delta_ints, n)
@@ -311,7 +326,7 @@ def semidirect_product_raw(a, rep):
     """Build the semidirect product table without validating the action pair."""
     n = a.dim
     table = direct_sum_table(n + rep.space_dim, [(0, a.product)],
-                             [(rep.left, 0, n, False, False), (rep.right, 0, n, True, False)])
+                             [(rep.left_table, 0, n, False, False), (rep.right_table, 0, n, True, False)])
     return HomPreLieAlgebra(table, map_direct_sum(a.twist, rep.twist))
 
 

@@ -96,10 +96,10 @@ def _require_base(spec, cls, label):
     return spec.base
 
 
-def _planes(n, assign):
-    """The n planes of n int output vectors whose coefficients, in lexicographic
-    (i, j, k) order, are assign."""
-    return [[assign[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+def _planes(assign, slices):
+    """The int planes of an (n, n, n) table read from an assignment: slices[i][j]
+    holds output vector (i, j), its coefficients in lexicographic order."""
+    return [[assign[s] for s in row] for row in slices]
 
 
 def _triangle_slots(n):
@@ -113,8 +113,8 @@ def _build_target(spec):
     The hom_pre_lie and dendriform targets draw from the coefficients scaled to
     ints, test each assignment's int planes with the validator core, axioms
     first, and stop at its first failure; only an accepted candidate becomes a
-    table and an object. The twist's int form and the cores' slot width are
-    found once per search."""
+    table and an object. The twist's int form, the cores' slot width and the
+    slices that cut an assignment into planes are found once per search."""
     n = spec.dim
     if spec.target in ("hom_pre_lie", "dendriform"):
         twist = LinearMap.identity(n)
@@ -124,15 +124,17 @@ def _build_target(spec):
         w = _instance_bits(n, max(map(abs, values)), p, 1, e)      # the identity's entries are 0 and 1
         cube = n ** 3
         dims = (n, n, n)
+        left_slices, right_slices = ([[slice(at + (i * n + j) * n, at + (i * n + j + 1) * n) for j in range(n)]
+                                      for i in range(n)] for at in (0, cube))
 
         def hom_pre_lie(assign):
-            planes = _planes(n, assign)
+            planes = _planes(assign, left_slices)
             if next(_hom_pre_lie_failures(planes, p, twist_cols, e, w, axioms_first=True), None) is not None:
                 return None
             return HomPreLieAlgebra(Tensor3.from_integers(planes, p, dims), twist)
 
         def dendriform(assign):
-            left, right = _planes(n, assign[:cube]), _planes(n, assign[cube:])
+            left, right = _planes(assign, left_slices), _planes(assign, right_slices)
             if next(_l_dendriform_failures(left, right, p, twist_cols, e, w, axioms_first=True), None) is not None:
                 return None
             return HomLDendriform(Tensor3.from_integers(left, p, dims),
@@ -198,9 +200,14 @@ def _assignments(spec, values, free, total):
     if spec.mode == "exhaustive":
         yield from product(values, repeat=free)
         return
+    count = len(values)
     for ordinal in range(total):
-        stream = substream(spec.seed, ordinal)
-        yield tuple(stream.pick(values) for _ in range(free))
+        state = substream(spec.seed, ordinal).state     # each slot is Stream.pick, advanced in place
+        draws = []
+        for _ in range(free):
+            state = (state * MULTIPLIER + INCREMENT) & _MASK
+            draws.append(values[(state >> 32) % count])
+        yield tuple(draws)
 
 
 def run_search(spec):

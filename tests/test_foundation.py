@@ -638,14 +638,10 @@ def _reference_direct_sum(dim, tables, actions):
     for offset, table in tables:
         for (i, j, k), c in table.nonzero_items():
             items[(offset + i, offset + j, offset + k)] = Fraction(c)
-    for maps, acting, acted, swap, negate in actions:
-        for i, m in enumerate(maps):
-            for j in range(m.cols):
-                for k in range(m.rows):
-                    c = Fraction(m.entries[k][j])
-                    if c:
-                        x, y = (acted + j, acting + i) if swap else (acting + i, acted + j)
-                        items[(x, y, acted + k)] = -c if negate else c
+    for action, acting, acted, swap, negate in actions:
+        for (i, j, k), c in action.nonzero_items():
+            x, y = (acted + j, acting + i) if swap else (acting + i, acted + j)
+            items[(x, y, acted + k)] = -Fraction(c) if negate else Fraction(c)
     return Tensor3.from_entries((dim, dim, dim), items)
 
 
@@ -658,8 +654,8 @@ def test_direct_sum_table_matches_an_item_reference(n, m):
                                                           for _ in range(k)])
 
     first, second = table(n), table(m)
-    on_second = [_random_family(rng, n, m, m) for _ in range(2)]
-    on_first = [_random_family(rng, m, n, n) for _ in range(2)]
+    on_second = [Tensor3.from_left_maps(_random_family(rng, n, m, m), m, m) for _ in range(2)]
+    on_first = [Tensor3.from_left_maps(_random_family(rng, m, n, n), n, n) for _ in range(2)]
     layouts = [
         ([(0, first), (n, second)], [(on_second[0], 0, n, False, False), (on_second[0], 0, n, True, True),
                                      (on_first[0], n, 0, False, False), (on_first[0], n, 0, True, True)]),
@@ -708,8 +704,9 @@ def _kernel_built():
     maps = [m @ s, table.left_at((Fraction(2, 3), 0, 3)), table.right_at((0, Fraction(1, 7), 1)), m.inverse(),
             m.transpose(), -s, m + s, m - s, tensor_product_map(s, m), map_direct_sum(m, s)]
     tables = [action_table([m, s, m @ s], 3), Tensor3.from_left_maps([s @ m, -m, s], 3, 3),
-              direct_sum_table(6, [(0, table), (3, table)], [((m, s, m @ s), 0, 3, False, False),
-                                                             ((s, m @ s, m), 0, 3, True, True)])]
+              direct_sum_table(6, [(0, table), (3, table)],
+                               [(action_table((m, s, m @ s), 3), 0, 3, False, False),
+                                (action_table((s, m @ s, m), 3), 0, 3, True, True)])]
     algebras = [HomPreLieAlgebra(table, m), HomPreLieAlgebra(tables[2], map_direct_sum(m, m.inverse())),
                 HomPreLieAlgebra(tables[0], m @ s)]
     for a in algebras:

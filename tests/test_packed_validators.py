@@ -30,10 +30,11 @@ import pytest
 from hombench import (HomLieAlgebra, HomLieRep, HomPreLieAlgebra, HomPreLieRep, LieMatchedPair,
                       LinearMap, OOperator, PreLieMatchedPair, Tensor3, adjoint_rep,
                       check_morphism, check_one_cocycle, coadjoint_lie_matched_pair,
-                      coadjoint_matched_pair, coadjoint_pre_lie_rep, double_lie, double_pre_lie,
-                      regular_rep, shifted_rep, validate_hom_lie, validate_hom_pre_lie,
-                      validate_lie_rep, validate_matched_pair_lie, validate_matched_pair_pre_lie,
-                      validate_o_operator, validate_pre_lie_rep)
+                      coadjoint_matched_pair, coadjoint_pre_lie_rep, document_for, double_lie,
+                      double_pre_lie, dual_pre_lie_rep, regular_rep, serialize_document, shifted_rep,
+                      star_maps, validate_hom_lie, validate_hom_pre_lie, validate_lie_rep,
+                      validate_matched_pair_lie, validate_matched_pair_pre_lie, validate_o_operator,
+                      validate_pre_lie_rep)
 from hombench import fixtures
 from test_validator_cores import LAMBDAS, I, O, _scaled3
 
@@ -681,3 +682,96 @@ def test_zero_dimensional_targets_give_valid_reports():
     rep = HomPreLieRep(zero, 2, LinearMap.identity(2), [], [])
     report = validate_o_operator(OOperator(rep, LinearMap((), rows=0, cols=2)))
     assert report.to_dict() == {"valid": True, "failures": []}
+
+
+# ---- the action-table store and the twisted dual, from .entries only ----
+
+def _table_of(maps, size):
+    """The action table of a family, placed from the maps' entries: slice (p, q)
+    is column q of map p."""
+    return Tensor3([[_col(_m(x), q) for q in range(size)] for x in maps], dims=(len(maps), size, size))
+
+
+# each container's family views, and the size of the space each family acts on
+VIEWS = {HomLieRep: (("maps", "space"),), HomPreLieRep: (("left", "space"), ("right", "space")),
+         LieMatchedPair: (("first_action", "second"), ("second_action", "first")),
+         PreLieMatchedPair: (("first_left", "second"), ("first_right", "second"),
+                             ("second_left", "first"), ("second_right", "first"))}
+
+
+def _rebuilt(value, families):
+    """The container rebuilt from the given families, one per view in order."""
+    if isinstance(value, (HomLieRep, HomPreLieRep)):
+        return type(value)(value.algebra, value.space_dim, value.twist, *families)
+    return type(value)(value.first, value.second, *families)
+
+
+def _acted_dim(value, owner):
+    return value.space_dim if owner == "space" else getattr(value, owner).dim
+
+
+STORE_CASES = [(name, value) for name, kind, value in REPS if kind in ("lie_rep", "pre_lie_rep")
+               and "widened" in name] + [case for case in PRE_LIE_PAIRS + LIE_PAIRS if "widened" in case[0]]
+
+
+@pytest.mark.parametrize("name, value", STORE_CASES, ids=[case[0] for case in STORE_CASES])
+def test_a_container_stores_each_family_as_its_table(name, value):
+    """Built from maps or from the equal tables placed from their entries, a
+    container is the same value, its views give back the maps it was given,
+    and its document has the same bytes."""
+    views = VIEWS[type(value)]
+    given = [list(getattr(value, view)) for view, _ in views]
+    tables = [_table_of(maps, _acted_dim(value, owner)) for maps, (_, owner) in zip(given, views)]
+    from_maps, from_tables = _rebuilt(value, given), _rebuilt(value, tables)
+    assert from_maps == from_tables == value
+    for built in (from_maps, from_tables):
+        for maps, (view, _) in zip(given, views):
+            assert getattr(built, view) == tuple(maps)
+    assert serialize_document(document_for(from_maps)) == serialize_document(document_for(from_tables))
+
+
+def _star_ref(maps, alpha, beta):
+    """The twisted dual family from entries: at i, minus the transpose of the
+    action at alpha(e_i), times the square of (beta^-1)^T."""
+    inv_t = O.transpose(O.inverse(beta))
+    square = O.matmul(inv_t, inv_t)
+    size = len(beta)
+    out = []
+    for i in range(len(alpha)):
+        rows = [_lin(size, [(alpha[r][i], a[k]) for r, a in enumerate(maps)]) for k in range(size)]
+        out.append([[-x for x in row] for row in O.matmul(O.transpose(rows), square)])
+    return out
+
+
+def _wide_pre_lie_reps():
+    """The regular action plus a trivial line, on the space one larger, for
+    each base: algebra and space dims differ, and so do their twists."""
+    out = []
+    for base in SMALL + BIG[:2]:
+        a = base.pre_lie
+        regular = regular_rep(a)
+        left, twist = base.widened(regular.left, a.twist)
+        right, _ = base.widened(regular.right, a.twist)
+        out.append((base.name, HomPreLieRep(a, base.n + 1, twist, left, right)))
+    return out
+
+
+WIDE = _wide_pre_lie_reps()
+
+
+@pytest.mark.parametrize("name, rep", WIDE, ids=[case[0] for case in WIDE])
+def test_star_maps_and_dual_rep_match_an_entries_recomputation(name, rep):
+    a = rep.algebra
+    alpha, beta = _m(a.twist), _m(rep.twist)
+    assert len(alpha) != len(beta) and a.twist != LinearMap.identity(a.dim)
+    left, right = [_m(x) for x in rep.left], [_m(x) for x in rep.right]
+    star_left, star_right = _star_ref(left, alpha, beta), _star_ref(right, alpha, beta)
+    starred = star_maps(rep.left_table, a.twist, rep.twist)
+    assert starred.dims == (a.dim, rep.space_dim, rep.space_dim)
+    assert [_m(x) for x in starred.left_maps()] == star_left
+    assert star_maps(rep.left, a.twist, rep.twist) == starred
+    dual = dual_pre_lie_rep(a, rep)
+    assert [_m(x) for x in dual.left] == [[_sub(p, q) for p, q in zip(sl, sr)]
+                                          for sl, sr in zip(star_left, star_right)]
+    assert [_m(x) for x in dual.right] == [[[-x for x in row] for row in sr] for sr in star_right]
+    assert _m(dual.twist) == O.transpose(O.inverse(beta))

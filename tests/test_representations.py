@@ -74,7 +74,7 @@ def test_star_maps_formula_direct():
         for j in range(2):
             twisted = twisted + maps[j].scale(a.twist.entries[j][i])
         expect = twisted.transpose().scale(-1) @ (beta_inv_t @ beta_inv_t)
-        assert starred[i] == expect
+        assert starred.left_maps()[i] == expect
 
 
 def test_dual_rep_valid_on_fixtures():

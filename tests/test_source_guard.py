@@ -104,3 +104,47 @@ def test_no_instance_is_recorded_as_a_list_of_row_dots():
                         _is_dot(inner) for inner in ast.walk(arg.elt)):
                     found.append("%s:%d" % (name, node.lineno))
     assert found == []
+
+
+# The map-tuple views of the action-family containers: HomLieRep.maps and the
+# four families of the matched pairs, and HomPreLieRep.left/right. A
+# dendriform's left/right are tables, so left/right count as views only when
+# read from an object named as a representation (rep, r or a name ending in
+# _rep), the names src/hombench gives a HomPreLieRep.
+_FAMILY_VIEWS = {"maps", "first_action", "second_action", "first_left", "first_right", "second_left",
+                 "second_right"}
+_REP_VIEWS = {"left", "right"}
+# The callers that take an action family and store or combine it as a table.
+_FAMILY_TAKERS = {"action_table", "from_left_maps", "_action_family", "star_maps", "_dual_actions",
+                  "HomLieRep", "HomPreLieRep", "LieMatchedPair", "PreLieMatchedPair"}
+
+
+def _is_rep_name(node):
+    name = getattr(node, "id", getattr(node, "attr", ""))
+    return name in ("rep", "r") or name.endswith("_rep")
+
+
+def _is_maps_of_a_table(node):
+    """Is the node a .left_maps()/.right_maps() call or a container's map view?"""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Attribute) and node.func.attr in ("left_maps", "right_maps")
+    return isinstance(node, ast.Attribute) and (
+        node.attr in _FAMILY_VIEWS or node.attr in _REP_VIEWS and _is_rep_name(node.value))
+
+
+def test_no_action_family_goes_table_to_maps_to_table():
+    """An action family is stored as its action table (representations.
+    _action_family), and the containers' map tuples are views derived from it.
+    Handing a table's left_maps()/right_maps() or such a view to action_table,
+    Tensor3.from_left_maps, a container or the twisted dual rebuilds the table
+    it came from: pass the table, its swapped() form for a right-multiplication
+    family, or the container's stored table."""
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if called in _FAMILY_TAKERS and any(_is_maps_of_a_table(arg) for arg in node.args):
+                found.append("%s:%d" % (name, node.lineno))
+    assert found == []
