@@ -18,26 +18,24 @@ computed); only a failing one is unpacked and divided into its exact residual
 (_record).
 
 validate_hom_pre_lie keeps its sums in a core, _hom_pre_lie_failures, that
-needs no objects: it takes the table's int planes and the twist's int columns,
-and yields each failing instance as its packed int. The validator unpacks
-those into Failures (_core_report), and search runs the same core on
-candidates it never builds, asking only whether anything fails
-(dendriform's validate_l_dendriform is split the same way). The core keeps
-the table and the twist at their own denominators, builds each operator the
-first time an instance reads it, and takes its width from
-foundation._instance_bits, found once per report or per search. Reports run
-its instances in report order, multiplicativity first; search asks for the
-axiom instances first, since under its identity twist multiplicativity always
-holds and nearly every rejected candidate fails an early axiom instance.
+needs no objects: it takes the table's int planes and the twist's int columns
+over one denominator D, and yields each failing instance as its packed int.
+The validator unpacks those into Failures (_core_report), and search runs the
+same core on candidates it never builds, asking only whether anything fails
+(dendriform's validate_l_dendriform is split the same way). The core builds
+each operator the first time an instance reads it, and its caller finds the
+width from _slot_bits once per report or per search. The core runs the axiom
+instances first and multiplicativity second, since under search's identity
+twist multiplicativity always holds and nearly every rejected candidate fails
+an early axiom instance; _core_report sorts the failures back into report
+order, multiplicativity first.
 """
 
-from math import lcm
 from operator import add, mul, sub
 
 from .errors import AsymmetricInput, DimensionMismatch, InvalidInput
-from .foundation import (Tensor2, apply_bilinear, _instance_bits,
-                         _integer_family, _pack, _operators_on_demand, _packed_family, _packed_operators,
-                         _quotients, _slot_bits, _times_each, _transposed, _unpack)
+from .foundation import (Tensor2, apply_bilinear, _integer_family, _pack, _operators_on_demand,
+                         _packed_family, _packed_operators, _quotients, _slot_bits, _transposed, _unpack)
 
 
 class Failure:
@@ -288,69 +286,62 @@ def validate_hom_lie(cand):
     return ValidationReport(failures)
 
 
-def _hom_pre_lie_failures(planes, d, alpha_cols, e, w, axioms_first=False):
-    """Yield (identity, witness, total, scale) for each failing multiplicativity
-    and twisted-associator instance of the product table with int planes / d
-    under the twist with int columns alpha_cols / e: total is the instance
-    packed at width w (foundation._pack), scale times its value, and _unpack
-    gives its slots. The instances come in report order, multiplicativity
-    first, or with axioms_first the twisted-associator instances first; the
-    two orders yield the same items. Only search sets axioms_first: it asks only
-    whether any instance fails, and nearly every candidate it rejects fails an
-    early associator instance, so it never reaches multiplicativity, which
-    still runs, and still rejects, when every axiom instance holds.
+def _hom_pre_lie_failures(planes, alpha_cols, D, w):
+    """Yield (identity, witness, total) for each failing twisted-associator and
+    multiplicativity instance of the product table with int planes / D under
+    the twist with int columns alpha_cols / D: total is the instance times D^3,
+    packed at width w (foundation._pack), and _unpack gives its slots. The
+    associator instances come first and multiplicativity second, the order
+    search needs, since it asks only whether any instance fails and nearly every
+    candidate it rejects fails an early associator instance.
 
     Each instance is one int: a sum of dot products of packed operators, the
-    twist and alpha(e_i) . - and - . alpha(e_k), with the vectors brought to the
-    common denominator f = lcm(d, e). The table is packed once, each operator is
-    built the first time an instance reads it, and the twist is packed only when
-    the multiplicativity instances run. w must be at least _instance_bits of the
-    inputs. Twist invertibility is not checked."""
+    twist and alpha(e_i) . - and - . alpha(e_k), with int vectors. Every term
+    is a twist int times two ints that are each a table int, a twist int or D:
+    4 n^2 of them for the associator (n^2 for each dot, twice for the
+    commutator) and n + n^2 for multiplicativity. The table is packed once, each
+    operator is built the first time an instance reads it, and the twist is
+    packed only when the multiplicativity instances run. Twist invertibility is
+    not checked."""
     n = len(planes)
-    f = lcm(d, e)
-    scale = d * e * f
     left, right = _operators_on_demand(planes, w, alpha_cols)     # alpha(e_i) . -, - . alpha(e_k)
-    if f != d:
-        planes = [_times_each(plane, f // d) for plane in planes]
-
-    for axioms in (True, False) if axioms_first else (False, True):
-        if axioms:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    # (xy)a(z) - a(x)(yz) - (yx)a(z) + a(y)(xz) = [x, y]a(z) - a(x)(yz) + a(y)(xz)
-                    commutator = list(map(sub, planes[i][j], planes[j][i]))
-                    at_i, at_j = left[i], left[j]
-                    for k in range(n):
-                        total = (sum(map(mul, right[k], commutator)) - sum(map(mul, at_i, planes[j][k]))
-                                 + sum(map(mul, at_j, planes[i][k])))
-                        if total:
-                            yield "twisted-associator-symmetry", (i, j, k), total, scale
-        else:
-            twist = [d * _pack(a, w) for a in alpha_cols]
-            alphas = _times_each(alpha_cols, f // e)
-            for i in range(n):
-                at = left[i]
-                for j in range(n):
-                    total = sum(map(mul, twist, planes[i][j])) - sum(map(mul, at, alphas[j]))
-                    if total:
-                        yield "twist-product-morphism", (i, j), total, scale
+    for i in range(n):
+        for j in range(i + 1, n):
+            # (xy)a(z) - a(x)(yz) - (yx)a(z) + a(y)(xz) = [x, y]a(z) - a(x)(yz) + a(y)(xz)
+            commutator = list(map(sub, planes[i][j], planes[j][i]))
+            at_i, at_j = left[i], left[j]
+            for k in range(n):
+                total = (sum(map(mul, right[k], commutator)) - sum(map(mul, at_i, planes[j][k]))
+                         + sum(map(mul, at_j, planes[i][k])))
+                if total:
+                    yield "twisted-associator-symmetry", (i, j, k), total
+    twist = [D * _pack(a, w) for a in alpha_cols]
+    for i in range(n):
+        at = left[i]
+        for j in range(n):
+            total = sum(map(mul, twist, planes[i][j])) - sum(map(mul, at, alpha_cols[j]))
+            if total:
+                yield "twist-product-morphism", (i, j), total
 
 
 def _core_report(tables, twist, core):
-    """The report of an identity core run on the integer forms of the tables and
-    the twist: twist-invertible first, when it fails, then a Failure for each
-    failing instance the core yields, its packed total unpacked and divided
-    into the residual. The core packs its instances at the width
-    _instance_bits gives for the largest table and twist ints."""
+    """The report of an identity core run on the tables and the twist, read as
+    ints over one denominator D: twist-invertible first, when it fails, then a
+    Failure for each failing instance the core yields, its packed total
+    unpacked and divided by D^3 into the residual. The core yields its axiom
+    instances first; one stable sort by witness length puts the
+    multiplicativity pairs back before the axiom triples, each group in core
+    order. The width bounds the core's at most 6 n^2 terms by role."""
     failures = [] if twist.is_invertible() else [Failure("twist-invertible", (), ())]
-    d, planes = _integer_family(tables)
-    e, (rows,) = _integer_family([twist])
+    D, (*planes, rows) = _integer_family([*tables, twist])
     n = twist.rows
     table_max = max((abs(x) for table in planes for plane in table for v in plane for x in v), default=0)
     twist_max = max((abs(x) for row in rows for x in row), default=0)
-    w = _instance_bits(n, table_max, d, twist_max, e)
+    w = _slot_bits(6 * n * n, twist_max, table_max, max(table_max, twist_max, D))
+    scale = D ** 3
+    found = sorted(core(*planes, list(zip(*rows)), D, w), key=lambda item: len(item[1]))
     failures += [Failure(identity, witness, _quotients(_unpack(total, w, n), scale))
-                 for identity, witness, total, scale in core(*planes, d, list(zip(*rows)), e, w)]
+                 for identity, witness, total in found]
     return ValidationReport(failures)
 
 

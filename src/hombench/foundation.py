@@ -70,11 +70,11 @@ finds it once per call, with the identity's term count at the call site; for
 a validator that reads everything from one _packed_family the factors are
 three ints no larger than the family's bound. The two validator cores that work
 on int planes they were handed, without the objects
-(algebras._hom_pre_lie_failures and dendriform._l_dendriform_failures), keep
-the table and the twist at their own denominators, bring the vectors they
-meet to f = lcm(d, e), and pack the twist only when their multiplicativity
-instances run; _instance_bits gives their width, found once per report or per
-search, never per candidate.
+(algebras._hom_pre_lie_failures and dendriform._l_dendriform_failures), take
+the tables and the twist as ints over one denominator D as well, and their
+callers bound the factors by role, once per report (algebras._core_report) or
+per search: every term is a twist int times two ints that are each a table
+int, a twist int or D.
 """
 
 from fractions import Fraction
@@ -261,29 +261,6 @@ def _slot_bits(products, *sizes):
     for size in sizes:
         bound *= size
     return bound.bit_length() + 1
-
-
-def _instance_bits(n, table_max, d, twist_max, e):
-    """The slot width at which the validator cores pack their instances, for
-    dim-n product tables with int planes / d and a twist with int entries / e,
-    no table int larger than table_max in size and no twist int larger than
-    twist_max; f = lcm(d, e).
-
-    In the cores, the packed twist (twist ints times d) and the vectors met
-    (table ints times f / d, twist ints times f / e) have entries of size at
-    most twist_max * d, table_max * f / d and twist_max * f / e, and an operator
-    at alpha(e_i) has entries that are sums of n twist-table products. So a
-    multiplicativity slot sums n products of size at most twist_max *
-    table_max * f and n^2 of size at most twist_max^2 * table_max * f / e.
-    An axiom instance is three dot products, each pairing operator entries with
-    vector entries that sum one, two or four table ints scaled by f / d, so its
-    slot sums products of size at most twist_max * table_max^2 * f / d: 4 n^2 of
-    them for the twisted associator (n^2 for each dot, twice for the
-    commutator) and at most 6 n^2 for the splitting axioms (the left axiom's
-    commutator of x |> y + x <| y counts four times)."""
-    f = lcm(d, e)
-    return max(_slot_bits(n + n * n, twist_max, table_max, max(f, twist_max * (f // e))),
-               _slot_bits(6 * n * n, twist_max, table_max, table_max, f // d))
 
 
 def _packed_planes(planes, w, through=None):

@@ -8,20 +8,24 @@ dropped by canonical text, so the output depends only on the search
 specification. The budget bounds the number of candidates evaluated.
 
 The hom_pre_lie and dendriform targets test a candidate on integer planes: the
-coefficients are scaled to ints once per search, each assignment is sliced into
-the planes of its table(s), and the validator core (the same sums that
-validate_hom_pre_lie and validate_l_dendriform report from) runs until its
-first failing instance, which is never unpacked. Search asks the core for the
-axiom instances before multiplicativity: the order cannot change which
-candidates fail, and the first instances of the axioms reject nearly every
-candidate, before the operators that later instances read are built. Only an
-accepted candidate becomes a Tensor3, an algebra or dendriform, and a document.
+coefficients are scaled to ints over their lcm denominator p once per search,
+each assignment is sliced into the planes of its table(s), and the validator
+core (the same sums that validate_hom_pre_lie and validate_l_dendriform report
+from) runs over the one denominator p until its first failing instance, which
+is never unpacked. The core runs the axiom instances before multiplicativity,
+and the first instances of the axioms reject nearly every candidate, before
+the operators that later instances read are built. Only an accepted candidate
+becomes a Tensor3, an algebra or dendriform, and a document.
+
+The budget is checked before anything is built: an exhaustive space of k^free
+assignments is compared with it by multiplying up to the budget, never by
+forming the power.
 """
 
 from itertools import product
 
 from .errors import BudgetExceeded, InvalidInput
-from .foundation import LinearMap, Tensor2, Tensor3, frac, _instance_bits, _integer_family, _scaled
+from .foundation import LinearMap, Tensor2, Tensor3, frac, _scaled, _slot_bits
 from .algebras import (BilinearForm, HomPreLieAlgebra, validate_hessian,
                        validate_hom_pre_lie, _hom_pre_lie_failures)
 from .representations import HomPreLieRep
@@ -106,22 +110,36 @@ def _triangle_slots(n):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
+def _free_slots(spec):
+    """The number of coefficient slots a candidate of the target draws."""
+    n = spec.dim
+    if spec.target == "hom_pre_lie":
+        return n ** 3
+    if spec.target == "dendriform":
+        return 2 * n ** 3
+    if spec.target == "o_operator":
+        return n * _require_base(spec, HomPreLieRep, "representation").space_dim
+    return len(_triangle_slots(n))
+
+
 def _build_target(spec):
     """Return (free_slot_count, values, build): the assignments draw their free
     slots from values, and build maps an assignment to an accepted value or None.
 
     The hom_pre_lie and dendriform targets draw from the coefficients scaled to
-    ints, test each assignment's int planes with the validator core, axioms
-    first, and stop at its first failure; only an accepted candidate becomes a
-    table and an object. The twist's int form, the cores' slot width and the
-    slices that cut an assignment into planes are found once per search."""
+    ints over their lcm denominator p, test each assignment's int planes with
+    the validator core under the identity twist as p I, and stop at its first
+    failure; only an accepted candidate becomes a table and an object. The
+    twist's int columns, the cores' slot width and the slices that cut an
+    assignment into planes are found once per search."""
     n = spec.dim
+    free = _free_slots(spec)
     if spec.target in ("hom_pre_lie", "dendriform"):
         twist = LinearMap.identity(n)
-        e, (twist_rows,) = _integer_family([twist])
-        twist_cols = list(zip(*twist_rows))
-        p, values = _scaled(spec.coefficients)     # the coefficients times their lcm denominator p
-        w = _instance_bits(n, max(map(abs, values)), p, 1, e)      # the identity's entries are 0 and 1
+        p, values = _scaled(spec.coefficients)
+        twist_cols = [[p if k == i else 0 for k in range(n)] for i in range(n)]
+        table_max = max(map(abs, values))
+        w = _slot_bits(6 * n * n, p, table_max, max(table_max, p))     # as algebras._core_report: twist_max = D = p
         cube = n ** 3
         dims = (n, n, n)
         left_slices, right_slices = ([[slice(at + (i * n + j) * n, at + (i * n + j + 1) * n) for j in range(n)]
@@ -129,22 +147,20 @@ def _build_target(spec):
 
         def hom_pre_lie(assign):
             planes = _planes(assign, left_slices)
-            if next(_hom_pre_lie_failures(planes, p, twist_cols, e, w, axioms_first=True), None) is not None:
+            if next(_hom_pre_lie_failures(planes, twist_cols, p, w), None) is not None:
                 return None
             return HomPreLieAlgebra(Tensor3.from_integers(planes, p, dims), twist)
 
         def dendriform(assign):
             left, right = _planes(assign, left_slices), _planes(assign, right_slices)
-            if next(_l_dendriform_failures(left, right, p, twist_cols, e, w, axioms_first=True), None) is not None:
+            if next(_l_dendriform_failures(left, right, twist_cols, p, w), None) is not None:
                 return None
             return HomLDendriform(Tensor3.from_integers(left, p, dims),
                                   Tensor3.from_integers(right, p, dims), twist)
 
         # The twist is the identity, so twist invertibility, the first record of
         # the validators' reports, holds for every candidate.
-        if spec.target == "hom_pre_lie":
-            return cube, values, hom_pre_lie
-        return 2 * cube, values, dendriform
+        return free, values, hom_pre_lie if spec.target == "hom_pre_lie" else dendriform
 
     if spec.target == "s_matrix":
         base = _require_base(spec, HomPreLieAlgebra, "twisted pre-Lie algebra")
@@ -162,7 +178,7 @@ def _build_target(spec):
             candidate = Tensor2.from_entries(n, n, items)      # symmetric by construction
             return candidate if solves_s_equation(base, candidate) else None
 
-        return len(slots), spec.coefficients, build
+        return free, spec.coefficients, build
 
     if spec.target == "hessian":
         base = _require_base(spec, HomPreLieAlgebra, "twisted pre-Lie algebra")
@@ -178,7 +194,7 @@ def _build_target(spec):
             candidate = BilinearForm(tuple(tuple(row) for row in entries), "symmetric")
             return candidate if validate_hessian(base, candidate).valid else None
 
-        return len(slots), spec.coefficients, build
+        return free, spec.coefficients, build
 
     base = _require_base(spec, HomPreLieRep, "representation")
     if base.algebra.dim != n:
@@ -190,7 +206,7 @@ def _build_target(spec):
         candidate = OOperator(base, LinearMap(rows))
         return candidate if validate_o_operator(candidate).valid else None
 
-    return n * m, spec.coefficients, build
+    return free, spec.coefficients, build
 
 
 def _assignments(spec, values, free, total):
@@ -212,15 +228,18 @@ def _assignments(spec, values, free, total):
 
 def run_search(spec):
     """Enumerate or sample candidates and return the accepted ones as documents."""
-    free, values, build = _build_target(spec)
     if spec.mode == "exhaustive":
-        total = len(spec.coefficients) ** free
-        if total > spec.budget:
-            raise BudgetExceeded("exhaustive space %d exceeds budget %d" % (total, spec.budget))
+        k, free = len(spec.coefficients), _free_slots(spec)
+        total = 1
+        for _ in range(free if k > 1 else 0):      # k^free, multiplied only up to the budget
+            total *= k
+            if total > spec.budget:
+                raise BudgetExceeded("exhaustive space %d^%d exceeds budget %d" % (k, free, spec.budget))
     else:
         total = spec.attempts
         if total > spec.budget:
             raise BudgetExceeded("attempts %d exceed budget %d" % (total, spec.budget))
+    free, values, build = _build_target(spec)
     if spec.limit == 0:
         return []
     # solves_s_equation takes its base as valid, so the base is checked once here

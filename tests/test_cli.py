@@ -156,6 +156,16 @@ def test_search_budget_exit_code(capsys):
     assert "budget" in capsys.readouterr().err.lower()
 
 
+def test_search_budget_check_at_a_moderate_dim_exits_3(capsys):
+    """3^9261 candidates: the check multiplies up to the budget and never forms
+    or prints the power."""
+    code = main(["search", "hom_pre_lie", "--dim", "21", "--budget", "5"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "budget" in err.lower() and "3^9261" in err
+    assert "Traceback" not in err
+
+
 def test_search_bad_coeffs_exit_code(capsys):
     code = main(["search", "hom_pre_lie", "--dim", "2", "--coeffs=-1,zebra,1",
                  "--limit", "5"])

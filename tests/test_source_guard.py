@@ -3,8 +3,9 @@
 Every module of src/hombench other than __init__ must use every name it
 imports, and every module-level _private function must be referenced
 somewhere in src/ besides its own definition. No module rebuilds a map,
-tensor or bilinear form from another object's entries, and no validator
-records an instance summed as a list of per-row dot products.
+tensor or bilinear form from another object's entries, no validator records
+an instance summed as a list of per-row dot products, and no function takes a
+boolean switch.
 """
 
 import ast
@@ -147,4 +148,18 @@ def test_no_action_family_goes_table_to_maps_to_table():
             called = getattr(node.func, "id", getattr(node.func, "attr", None))
             if called in _FAMILY_TAKERS and any(_is_maps_of_a_table(arg) for arg in node.args):
                 found.append("%s:%d" % (name, node.lineno))
+    assert found == []
+
+
+def test_no_function_takes_a_boolean_switch():
+    """A parameter that defaults to True or False forks a function into two
+    code paths behind a private knob: give each caller the one path it needs,
+    or split the function."""
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                defaults = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+                if any(isinstance(d, ast.Constant) and type(d.value) is bool for d in defaults):
+                    found.append("%s:%d" % (name, node.lineno))
     assert found == []

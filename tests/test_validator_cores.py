@@ -1,23 +1,27 @@
 """The identity validators and check_P_condition on twisted rational inputs.
 
 validate_hom_pre_lie and validate_l_dendriform are wrappers over integer cores
-that search also runs; the cores bring a table's and a twist's denominators to
-one scale, which identity-twist searches never exercise, and sum each instance
-as one int packed with foundation._pack at the slot width of
-foundation._instance_bits. Here each report's (identity, witness, residual) set
-is compared with hom_pre_lie_failures and dendriform_failures of
-bench/oracle.py, which recompute every identity with no hombench code. The
-inputs come from bench/inputs.py: graded tables Yau-twisted by diag(lam^weight)
-for lam in {2, 1/2, 2/3, -2}, moved by a basis change whose inverse has halves,
-and their one-entry bumps. A second set scales such tables to numerators of
-about 10^30 over a denominator near 10^12, twisted by a lam whose denominator
-near 10^12 is coprime to it, and bumps single entries by that size; in the
-graded basis such a bump fails some instances in one slot, so the slot width
-is exercised where a too-narrow width would misread a residual.
+that search also runs; the cores read the tables and the twist as ints over one
+common denominator D, which identity-twist searches over integer coefficients
+never exercise, and sum each instance as one int packed with foundation._pack
+at a slot width from foundation._slot_bits. Here each report's (identity,
+witness, residual) set is compared with hom_pre_lie_failures and
+dendriform_failures of bench/oracle.py, which recompute every identity with no
+hombench code. The inputs come from bench/inputs.py: graded tables Yau-twisted
+by diag(lam^weight) for lam in {2, 1/2, 2/3, -2}, moved by a basis change whose
+inverse has halves, and their one-entry bumps. A second set scales such tables
+to numerators of about 10^30 over a denominator near 10^12, twisted by a lam
+whose denominator near 10^12 is coprime to it, and bumps single entries by that
+size; in the graded basis such a bump fails some instances in one slot, so the
+slot width is exercised where a too-narrow width would misread a residual.
 
-Search runs the cores with the axiom instances first; on every input here
-both orders must yield the same failing instances, the axioms-first run
-yielding none exactly when the report is valid apart from twist invertibility.
+The cores yield the axiom instances before multiplicativity, the order search
+needs; on every input here their items, sorted by witness length, must be the
+report's failures apart from twist invertibility, and the cores must yield
+nothing exactly when there are none. Search runs the cores on planes sliced
+from an assignment over the coefficients' lcm denominator p, with the identity
+twist as p I: on identity-twist tables of dims 3 and 4 whose entries have
+halves, and their bumps, its verdict must be the oracle's.
 
 check_P_condition computes P(x) vec(S) in closed form; it is compared with the
 Kronecker path it replaced, rebuilt here from public functions, also on inputs
@@ -29,16 +33,18 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
-from hombench import (HomLDendriform, HomPreLieAlgebra, LinearMap, Tensor2, Tensor3,
+from hombench import (HomLDendriform, HomPreLieAlgebra, LinearMap, SearchSpec, Tensor2, Tensor3,
                       action_table, check_P_condition, tensor_product_map, validate_hom_pre_lie,
                       validate_l_dendriform)
+from hombench import search
 from hombench.algebras import _hom_pre_lie_failures
 from hombench.dendriform import _l_dendriform_failures
-from hombench.foundation import sub_vectors, _instance_bits, _integer_family, _pack, _unpack
+from hombench.foundation import sub_vectors, _integer_family, _pack, _quotients, _slot_bits, _unpack
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 LAMBDAS = (2, Fraction(1, 2), Fraction(2, 3), -2)
@@ -305,22 +311,24 @@ ORDER_CASES = _order_cases()
 @pytest.mark.parametrize("name, core, tables, twist, validate", ORDER_CASES,
                          ids=[case[0] for case in ORDER_CASES])
 def test_axioms_first_order_yields_the_same_failures(name, core, tables, twist, validate):
-    """Search runs the cores with the axioms first, report order runs
-    multiplicativity first: both yield the same (identity, witness, total)
-    items, and the axioms-first run yields nothing exactly when the report is
-    valid apart from twist invertibility, which the cores do not check."""
-    d, planes = _integer_family(tables)
-    e, (rows,) = _integer_family([twist])
+    """The cores yield the axiom instances first and multiplicativity second:
+    sorted by witness length, their items unpack into the report's failures
+    apart from twist invertibility, which the cores do not check, in the
+    report's order; no item repeats; and a core yields nothing exactly when
+    that list is empty."""
+    D, (*planes, rows) = _integer_family([*tables, twist])
+    n = twist.rows
     table_max = max((abs(x) for table in planes for plane in table for v in plane for x in v), default=0)
     twist_max = max((abs(x) for row in rows for x in row), default=0)
-    args = (*planes, d, list(zip(*rows)), e, _instance_bits(twist.rows, table_max, d, twist_max, e))
-    in_report_order = [item[:3] for item in core(*args)]
-    axioms_first = [item[:3] for item in core(*args, axioms_first=True)]
-    assert len(set(in_report_order)) == len(in_report_order) == len(axioms_first)
-    assert set(in_report_order) == set(axioms_first)
-    identities = [f.identity for f in validate(tables, twist).failures if f.identity != "twist-invertible"]
-    assert identities == [identity for identity, _, _ in in_report_order]
-    assert (next(core(*args, axioms_first=True), None) is None) == (not identities)
+    w = _slot_bits(6 * n * n, twist_max, table_max, max(table_max, twist_max, D))
+    args = (*planes, list(zip(*rows)), D, w)
+    items = list(core(*args))
+    assert len(set(items)) == len(items)
+    expected = [(f.identity, f.witness, f.residual) for f in validate(tables, twist).failures
+                if f.identity != "twist-invertible"]
+    assert [(identity, witness, _quotients(_unpack(total, w, n), D ** 3))
+            for identity, witness, total in sorted(items, key=lambda item: len(item[1]))] == expected
+    assert (next(core(*args), None) is None) == (not expected)
 
 
 def test_order_cases_include_axiom_and_multiplicativity_failures():
@@ -335,6 +343,67 @@ def test_order_cases_include_axiom_and_multiplicativity_failures():
                 found = {f.identity for f in validate(tables, twist).failures}
                 kinds.add((bool(found & axioms), bool(found & morphisms)))
         assert {(True, False), (False, True), (True, True), (False, False)} <= kinds
+
+
+def _search_cases():
+    """(name, target, tables): identity-twist tables of novikov(3), novikov(4)
+    and upper(3), moved by a basis change whose inverse has halves, and two
+    one-entry bumps of each, as hom_pre_lie candidates; and each table with a
+    zero right product, with that product bumped once, and bumped with the
+    table, as dendriform candidates."""
+    rng = random.Random(23)
+    out = []
+    for family, (items, weights) in (("novikov3", I.novikov(3)), ("novikov4", I.novikov(4)),
+                                     ("upper3", I.upper(3))):
+        n = len(weights)
+        table = I.Algebra(items, weights, 1, I.with_rational_inverse(rng, n, 2 * n)).table
+        zero = O.zeros3(n, n, n)
+        bumped = [I.bump_table(table, *(rng.randrange(n) for _ in range(3))) for _ in range(2)]
+        right = I.bump_table(zero, *(rng.randrange(n) for _ in range(3)))
+        out += [("%s-%s" % (family, label), "hom_pre_lie", [t])
+                for label, t in (("table", table), ("bump0", bumped[0]), ("bump1", bumped[1]))]
+        out += [("%s-%s" % (family, label), "dendriform", tables)
+                for label, tables in (("zero-right", [table, zero]), ("bumped-right", [table, right]),
+                                      ("bumped-both", [bumped[0], right]))]
+    return out
+
+
+SEARCH_CASES = _search_cases()
+
+
+@pytest.mark.parametrize("name, target, tables", SEARCH_CASES, ids=[case[0] for case in SEARCH_CASES])
+def test_search_core_verdict_matches_oracle_over_a_common_denominator(name, target, tables):
+    """search._build_target's candidate test, fed the tables' entries times the
+    coefficients' lcm denominator p > 1, accepts exactly when the oracle finds
+    no failure under the identity twist, and then builds the same object."""
+    n = len(tables[0])
+    entries = [Fraction(x) for table in tables for plane in table for vec in plane for x in vec]
+    p = lcm(*(x.denominator for x in entries))
+    assert p > 1
+    free, values, build = search._build_target(SearchSpec(target, dim=n, coefficients=entries))
+    assign = [x * p for x in entries]
+    assert free == len(assign) and all(x.denominator == 1 for x in assign) and set(assign) <= set(values)
+    eye = O.identity(n)
+    if target == "hom_pre_lie":
+        valid = not O.hom_pre_lie_failures(tables[0], eye)
+        built = HomPreLieAlgebra(Tensor3(tables[0]), LinearMap.identity(n))
+    else:
+        valid = not O.dendriform_failures(tables[0], tables[1], eye)
+        built = HomLDendriform(Tensor3(tables[0]), Tensor3(tables[1]), LinearMap.identity(n))
+    accepted = build([int(x) for x in assign])
+    assert (accepted is not None) == valid
+    assert accepted is None or accepted == built
+
+
+def test_search_cases_include_both_verdicts():
+    for target in ("hom_pre_lie", "dendriform"):
+        verdicts = set()
+        for _, case_target, tables in SEARCH_CASES:
+            if case_target == target:
+                eye = O.identity(len(tables[0]))
+                verdicts.add(not (O.hom_pre_lie_failures(tables[0], eye) if target == "hom_pre_lie"
+                                  else O.dendriform_failures(*tables, eye)))
+        assert verdicts == {True, False}
 
 
 def _kronecker_p_condition(a, r):
