@@ -95,9 +95,14 @@ class SearchSpec:
 
 
 def _require_base(spec, cls, label):
-    if not isinstance(spec.base, cls):
+    """The search's base, checked to be a cls of the search's dimension."""
+    base = spec.base
+    if not isinstance(base, cls):
         raise InvalidInput("target %r needs a %s as base" % (spec.target, label))
-    return spec.base
+    dim = base.algebra.dim if cls is HomPreLieRep else base.dim
+    if dim != spec.dim:
+        raise InvalidInput("base dimension %d does not match dim %d" % (dim, spec.dim))
+    return base
 
 
 def _planes(assign, slices):
@@ -111,7 +116,8 @@ def _triangle_slots(n):
 
 
 def _free_slots(spec):
-    """The number of coefficient slots a candidate of the target draws."""
+    """The number of coefficient slots a candidate of the target draws, after
+    checking the base structure that the target needs, if any."""
     n = spec.dim
     if spec.target == "hom_pre_lie":
         return n ** 3
@@ -119,6 +125,7 @@ def _free_slots(spec):
         return 2 * n ** 3
     if spec.target == "o_operator":
         return n * _require_base(spec, HomPreLieRep, "representation").space_dim
+    _require_base(spec, HomPreLieAlgebra, "twisted pre-Lie algebra")
     return len(_triangle_slots(n))
 
 
@@ -163,9 +170,7 @@ def _build_target(spec):
         return free, values, hom_pre_lie if spec.target == "hom_pre_lie" else dendriform
 
     if spec.target == "s_matrix":
-        base = _require_base(spec, HomPreLieAlgebra, "twisted pre-Lie algebra")
-        if base.dim != n:
-            raise InvalidInput("base dimension %d does not match dim %d" % (base.dim, n))
+        base = spec.base
         slots = _triangle_slots(n)
 
         def build(assign):
@@ -181,9 +186,7 @@ def _build_target(spec):
         return free, spec.coefficients, build
 
     if spec.target == "hessian":
-        base = _require_base(spec, HomPreLieAlgebra, "twisted pre-Lie algebra")
-        if base.dim != n:
-            raise InvalidInput("base dimension %d does not match dim %d" % (base.dim, n))
+        base = spec.base
         slots = _triangle_slots(n)
 
         def build(assign):
@@ -196,9 +199,7 @@ def _build_target(spec):
 
         return free, spec.coefficients, build
 
-    base = _require_base(spec, HomPreLieRep, "representation")
-    if base.algebra.dim != n:
-        raise InvalidInput("base dimension %d does not match dim %d" % (base.algebra.dim, n))
+    base = spec.base
     m = base.space_dim
 
     def build(assign):
@@ -228,8 +229,9 @@ def _assignments(spec, values, free, total):
 
 def run_search(spec):
     """Enumerate or sample candidates and return the accepted ones as documents."""
+    free = _free_slots(spec)       # a missing or mismatched base is reported before the budget
     if spec.mode == "exhaustive":
-        k, free = len(spec.coefficients), _free_slots(spec)
+        k = len(spec.coefficients)
         total = 1
         for _ in range(free if k > 1 else 0):      # k^free, multiplied only up to the budget
             total *= k

@@ -147,6 +147,20 @@ def test_base_preconditions():
         SearchSpec(target="hom_pre_lie", dim=2, coefficients=())
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "seeded"])
+@pytest.mark.parametrize("target", ["s_matrix", "hessian", "o_operator"])
+def test_a_missing_or_mismatched_base_is_reported_before_the_budget(target, mode):
+    budget = dict(mode=mode, limit=5, attempts=10, budget=2)
+    with pytest.raises(InvalidInput, match="as base"):
+        run_search(SearchSpec(target=target, dim=2, coefficients=COEFFS, **budget))
+    if target == "o_operator":
+        base = fixtures.mixed_action_operator(fixtures.nilpotent_dendriform()).rep
+    else:
+        base = fixtures.nilpotent_algebra()
+    with pytest.raises(InvalidInput, match="does not match dim 3"):
+        run_search(SearchSpec(target=target, dim=3, coefficients=COEFFS, base=base, **budget))
+
+
 def test_invalid_smatrix_base_is_rejected_after_budget_and_limit():
     bad = fixtures.invalid_product_candidate()
     with pytest.raises(InvalidInput):

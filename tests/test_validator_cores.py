@@ -310,7 +310,7 @@ ORDER_CASES = _order_cases()
 
 @pytest.mark.parametrize("name, core, tables, twist, validate", ORDER_CASES,
                          ids=[case[0] for case in ORDER_CASES])
-def test_axioms_first_order_yields_the_same_failures(name, core, tables, twist, validate):
+def test_core_items_sorted_by_witness_length_are_the_report_failures(name, core, tables, twist, validate):
     """The cores yield the axiom instances first and multiplicativity second:
     sorted by witness length, their items unpack into the report's failures
     apart from twist invertibility, which the cores do not check, in the
@@ -324,6 +324,7 @@ def test_axioms_first_order_yields_the_same_failures(name, core, tables, twist, 
     args = (*planes, list(zip(*rows)), D, w)
     items = list(core(*args))
     assert len(set(items)) == len(items)
+    assert sorted(items, key=lambda item: -len(item[1])) == items     # axiom triples before pairs
     expected = [(f.identity, f.witness, f.residual) for f in validate(tables, twist).failures
                 if f.identity != "twist-invertible"]
     assert [(identity, witness, _quotients(_unpack(total, w, n), D ** 3))
@@ -332,8 +333,8 @@ def test_axioms_first_order_yields_the_same_failures(name, core, tables, twist, 
 
 
 def test_order_cases_include_axiom_and_multiplicativity_failures():
-    """Both orders are compared on inputs that fail only an axiom, only
-    multiplicativity, and both, for each core."""
+    """The cores are checked on inputs that fail only an axiom, only
+    multiplicativity, both and neither, for each core."""
     for prefix, axioms, morphisms in (("pre_lie", {"twisted-associator-symmetry"}, {"twist-product-morphism"}),
                                       ("dendriform", {"left-axiom", "right-axiom"},
                                        {"twist-left-morphism", "twist-right-morphism"})):
