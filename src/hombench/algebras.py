@@ -38,7 +38,27 @@ from .foundation import (Tensor2, apply_bilinear, _integer_family, _pack, _opera
                          _packed_family, _packed_operators, _quotients, _slot_bits, _transposed, _unpack)
 
 
-class Failure:
+class _Stored:
+    """A structure whose slots hold what it stores. Two are equal when they have
+    one exact type and equal slots, and a structure hashes the tuple of its
+    slots; a slot whose name starts with _ is a cache, never compared or
+    hashed."""
+
+    __slots__ = ()
+
+    def _stored(self):
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._stored() == other._stored()
+
+    def __hash__(self):
+        return hash(self._stored())
+
+
+class Failure(_Stored):
     """One violated identity instance: which identity, at which basis tuple, with what residual."""
 
     __slots__ = ("identity", "witness", "residual")
@@ -47,11 +67,6 @@ class Failure:
         self.identity = identity
         self.witness = tuple(witness)
         self.residual = tuple(residual)
-
-    def __eq__(self, other):
-        if not isinstance(other, Failure):
-            return NotImplemented
-        return (self.identity, self.witness, self.residual) == (other.identity, other.witness, other.residual)
 
     def __repr__(self):
         return "Failure(%r, %r, %r)" % (self.identity, self.witness, self.residual)
@@ -123,7 +138,7 @@ def combine_reports(named, details=None):
     return ValidationReport(tuple(failures), merged_details)
 
 
-class HomLieAlgebra:
+class HomLieAlgebra(_Stored):
     """A candidate twisted Lie algebra: bracket structure tensor plus twist map."""
 
     __slots__ = ("dim", "bracket", "twist")
@@ -144,19 +159,11 @@ class HomLieAlgebra:
     def basis_bracket(self, i, j):
         return self.bracket.slice12(i, j)
 
-    def __eq__(self, other):
-        if not isinstance(other, HomLieAlgebra):
-            return NotImplemented
-        return (self.bracket, self.twist) == (other.bracket, other.twist)
-
-    def __hash__(self):
-        return hash((self.bracket, self.twist))
-
     def __repr__(self):
         return "HomLieAlgebra(dim=%d)" % self.dim
 
 
-class HomPreLieAlgebra:
+class HomPreLieAlgebra(_Stored):
     """A candidate twisted pre-Lie algebra: product structure tensor plus twist map.
     The report of validate_hom_pre_lie is a cache, built on the first call and
     never compared."""
@@ -187,19 +194,11 @@ class HomPreLieAlgebra:
         """Structure tensor of x . y - y . x, with no validity requirement."""
         return self.product - self.product.swapped()
 
-    def __eq__(self, other):
-        if not isinstance(other, HomPreLieAlgebra):
-            return NotImplemented
-        return (self.product, self.twist) == (other.product, other.twist)
-
-    def __hash__(self):
-        return hash((self.product, self.twist))
-
     def __repr__(self):
         return "HomPreLieAlgebra(dim=%d)" % self.dim
 
 
-class BilinearForm:
+class BilinearForm(_Stored):
     """A square bilinear form tagged with its symmetry; the tag must match the matrix."""
 
     __slots__ = ("dim", "matrix", "symmetry")
@@ -232,11 +231,6 @@ class BilinearForm:
         """M and its transpose have one rank, so the verdict is read, and
         cached, on the stored matrix."""
         return self.matrix.is_invertible()
-
-    def __eq__(self, other):
-        if not isinstance(other, BilinearForm):
-            return NotImplemented
-        return (self.matrix, self.symmetry) == (other.matrix, other.symmetry)
 
     def __repr__(self):
         return "BilinearForm(dim=%d, %s)" % (self.dim, self.symmetry)

@@ -22,7 +22,7 @@ from .errors import (DimensionMismatch, InvalidInput, NotAnSMatrix, Pro1Violatio
 from .foundation import (LinearMap, Tensor3, _integer_family, _pack, _packed_family, _packed_operators,
                          _quotients, _slot_bits, _transposed, _unpack)
 from .algebras import (HomPreLieAlgebra, ValidationReport, agreement_report, combine_reports,
-                       validate_hom_pre_lie, _record)
+                       validate_hom_pre_lie, _Stored, _record)
 from .representations import check_one_cocycle, coboundary_maps, coboundary_rep, _dual_actions
 from .matched import (coadjoint_matched_pair, require_dual_twists, standard_manin_triple,
                       validate_manin_triple, validate_matched_pair_pre_lie)
@@ -194,7 +194,7 @@ def dualize_product(p):
     return LinearMap(rows, rows=n * n, cols=n)
 
 
-class Bialgebra:
+class Bialgebra(_Stored):
     """A product on a space and a product on its dual, twists mutually inverse-dual.
 
     The two dualized products are derived in the constructor: phi_star dualizes
@@ -213,11 +213,6 @@ class Bialgebra:
         self.dual = dual
         self.phi_star = dualize_product(dual)
         self.psi_star = dualize_product(primal)
-
-    def __eq__(self, other):
-        if not isinstance(other, Bialgebra):
-            return NotImplemented
-        return (self.primal, self.dual) == (other.primal, other.dual)
 
     def __repr__(self):
         return "Bialgebra(dim=%d)" % self.primal.dim

@@ -17,14 +17,14 @@ from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, row_reduce
                          _operators_on_demand, _pack, _packed_family, _packed_operators,
                          _slot_bits, _transposed, _unpack)
 from .algebras import (HomPreLieAlgebra, ValidationReport, agreement_report, combine_reports,
-                       validate_hessian, validate_hom_pre_lie, _core_report, _record)
+                       validate_hessian, validate_hom_pre_lie, _Stored, _core_report, _record)
 from .representations import (HomPreLieRep, action_table, coadjoint_pre_lie_rep,
                               dual_pre_lie_rep, semidirect_product_raw, star_maps,
                               validate_pre_lie_rep)
 from .bialgebras import is_hom_s_matrix, r_sharp, solves_s_equation
 
 
-class HomLDendriform:
+class HomLDendriform(_Stored):
     """Two product tables (wedge-left and wedge-right) sharing one twist."""
 
     __slots__ = ("dim", "left", "right", "twist")
@@ -46,20 +46,6 @@ class HomLDendriform:
 
     def right_of(self, x, y):
         return apply_bilinear(self.right, x, y)
-
-    def basis_left(self, i, j):
-        return self.left.slice12(i, j)
-
-    def basis_right(self, i, j):
-        return self.right.slice12(i, j)
-
-    def __eq__(self, other):
-        if not isinstance(other, HomLDendriform):
-            return NotImplemented
-        return (self.left, self.right, self.twist) == (other.left, other.right, other.twist)
-
-    def __hash__(self):
-        return hash((self.left, self.right, self.twist))
 
     def __repr__(self):
         return "HomLDendriform(dim=%d)" % self.dim
@@ -176,7 +162,7 @@ def dendriform_rep_check(d):
     return combine_reports(named)
 
 
-class OOperator:
+class OOperator(_Stored):
     """A candidate relative operator: a map from a representation space to the algebra."""
 
     __slots__ = ("rep", "matrix")
@@ -191,11 +177,6 @@ class OOperator:
     @property
     def algebra(self):
         return self.rep.algebra
-
-    def __eq__(self, other):
-        if not isinstance(other, OOperator):
-            return NotImplemented
-        return (self.rep, self.matrix) == (other.rep, other.matrix)
 
     def __repr__(self):
         return "OOperator(%dx%d)" % (self.matrix.rows, self.matrix.cols)

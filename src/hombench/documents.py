@@ -16,7 +16,7 @@ from operator import attrgetter
 
 from .errors import ParseError
 from .foundation import LinearMap, Tensor2, Tensor3
-from .algebras import BilinearForm, HomLieAlgebra, HomPreLieAlgebra
+from .algebras import BilinearForm, HomLieAlgebra, HomPreLieAlgebra, _Stored
 from .representations import HomLieRep, HomPreLieRep
 from .matched import LieMatchedPair, ManinTriple, PreLieMatchedPair
 from .bialgebras import Bialgebra
@@ -27,7 +27,7 @@ _INT_RE = re.compile(r"^(?:0|-?[1-9][0-9]*)$")
 _DEN_RE = re.compile(r"^[1-9][0-9]*$")
 
 
-class Document:
+class Document(_Stored):
     """A kind tag plus the structured value it describes."""
 
     __slots__ = ("kind", "value")
@@ -37,11 +37,6 @@ class Document:
             raise ParseError("unknown kind %r" % (kind,))
         self.kind = kind
         self.value = value
-
-    def __eq__(self, other):
-        if not isinstance(other, Document):
-            return NotImplemented
-        return (self.kind, self.value) == (other.kind, other.value)
 
     def __repr__(self):
         return "Document(%r)" % (self.kind,)

@@ -9,11 +9,11 @@ lexicographic with the left factor major. No floats anywhere.
 A structure table is a Tensor3 whose (i, j) output vector is the product of
 the basis pair; an action table, whose slice (p, q) is column q of action
 p, is one too. Other modules reach its storage only through these
-primitives: Tensor3.left_maps() and Tensor3.right_maps() give the
-multiplication operators by each basis vector, Tensor3.left_at(x) and
-Tensor3.right_at(y) give multiplication by one vector, Tensor3.swapped()
-swaps the two input slots (so a right-multiplication family is the swapped
-table), Tensor3.first_through(m) moves the first slot through a map,
+primitives: Tensor3.left_maps() gives the left multiplication operators by
+each basis vector, Tensor3.left_at(x) and Tensor3.right_at(y) give
+multiplication by one vector, Tensor3.swapped() swaps the two input slots (so
+a right-multiplication family is the swapped table, whose left_maps() are the
+right multiplication operators), Tensor3.first_through(m) moves the first slot through a map,
 Tensor3.from_slices() builds a table one output vector at a time,
 Tensor3.from_left_maps() builds it from a family of maps, the inverse of
 left_maps(), and Tensor3.from_integers() builds it from int planes at one
@@ -703,13 +703,10 @@ class Tensor3:
         d, planes = self._form
         return tuple(LinearMap._from_integers(_transposed(plane, d3), d, d3, d2) for plane in planes)
 
-    def right_maps(self):
-        """Right multiplication by each basis vector: map j sends e_i to slice12(i, j)."""
-        return self.swapped().left_maps()
-
     def swapped(self):
         """The (d2, d1, d3) table with the two input slots swapped: its slice (j, i)
-        is slice12(i, j), so its left_maps() are the right_maps() of this one."""
+        is slice12(i, j), so its left_maps() multiply this table on the right by
+        each basis vector."""
         d1, d2, d3 = self.dims
         d, planes = self._form
         return Tensor3.from_integers([[plane[j] for plane in planes] for j in range(d2)], d, (d2, d1, d3))

@@ -21,9 +21,9 @@ from .foundation import (LinearMap, Tensor2, Tensor3, apply_bilinear, direct_sum
                          map_direct_sum, _packed_family, _packed_operators, _slot_bits, _unpack)
 from .algebras import (BilinearForm, HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
                        agreement_report, combine_reports, validate_hom_lie, validate_hom_pre_lie,
-                       validate_quadratic, _record)
+                       validate_quadratic, _Stored, _record)
 from .representations import (HomLieRep, HomPreLieRep, star_maps, validate_lie_rep,
-                              validate_pre_lie_rep, _Stored, _action_family, _dual_actions, _maps_view)
+                              validate_pre_lie_rep, _action_family, _dual_actions, _maps_view)
 
 
 class LieMatchedPair(_Stored):
@@ -252,7 +252,7 @@ def check_pre_lie_matched_equiv(a, adual):
     return agreement_report({"lie": lie_report, "pre_lie": pre_report})
 
 
-class ManinTriple:
+class ManinTriple(_Stored):
     """A quadratic algebra split into two isotropic subalgebra slots: the first
     first_dim basis vectors and the remaining second_dim basis vectors."""
 
@@ -269,12 +269,6 @@ class ManinTriple:
         self.form = form
         self.first_dim = first_dim
         self.second_dim = second_dim
-
-    def __eq__(self, other):
-        if not isinstance(other, ManinTriple):
-            return NotImplemented
-        return ((self.total, self.form, self.first_dim, self.second_dim) ==
-                (other.total, other.form, other.first_dim, other.second_dim))
 
     def __repr__(self):
         return "ManinTriple(%d + %d)" % (self.first_dim, self.second_dim)

@@ -38,7 +38,7 @@ from .errors import DimensionMismatch, InvalidInput, SingularMap
 from .foundation import (Tensor3, direct_sum_table, map_direct_sum, tensor_product_map, _integer_family,
                          _pack, _packed_family, _packed_operators, _slot_bits, _transposed, _unpack)
 from .algebras import (HomLieAlgebra, HomPreLieAlgebra, ValidationReport,
-                       validate_hom_lie, validate_hom_pre_lie, _record)
+                       validate_hom_lie, validate_hom_pre_lie, _Stored, _record)
 
 
 def _action_family(family, count, size):
@@ -69,18 +69,6 @@ def _maps_view(name):
     """A read-only view of the action table stored at name: its tuple of maps,
     Tensor3.left_maps(), derived on every read and cached nowhere."""
     return property(lambda self: getattr(self, name).left_maps())
-
-
-class _Stored:
-    """A container whose slots hold what it stores, its action tables among
-    them; two are equal when they have one type and equal slots."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 class HomLieRep(_Stored):

@@ -117,7 +117,7 @@ def test_multiplication_operators_of_a_rectangular_table():
     t = _dense_table((2, 3, 4))
     x = (Fraction(2, 3), -1)
     y = (Fraction(-1, 2), 0, 3)
-    left, right = t.left_maps(), t.right_maps()
+    left, right = t.left_maps(), t.swapped().left_maps()
     assert [(m.rows, m.cols) for m in left] == [(4, 3)] * 2
     assert [(m.rows, m.cols) for m in right] == [(4, 2)] * 3
     for i in range(2):
@@ -132,7 +132,7 @@ def test_action_table_of_the_multiplication_operators_is_the_table():
     x = (Fraction(2, 3), 0, -1)
     y = (Fraction(-1, 2), 5, Fraction(1, 4))
     assert action_table(t.left_maps(), 3) == t
-    swapped = action_table(t.right_maps(), 3)
+    swapped = action_table(t.swapped().left_maps(), 3)
     assert all(swapped.slice12(j, i) == t.slice12(i, j) for i in range(3) for j in range(3))
     assert action_table(t.left_maps(), 3).left_at(x).apply(y) == apply_bilinear(t, x, y)
     assert swapped.left_at(y).apply(x) == apply_bilinear(t, x, y)
@@ -144,7 +144,7 @@ def test_from_slices_equals_from_entries(dims):
     rebuilt = Tensor3.from_slices(*dims, t.slice12)
     assert rebuilt == t
     assert rebuilt.dims == dims
-    assert len(t.left_maps()) == dims[0] and len(t.right_maps()) == dims[1]
+    assert len(t.left_maps()) == dims[0] and len(t.swapped().left_maps()) == dims[1]
 
 
 def test_multiplication_by_a_vector_applies_the_table():
@@ -155,7 +155,7 @@ def test_multiplication_by_a_vector_applies_the_table():
     assert (left.rows, left.cols, right.rows, right.cols) == (4, 3, 4, 2)
     assert left.apply(y) == apply_bilinear(t, x, y) == right.apply(x)
     assert left == _sum_of_scaled(t.left_maps(), x, 4, 3)
-    assert right == _sum_of_scaled(t.right_maps(), y, 4, 2)
+    assert right == _sum_of_scaled(t.swapped().left_maps(), y, 4, 2)
     assert t.left_at((0, 0)) == LinearMap.zero(4, 3)
     with pytest.raises(DimensionMismatch):
         t.left_at(y)
@@ -439,7 +439,7 @@ def test_readers_and_tensor_arithmetic_are_exact_on_the_integer_form(data):
     for i in range(d1):
         for j in range(d2):
             _assert_exact(table.slice12(i, j), [Fraction(x) for x in vecs[i][j]])
-    left_maps, right_maps = table.left_maps(), table.right_maps()
+    left_maps, right_maps = table.left_maps(), table.swapped().left_maps()
     assert [(lm.rows, lm.cols) for lm in left_maps] == [(d3, d2)] * d1
     assert [(rm.rows, rm.cols) for rm in right_maps] == [(d3, d1)] * d2
     for i, lm in enumerate(left_maps):
