@@ -13,10 +13,10 @@ primitives: Tensor3.left_maps() gives the left multiplication operators by
 each basis vector, Tensor3.left_at(x) and Tensor3.right_at(y) give
 multiplication by one vector, Tensor3.swapped() swaps the two input slots (so
 a right-multiplication family is the swapped table, whose left_maps() are the
-right multiplication operators), Tensor3.first_through(m) moves the first slot through a map,
-Tensor3.from_slices() builds a table one output vector at a time,
-Tensor3.from_left_maps() builds it from a family of maps, the inverse of
-left_maps(), and Tensor3.from_integers() builds it from int planes at one
+right multiplication operators), Tensor3.first_through(m) moves the first
+slot through a map, Tensor3.from_slices() builds a table one output vector at
+a time, Tensor3.from_left_maps() builds it from a family of maps, the inverse
+of left_maps(), and Tensor3.from_integers() builds it from int planes at one
 denominator.
 
 A Tensor2, an element of V (x) W, is a LinearMap read with tensor names: one

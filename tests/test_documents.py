@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hombench import (Bialgebra, BilinearForm, Document, HomLDendriform, HomLieAlgebra,
+from hombench import (Bialgebra, BilinearForm, Document, Failure, HomLDendriform, HomLieAlgebra,
                       HomLieRep, HomPreLieAlgebra, HomPreLieRep, LieMatchedPair,
                       LinearMap, ManinTriple, OOperator, ParseError, PreLieMatchedPair,
                       Tensor2, Tensor3, document_for, parse_document,
                       parse_documents, serialize_document, serialize_documents)
 from hombench import fixtures
+from hombench.algebras import _Stored
 from hombench.documents import KINDS, SCHEMA
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -132,6 +133,87 @@ def test_all_fixture_values_round_trip():
         assert back.kind == doc.kind, name
         assert back.value == doc.value, name
         assert serialize_document(back) == text, name
+
+
+def _with_slot(value, name, new):
+    """A copy of a stored structure with one slot replaced, made past its
+    constructor so that no validation stands in the way."""
+    copy = object.__new__(type(value))
+    for slot in type(value).__slots__:
+        setattr(copy, slot, getattr(value, slot))
+    setattr(copy, name, new)
+    return copy
+
+
+def _bumped(value):
+    """The value with one entry raised by one: the first entry of a map or
+    table, else of the first slot that holds one."""
+    if isinstance(value, LinearMap):
+        rows = [list(row) for row in value.entries]
+        rows[0][0] += 1
+        return type(value)(rows)
+    if isinstance(value, Tensor3):
+        planes = [[list(v) for v in plane] for plane in value.entries]
+        planes[0][0][0] += 1
+        return Tensor3(planes)
+    for name in type(value).__slots__:
+        slot = getattr(value, name)
+        if isinstance(slot, (LinearMap, Tensor3, _Stored)):
+            return _with_slot(value, name, _bumped(slot))
+    raise AssertionError("nothing to bump in %r" % (value,))
+
+
+def _retwisted(value):
+    """The value with the first twist among its slots doubled, or None when it
+    holds no twist."""
+    if not isinstance(value, _Stored):
+        return None
+    for name in type(value).__slots__:
+        slot = getattr(value, name)
+        new = slot.scale(2) if name == "twist" else _retwisted(slot)
+        if new is not None:
+            return _with_slot(value, name, new)
+    return None
+
+
+FIXTURE_DOCUMENTS = fixtures.fixture_documents()
+
+
+@pytest.mark.parametrize("doc", [doc for _, doc in FIXTURE_DOCUMENTS],
+                         ids=[name for name, _ in FIXTURE_DOCUMENTS])
+def test_equality_and_hash_contract(doc):
+    """Every stored kind compares and hashes by its stored slots with one
+    exact type, and never raises when compared with something else."""
+    back = parse_document(serialize_document(doc))
+    assert back == doc and hash(back) == hash(doc)
+    assert back.value == doc.value and hash(back.value) == hash(doc.value)
+    bumped = _bumped(doc.value)
+    assert bumped != doc.value and Document(doc.kind, bumped) != doc
+    retwisted = _retwisted(doc.value)
+    if retwisted is not None:
+        assert retwisted != doc.value
+    assert doc.value != doc and doc != doc.value
+    assert (doc.value == 1) is False and (doc == 1) is False
+
+
+def test_every_kind_is_in_the_equality_contract():
+    assert sorted({doc.kind for _, doc in FIXTURE_DOCUMENTS}) == sorted(KINDS)
+
+
+def test_lie_and_pre_lie_algebras_on_one_table_are_unequal():
+    a = fixtures.nilpotent_algebra()
+    lie = HomLieAlgebra(a.product, a.twist)
+    assert lie != a and a != lie
+    assert lie == HomLieAlgebra(a.product, a.twist)
+
+
+def test_failure_equality_and_hash_contract():
+    failure = Failure("hom-jacobi", (0, 1, 1), (Fraction(1, 2), 0))
+    copy = Failure("hom-jacobi", [0, 1, 1], [Fraction(1, 2), 0])
+    assert copy == failure and hash(copy) == hash(failure)
+    assert Failure("hom-jacobi", (0, 1, 1), (Fraction(3, 2), 0)) != failure
+    assert Failure("hom-jacobi", (0, 1, 0), (Fraction(1, 2), 0)) != failure
+    assert (failure == 1) is False
 
 
 def test_shipped_fixture_files_are_canonical():

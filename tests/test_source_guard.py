@@ -4,8 +4,8 @@ Every module of src/hombench other than __init__ must use every name it
 imports, and every module-level _private function must be referenced
 somewhere in src/ besides its own definition. No module rebuilds a map,
 tensor or bilinear form from another object's entries, no validator records
-an instance summed as a list of per-row dot products, and no function takes a
-boolean switch.
+an instance summed as a list of per-row dot products, no function takes a
+boolean switch, and no stored structure writes its own equality.
 """
 
 import ast
@@ -162,4 +162,24 @@ def test_no_function_takes_a_boolean_switch():
                 defaults = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
                 if any(isinstance(d, ast.Constant) and type(d.value) is bool for d in defaults):
                     found.append("%s:%d" % (name, node.lineno))
+    assert found == []
+
+
+# The classes that define equality: the slot-by-slot base of every stored
+# structure, and the two integer row stores, which compare their private form.
+_EQUALITY_OWNERS = {"_Stored", "LinearMap", "Tensor3"}
+
+
+def test_only_the_stores_define_equality():
+    """Every structure compares and hashes by its stored slots through
+    algebras._Stored. A class that writes its own __eq__ or __hash__ brings back
+    a second copy of that comparison, and one that writes only __eq__ loses its
+    hash."""
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name not in _EQUALITY_OWNERS and any(
+                    isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")
+                    for item in node.body):
+                found.append("%s: %s" % (name, node.name))
     assert found == []
